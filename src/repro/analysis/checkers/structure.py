@@ -147,18 +147,17 @@ class StateDictCoverageChecker(Checker):
 
 @register
 class SlotsChecker(Checker):
-    """SLT01 — hot-path dataclass without ``**DATACLASS_SLOTS``.
+    """SLT01 — hot-path dataclass without ``slots=True``.
 
     The PR-2 profiles showed ``__dict__`` attribute access dominating the
     geometry and eviction loops; dataclasses in the hot packages therefore
-    opt into ``__slots__`` via ``repro._compat.DATACLASS_SLOTS`` (which
-    degrades gracefully on interpreters without ``slots=True``).  A class
-    that must keep ``__dict__`` (e.g. it is monkeypatched in tests or
+    opt into ``__slots__`` with a literal ``slots=True``.  A class that
+    must keep ``__dict__`` (e.g. it is monkeypatched in tests or
     subclassed with ad-hoc attributes) carries a waiver saying so.
     """
 
     rule = "SLT01"
-    title = "hot-path dataclass missing **DATACLASS_SLOTS"
+    title = "hot-path dataclass missing slots=True"
 
     def visit_ClassDef(self, node: ast.ClassDef) -> None:
         for decorator in node.decorator_list:
@@ -167,20 +166,15 @@ class SlotsChecker(Checker):
             if isinstance(decorator, ast.Call) and self._has_slots(decorator):
                 continue
             self.report(decorator, f"dataclass {node.name} in a hot-path "
-                                   "package should pass **DATACLASS_SLOTS "
-                                   "(repro._compat)")
+                                   "package should pass slots=True")
         self.generic_visit(node)
 
     @staticmethod
     def _has_slots(decorator: ast.Call) -> bool:
-        for keyword in decorator.keywords:
-            if keyword.arg == "slots":
-                return True
-            if keyword.arg is None:  # a ``**mapping`` splat
-                dumped = ast.dump(keyword.value)
-                if "DATACLASS_SLOTS" in dumped:
-                    return True
-        return False
+        return any(keyword.arg == "slots"
+                   and isinstance(keyword.value, ast.Constant)
+                   and keyword.value.value is True
+                   for keyword in decorator.keywords)
 
 
 @register

@@ -19,10 +19,8 @@ from dataclasses import dataclass
 from fnmatch import fnmatch
 from typing import Dict, Iterable, Tuple
 
-from repro._compat import DATACLASS_SLOTS
 
-
-@dataclass(frozen=True, **DATACLASS_SLOTS)
+@dataclass(frozen=True, slots=True)
 class RuleScope:
     """Which package-relative paths one rule applies to."""
 
@@ -36,7 +34,7 @@ class RuleScope:
         return not any(fnmatch(relative_path, pattern) for pattern in self.exclude)
 
 
-@dataclass(frozen=True, **DATACLASS_SLOTS)
+@dataclass(frozen=True, slots=True)
 class LintConfig:
     """Rule-id → :class:`RuleScope` table (rules absent here never run)."""
 

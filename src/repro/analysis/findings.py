@@ -12,13 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Tuple
 
-from repro._compat import DATACLASS_SLOTS
-
 #: Version stamp of the JSON findings document (bump on schema changes).
 JSON_SCHEMA_VERSION = 1
 
 
-@dataclass(frozen=True, **DATACLASS_SLOTS)
+@dataclass(frozen=True, slots=True)
 class Finding:
     """One rule violation at one source position."""
 

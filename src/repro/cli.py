@@ -37,6 +37,7 @@ from repro.experiments.report import (
     format_fleet_report, format_latency_line, format_table,
 )
 from repro.sim.config import SimulationConfig
+from repro.sim.deployment import check_combination
 from repro.sim.fleet import ClientGroupSpec, FleetConfig, default_fleet, run_fleet
 from repro.sim.runner import run_comparison
 
@@ -157,30 +158,21 @@ def _run_fleet(args: argparse.Namespace) -> str:
         raise SystemExit("repro fleet: error: --status-port cannot be "
                          "combined with --resume/--halt-after")
     if args.resume:
-        if args.update_rate or args.consistency != "none":
-            # The session file is authoritative for a resumed fleet; the
-            # dynamic flags would be silently dropped otherwise.
-            raise SystemExit(
-                "repro fleet: error: --update-rate/--consistency cannot be "
-                "combined with --resume (the session file already records "
-                "the fleet's dynamic configuration)")
-        if args.durable:
-            raise SystemExit(
-                "repro fleet: error: --durable cannot be combined with "
-                "--resume (the session file records whether the halted run "
-                "was durable)")
-        if args.shards is not None:
-            raise SystemExit(
-                "repro fleet: error: --shards cannot be combined with "
-                "--resume (sharded fleets are not resumable)")
-        if args.router_cache or args.router_cache_bytes is not None:
-            raise SystemExit(
-                "repro fleet: error: --router-cache cannot be combined "
-                "with --resume (sharded fleets are not resumable)")
-        if args.transport != "inproc":
-            raise SystemExit(
-                "repro fleet: error: --transport cannot be combined with "
-                "--resume (networked fleets are not resumable)")
+        # The session file is authoritative for a resumed fleet; flags that
+        # describe the deployment would be silently dropped otherwise.
+        given = {"--update-rate": args.update_rate,
+                 "--consistency": args.consistency != "none",
+                 "--durable": args.durable,
+                 "--shards": args.shards is not None,
+                 "--router-cache": (args.router_cache
+                                    or args.router_cache_bytes is not None),
+                 "--transport": args.transport != "inproc"}
+        for flag, present in given.items():
+            if present:
+                raise SystemExit(
+                    f"repro fleet: error: {flag} cannot be combined with "
+                    f"--resume (the session file already records the "
+                    f"fleet's deployment)")
         from repro.sim.restart import resume_fleet
         try:
             result, state = resume_fleet(args.resume)
@@ -224,18 +216,19 @@ def _run_fleet(args: argparse.Namespace) -> str:
         if args.transport != "inproc":
             import dataclasses
             fleet = dataclasses.replace(fleet, transport=args.transport)
+        # The one combination table decides what can run together; asking
+        # it here fails before a status server or worker pool starts.
+        check_combination(fleet, max_workers=args.workers,
+                          store_path=args.store, durable=args.durable,
+                          halt_resume=args.halt_after is not None)
     except ValueError as error:
-        # Cross-group validation (duplicate names, non-positive totals) that
-        # parse_group_spec cannot see: fail like an argparse error, not a
-        # traceback.
+        # Also cross-group validation (duplicate names, non-positive
+        # totals) that parse_group_spec cannot see: fail like an argparse
+        # error, not a traceback.
         raise SystemExit(f"repro fleet: error: {error}")
 
     if args.halt_after is not None:
         from repro.sim.restart import run_fleet_interrupted
-        if args.transport != "inproc":
-            raise SystemExit("repro fleet: error: --halt-after is "
-                             "inproc-only (networked fleets are not "
-                             "resumable)")
         if not args.session_dir:
             raise SystemExit("repro fleet: error: --halt-after requires "
                              "--session-dir to persist the session")

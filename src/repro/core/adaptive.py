@@ -13,11 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from repro._compat import DATACLASS_SLOTS
 from repro.core.supporting_index import IndexForm, SupportingIndexPolicy
 
 
-@dataclass(**DATACLASS_SLOTS)
+@dataclass(slots=True)
 class AdaptiveDepthController:
     """Client-side fmr bookkeeping plus the server-side ``d`` update rule.
 

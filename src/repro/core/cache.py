@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set, Union
 
-from repro._compat import DATACLASS_SLOTS
 from repro.core.items import (
     CachedIndexNode,
     CachedObject,
@@ -38,7 +37,7 @@ from repro.rtree.sizes import SizeModel
 Payload = Union[CachedIndexNode, CachedObject]
 
 
-@dataclass(**DATACLASS_SLOTS)
+@dataclass(slots=True)
 class CacheItemState:
     """A cached item plus the metadata needed by the replacement policies."""
 

@@ -14,7 +14,6 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro._compat import DATACLASS_SLOTS
 from repro.core.cache import ProactiveCache
 from repro.core.items import (
     CachedObject,
@@ -31,7 +30,7 @@ from repro.obs.instrument import perf_clock
 from repro.workload.queries import JoinQuery, KNNQuery, Query, QueryType, RangeQuery
 
 
-@dataclass(**DATACLASS_SLOTS)
+@dataclass(slots=True)
 class ClientExecution:
     """Outcome of the first (local) processing stage of a query."""
 

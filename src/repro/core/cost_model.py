@@ -19,12 +19,10 @@ Locally saved bytes (``Rs``) contribute zero.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-from repro._compat import DATACLASS_SLOTS
 from typing import List, Optional
 
 
-@dataclass(frozen=True, **DATACLASS_SLOTS)
+@dataclass(frozen=True, slots=True)
 class ResponseTimeModel:
     """Wireless-channel timing: per-byte delay and fixed round-trip overhead."""
 
@@ -56,7 +54,7 @@ class ResponseTimeModel:
         return (downloaded_term + confirmed_term) / total_result_bytes
 
 
-@dataclass(**DATACLASS_SLOTS)
+@dataclass(slots=True)
 class QueryCost:
     """Per-query cost record produced by the simulation."""
 
@@ -94,7 +92,7 @@ class QueryCost:
         return max(0.0, self.cached_result_bytes - self.saved_bytes)
 
 
-@dataclass(**DATACLASS_SLOTS)
+@dataclass(slots=True)
 class CostAccumulator:
     """Aggregates :class:`QueryCost` records into the paper's metrics."""
 

@@ -6,12 +6,11 @@ import enum
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro._compat import DATACLASS_SLOTS
 from repro.geometry import Rect
 from repro.rtree.sizes import SizeModel
 
 
-@dataclass(frozen=True, **DATACLASS_SLOTS)
+@dataclass(frozen=True, slots=True)
 class CacheEntry:
     """One element of a cached index-node snapshot.
 
@@ -54,7 +53,7 @@ class CacheEntry:
         return size_model.entry_bytes
 
 
-@dataclass(**DATACLASS_SLOTS)
+@dataclass(slots=True)
 class CachedIndexNode:
     """A client-side snapshot of one R-tree node.
 
@@ -119,7 +118,7 @@ class CachedIndexNode:
         return CachedIndexNode(self.node_id, self.level, dict(self.elements))
 
 
-@dataclass(frozen=True, **DATACLASS_SLOTS)
+@dataclass(frozen=True, slots=True)
 class CachedObject:
     """A data object held in the client cache."""
 
@@ -136,7 +135,7 @@ class TargetKind(enum.Enum):
     SUPER = "super"
 
 
-@dataclass(frozen=True, **DATACLASS_SLOTS)
+@dataclass(frozen=True, slots=True)
 class FrontierTarget:
     """One element of the execution state handed over to the server.
 

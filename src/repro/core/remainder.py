@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
-from repro._compat import DATACLASS_SLOTS
 from repro.core.items import FrontierTarget
 from repro.rtree.sizes import SizeModel
 from repro.workload.queries import Query
@@ -14,7 +13,7 @@ from repro.workload.queries import Query
 FrontierItem = Tuple[FrontierTarget, ...]
 
 
-@dataclass(**DATACLASS_SLOTS)
+@dataclass(slots=True)
 class RemainderQuery:
     """The execution state handed over to the server (paper Section 3.3).
 

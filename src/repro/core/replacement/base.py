@@ -7,14 +7,13 @@ import heapq
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Set
 
-from repro._compat import DATACLASS_SLOTS
 from repro.geometry import Point
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.cache import CacheItemState, ProactiveCache
 
 
-@dataclass(**DATACLASS_SLOTS)
+@dataclass(slots=True)
 class EvictionContext:
     """Ambient information some policies need when scoring victims.
 

@@ -17,7 +17,6 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro._compat import DATACLASS_SLOTS
 from repro.core.items import CacheEntry, FrontierTarget, TargetKind
 from repro.core.remainder import FrontierItem, RemainderQuery
 from repro.core.supporting_index import IndexForm, SupportingIndexPolicy
@@ -31,7 +30,7 @@ from repro.rtree.tree import RTree
 from repro.workload.queries import JoinQuery, KNNQuery, Query, RangeQuery
 
 
-@dataclass(**DATACLASS_SLOTS)
+@dataclass(slots=True)
 class IndexNodeSnapshot:
     """One accessed node, in the form the server decided to ship."""
 
@@ -46,7 +45,7 @@ class IndexNodeSnapshot:
             element.size_bytes(size_model) for element in self.elements)
 
 
-@dataclass(**DATACLASS_SLOTS)
+@dataclass(slots=True)
 class ObjectDelivery:
     """One result object shipped to the client, with its owning leaf node.
 
@@ -64,7 +63,7 @@ class ObjectDelivery:
         return 0 if self.confirm_only else self.record.size_bytes
 
 
-@dataclass(**DATACLASS_SLOTS)
+@dataclass(slots=True)
 class ServerResponse:
     """The server's answer to a (remainder) query: ``Rr`` and ``Ir``."""
 
@@ -105,7 +104,7 @@ class ServerResponse:
         return {delivery.record.object_id for delivery in self.deliveries}
 
 
-@dataclass(**DATACLASS_SLOTS)
+@dataclass(slots=True)
 class _AccessRecord:
     """Which parts of one node the traversal touched."""
 

@@ -15,8 +15,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from repro._compat import DATACLASS_SLOTS
-
 
 class IndexForm(enum.Enum):
     """Which representation of an accessed node the server ships."""
@@ -26,7 +24,7 @@ class IndexForm(enum.Enum):
     ADAPTIVE = "adaptive"
 
 
-@dataclass(**DATACLASS_SLOTS)
+@dataclass(slots=True)
 class SupportingIndexPolicy:
     """The server-side policy for building the supporting index ``Ir``.
 

@@ -6,10 +6,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Tuple
 
-from repro._compat import DATACLASS_SLOTS
 
-
-@dataclass(frozen=True, order=True, **DATACLASS_SLOTS)
+@dataclass(frozen=True, order=True, slots=True)
 class Point:
     """An immutable point in the plane.
 

@@ -12,11 +12,10 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from repro._compat import DATACLASS_SLOTS
 from repro.geometry.point import Point
 
 
-@dataclass(frozen=True, order=True, **DATACLASS_SLOTS)
+@dataclass(frozen=True, order=True, slots=True)
 class Rect:
     """An immutable axis-aligned rectangle ``[min_x, max_x] x [min_y, max_y]``."""
 

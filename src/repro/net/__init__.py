@@ -16,14 +16,15 @@ Layers (bottom up):
   response, consistency-validation and session-control frame types;
 * :mod:`repro.net.server` — :class:`~repro.net.server.ReproServer`, an
   asyncio server multiplexing concurrent sessions over TCP and UNIX
-  sockets with batched query admission, a bounded backpressure queue and
+  sockets with one serial query dispatcher, a bounded backpressure queue and
   per-connection byte ledgers;
 * :mod:`repro.net.client` — the synchronous
   :class:`~repro.net.client.RemoteSessionClient` (a drop-in for the
   sessions' server handle) and its connection pool;
-* :mod:`repro.net.fleet` — the loopback fleet runner behind
-  ``repro fleet --transport {uds,tcp}``, pinned byte-identical to the
-  in-process fleet by the equivalence suite.
+* :mod:`repro.net.fleet` — the transport wrapper behind ``repro fleet
+  --transport {uds,tcp}``: it puts any composed deployment behind a
+  loopback socket, pinned byte-identical to the in-process fleet by the
+  equivalence suite.
 """
 
 from repro.net.client import ClientPool, Endpoint, NetValidationService, RemoteSessionClient
@@ -35,7 +36,7 @@ from repro.net.frames import (
     RemoteError,
 )
 from repro.net.server import ReproServer, ServerThread
-from repro.net.fleet import TRANSPORTS, run_networked_fleet
+from repro.net.fleet import TRANSPORTS
 
 __all__ = [
     "ClientPool",
@@ -50,5 +51,4 @@ __all__ = [
     "ReproServer",
     "ServerThread",
     "TRANSPORTS",
-    "run_networked_fleet",
 ]

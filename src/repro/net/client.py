@@ -25,7 +25,6 @@ import socket
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro._compat import DATACLASS_SLOTS
 from repro.core.server import ServerResponse
 from repro.core.remainder import RemainderQuery
 from repro.core.supporting_index import SupportingIndexPolicy
@@ -50,7 +49,7 @@ from repro.updates.validation import (
 from repro.workload.queries import Query
 
 
-@dataclass(frozen=True, **DATACLASS_SLOTS)
+@dataclass(frozen=True, slots=True)
 class Endpoint:
     """Where a :class:`~repro.net.server.ReproServer` listens.
 
@@ -221,8 +220,8 @@ class RemoteSessionClient:
 
     The root catalogue (``root_id`` / ``root_mbr``) is cached from the
     HELLO_ACK and refreshed by every RESPONSE / SYNC_ACK piggyback; the
-    fleet runner calls :meth:`invalidate_catalog` after applying a server
-    -side update, and the next catalogue read re-fetches it for free
+    transport wrapper calls :meth:`invalidate_catalog` after every applied
+    server-side update, and the next catalogue read re-fetches it for free
     (CATALOG_REQ is unbilled metadata, exactly like the in-process
     property read).
     """

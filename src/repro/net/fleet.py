@@ -1,15 +1,15 @@
-"""The loopback-networked fleet runner and the saturation probe.
+"""The loopback transport wrapper and the saturation probe.
 
-``run_networked_fleet`` runs an ordinary :class:`~repro.sim.fleet
-.FleetConfig` with the server behind a real socket: the deterministic
-server state is built in-process exactly as the simulated runner builds
-it, a :class:`~repro.net.server.ReproServer` serves it from a background
-event-loop thread, and every client session gets a
-:class:`~repro.net.client.RemoteSessionClient` as its server handle — the
-sessions, consistency protocols and replay loops are the *same objects*
-running the same code, which is why the equivalence suite can demand
-byte-identical per-query costs and cache digests against the in-process
-run.
+:func:`serve` puts an already-built
+:class:`~repro.sim.deployment.Deployment` behind a real socket: a
+:class:`~repro.net.server.ReproServer` serves the deployment's server (or
+shard router) from a background event-loop thread, and every client
+session is dialled a :class:`~repro.net.client.RemoteSessionClient` as its
+server handle — the sessions, consistency protocols and the replay loop
+are the *same objects* running the same code, which is why the
+equivalence suite can demand byte-identical per-query costs and cache
+digests against the in-process run, whatever storage and topology the
+deployment was composed from.
 
 The byte story per client: queries and consistency handshakes bill their
 modelled bytes to the client's own
@@ -24,7 +24,7 @@ import statistics
 import tempfile
 import threading
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
 from repro.net.client import (
     ClientPool,
@@ -36,25 +36,18 @@ from repro.net.server import ReproServer, ServerThread
 from repro.network.channel import WirelessChannel
 from repro.obs.status import publish
 from repro.sim.config import SimulationConfig
-from repro.rtree.sizes import SizeModel
-from repro.sim.fleet import (
-    FleetClientSpec,
-    FleetConfig,
-    build_dynamic_events,
-    build_fleet_events,
-    check_dynamic_models,
-    finalize_fleet_results,
-    replay_dynamic_events,
-    replay_fleet_events,
-)
-from repro.sim.metrics import ClientResult, FleetResult
+from repro.sim.metrics import FleetResult
 from repro.sim.runner import (
     SharedServerState,
     build_shared_state,
     generate_trace,
 )
-from repro.sim.sessions import GroundTruthCache, make_session
+from repro.updates import make_protocol
 from repro.updates.validation import LocalValidationService
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.sim.deployment import ClientWiring, Deployment
+    from repro.sim.fleet import FleetClientSpec
 
 #: Transports `repro fleet` accepts; "inproc" is the simulated default.
 TRANSPORTS = ("inproc", "uds", "tcp")
@@ -67,29 +60,6 @@ def make_endpoint(thread: ServerThread) -> Endpoint:
         return Endpoint(transport="uds", path=str(where))
     host, port = where  # type: ignore[misc]
     return Endpoint(transport="tcp", host=host, port=int(port))
-
-
-class _CatalogInvalidatingUpdater:
-    """Apply updates through the real updater, then dirty every catalogue.
-
-    In-process sessions read ``server.root_id`` live, so a root split is
-    visible instantly; remote handles cache the catalogue, so each applied
-    update marks it stale and the next read re-fetches (free metadata,
-    like the in-process property read).
-    """
-
-    def __init__(self, updater: object,
-                 handles: Sequence[RemoteSessionClient]) -> None:
-        self.updater = updater
-        self.handles = list(handles)
-
-    def apply(self, event: object) -> None:
-        self.updater.apply(event)  # type: ignore[attr-defined]
-        for handle in self.handles:
-            handle.invalidate_catalog()
-
-    def summary(self) -> Dict[str, object]:
-        return dict(self.updater.summary())  # type: ignore[attr-defined]
 
 
 def _reconcile(channel: WirelessChannel,
@@ -111,156 +81,80 @@ def _reconcile(channel: WirelessChannel,
     }
 
 
-def run_networked_fleet(fleet: FleetConfig, transport: str) -> FleetResult:
-    """Run ``fleet`` with the server behind a loopback socket.
+def serve(deployment: "Deployment") -> None:
+    """Put ``deployment`` behind its fleet's loopback transport, in place.
 
-    ``transport`` is ``"uds"`` or ``"tcp"`` (``"inproc"`` belongs to the
-    simulated :func:`~repro.sim.fleet.run_fleet`).  Sharded fleets route
-    the wire protocol to the scatter-gather router; dynamic fleets apply
-    the shared mutation history in-process between queries, exactly as the
-    simulated runner does.  Returns the ordinary :class:`FleetResult`
-    plus a :attr:`~repro.sim.metrics.FleetResult.net_summary` with the
-    per-client byte reconciliation.
+    Starts the wire server over the deployment's server handle (its
+    updater, if any, answers the versioned protocol's validation exchange)
+    and re-points the per-client wiring at the socket: every client is
+    dialled its own remote handle and a wire-backed consistency protocol.
+    In-process sessions read ``server.root_id`` live, so a root split is
+    visible instantly; remote handles cache the catalogue, so every
+    applied update marks it stale and the next read re-fetches (free
+    metadata, like the in-process property read).  The finished run gains
+    its ``net_summary``; closing the deployment closes every handle and
+    stops the server.
     """
-    if transport not in ("uds", "tcp"):
-        raise ValueError(f"unknown networked transport {transport!r}; "
-                         "expected uds or tcp")
-    check_dynamic_models(fleet, kind="networked")
-    if fleet.is_sharded:
-        return _run_sharded(fleet, transport)
-    return _run_single(fleet, transport)
+    fleet, size_model = deployment.fleet, deployment.size_model
+    validation = (LocalValidationService(deployment.updater)
+                  if deployment.updater is not None else None)
+    server = ReproServer(deployment.server, size_model, validation=validation)
+    workdir = tempfile.TemporaryDirectory(prefix="repro-net-")
+    deployment.on_close(workdir.cleanup)
+    thread = ServerThread(server, fleet.transport,
+                          path=f"{workdir.name}/server.sock")
+    thread.start()
+    deployment.on_close(thread.stop)
+    endpoint = make_endpoint(thread)
+    handles: List[Tuple[int, RemoteSessionClient]] = []
 
+    def close_handles() -> None:
+        for _, handle in handles:
+            handle.close()
+    deployment.on_close(close_handles)
 
-def _run_single(fleet: FleetConfig, transport: str) -> FleetResult:
-    specs = fleet.client_specs()
-    shared = build_shared_state(fleet.base)
-    try:
-        updater = None
-        validation = None
-        if fleet.is_dynamic:
-            from repro.updates import DatasetUpdater
-            updater = DatasetUpdater(shared.tree, shared.server,
-                                     ground_truth=shared.ground_truth)
-            validation = LocalValidationService(updater)
-        result = _serve_and_replay(fleet, specs, shared.server,
-                                   shared.size_model, shared.tree,
-                                   shared.ground_truth, updater, transport)
-        if updater is not None:
-            result.update_summary = dict(updater.summary())
-            result.update_summary["consistency"] = fleet.consistency
-        return result
-    finally:
-        shared.tree.store.close()
+    def dial(spec: "FleetClientSpec") -> "ClientWiring":
+        handle = RemoteSessionClient(endpoint, size_model,
+                                     client_name=f"client-{spec.client_id}")
+        handles.append((spec.client_id, handle))
+        return handle, make_protocol(
+            fleet.consistency, size_model=size_model,
+            ttl_seconds=fleet.ttl_seconds,
+            service=NetValidationService(handle))
+    deployment.dial = dial
 
+    def invalidate_catalogs() -> None:
+        for _, handle in handles:
+            handle.invalidate_catalog()
+    deployment.update_hooks.append(invalidate_catalogs)
 
-def _run_sharded(fleet: FleetConfig, transport: str) -> FleetResult:
-    from repro.sharding import (
-        PartitionResultCache,
-        ShardedUpdater,
-        build_sharded_state,
-    )
-    shard_count = fleet.shards if fleet.shards is not None else 1
-    state = build_sharded_state(fleet.base, shard_count,
-                                partitioner=fleet.partitioner)
-    specs = fleet.client_specs()
-    try:
-        if fleet.router_cache:
-            state.router.attach_result_cache(
-                PartitionResultCache(capacity_bytes=fleet.router_cache_bytes))
-        ground_truth = GroundTruthCache(state.view)
-        updater = None
-        if fleet.is_dynamic:
-            updater = ShardedUpdater(state.router, ground_truth=ground_truth)
-        result = _serve_and_replay(fleet, specs, state.router,
-                                   state.size_model, state.view,
-                                   ground_truth, updater, transport)
-        result.shard_summary = state.shard_summary(fleet.partitioner)
-        if updater is not None:
-            result.update_summary = dict(updater.summary())
-            result.update_summary["consistency"] = fleet.consistency
-        return result
-    finally:
-        state.close()
+    def fleet_latency() -> Dict[str, object]:
+        return latency_summary([latency for _, handle in handles
+                                for latency in handle.latencies])
 
-
-def _serve_and_replay(fleet: FleetConfig, specs: Sequence[FleetClientSpec],
-                      server: object, size_model: SizeModel, tree: object,
-                      ground_truth: GroundTruthCache,
-                      updater: Optional[object],
-                      transport: str) -> FleetResult:
-    """The shared core: serve, dial one handle per client, replay, close."""
-    from repro.updates import make_protocol
-    validation = (LocalValidationService(updater)
-                  if updater is not None else None)
-    repro_server = ReproServer(server, size_model, validation=validation)
-    with tempfile.TemporaryDirectory(prefix="repro-net-") as workdir:
-        thread = ServerThread(repro_server, transport,
-                              path=f"{workdir}/server.sock")
-        thread.start()
-        handles: List[RemoteSessionClient] = []
-        try:
-            endpoint = make_endpoint(thread)
-            sessions = {}
-            channels: Dict[int, WirelessChannel] = {}
-            for spec in specs:
-                channel = WirelessChannel()
-                handle = RemoteSessionClient(
-                    endpoint, size_model,
-                    client_name=f"client-{spec.client_id}", channel=channel)
-                handles.append(handle)
-                channels[spec.client_id] = channel
-                consistency = None
-                if fleet.is_dynamic:
-                    consistency = make_protocol(
-                        fleet.consistency, size_model=size_model,
-                        ttl_seconds=fleet.ttl_seconds,
-                        service=NetValidationService(handle))
-                sessions[spec.client_id] = make_session(
-                    spec.model, tree, spec.config, server=handle,
-                    replacement_policy=spec.replacement_policy,
-                    ground_truth=ground_truth, consistency=consistency)
-            results = {spec.client_id: ClientResult(
-                client_id=spec.client_id, group=spec.group, model=spec.model)
-                for spec in specs}
-            publish("net", lambda: {
-                "transport": transport,
-                "queue_depth": repro_server.queue_depth(),
-                "connections": repro_server.connection_ledgers(),
-                "latency": latency_summary([lat for handle in handles
-                                            for lat in handle.latencies]),
-            })
-            if fleet.is_dynamic:
-                assert updater is not None
-                wrapped = _CatalogInvalidatingUpdater(updater, handles)
-                replay_dynamic_events(wrapped, sessions, results,
-                                      build_dynamic_events(fleet, specs))
-            else:
-                replay_fleet_events(sessions, results,
-                                    build_fleet_events(specs))
-            finalize_fleet_results(sessions, results)
-            summary: Dict[str, object] = {"transport": transport}
-            clients_summary = []
-            for spec, handle in zip(specs, handles):
-                handle.close()
-                entry: Dict[str, object] = {"client_id": spec.client_id}
-                entry.update(_reconcile(channels[spec.client_id],
-                                        handle.server_ledger()))
-                entry["retries"] = handle.retries
-                entry["latency"] = latency_summary(handle.latencies)
-                clients_summary.append(entry)
-            summary["clients"] = clients_summary
-            summary["all_reconciled"] = all(entry["reconciled"]
-                                            for entry in clients_summary)
-            summary["latency"] = latency_summary(
-                [lat for handle in handles for lat in handle.latencies])
-            result = FleetResult(clients=[results[spec.client_id]
-                                          for spec in specs])
-            result.net_summary = summary
-            return result
-        finally:
-            for handle in handles:
-                handle.close()
-            thread.stop()
+    def net_summary(result: FleetResult) -> None:
+        clients_summary = []
+        for client_id, handle in handles:
+            handle.close()
+            entry: Dict[str, object] = {"client_id": client_id}
+            entry.update(_reconcile(handle.channel, handle.server_ledger()))
+            entry["retries"] = handle.retries
+            entry["latency"] = latency_summary(handle.latencies)
+            clients_summary.append(entry)
+        result.net_summary = {
+            "transport": fleet.transport,
+            "clients": clients_summary,
+            "all_reconciled": all(entry["reconciled"]
+                                  for entry in clients_summary),
+            "latency": fleet_latency(),
+        }
+    deployment.summarisers.append(net_summary)
+    publish("net", lambda: {
+        "transport": fleet.transport,
+        "queue_depth": server.queue_depth(),
+        "connections": server.connection_ledgers(),
+        "latency": fleet_latency(),
+    })
 
 
 # --------------------------------------------------------------------------- #

@@ -4,13 +4,13 @@
 :class:`~repro.core.server.ServerQueryProcessor` (or the sharded router —
 anything with the same duck-typed surface) with the framed wire protocol:
 
-* **batched query admission** — readers push decoded queries into one
-  bounded :class:`asyncio.Queue`; a single dispatcher task drains them in
-  batches and executes them serially.  Query execution is a deterministic
-  function of (query, remainder, policy) and server state, and nothing
-  else runs while it executes, so any interleaving of N clients produces
-  exactly the per-client answers of a serial replay — the concurrency
-  regression suite pins this.
+* **serial query admission** — readers push decoded queries into one
+  bounded :class:`asyncio.Queue`; a single dispatcher task takes them in
+  admission order and executes them one at a time.  Query execution is a
+  deterministic function of (query, remainder, policy) and server state,
+  and nothing else runs while it executes, so any interleaving of N
+  clients produces exactly the per-client answers of a serial replay —
+  the concurrency regression suite pins this.
 * **bounded backpressure** — when the admission queue is full the reader
   coroutine blocks on ``put()``, stops consuming its socket, and the
   kernel's TCP window pushes back on the client.
@@ -41,9 +41,6 @@ from repro.updates.validation import ValidationService
 
 #: Default bound of the shared query-admission queue.
 DEFAULT_MAX_PENDING = 64
-
-#: Default number of admitted queries one dispatcher drain executes.
-DEFAULT_BATCH_SIZE = 8
 
 
 class _Connection:
@@ -90,15 +87,13 @@ class ReproServer:
 
     def __init__(self, server: object, size_model: SizeModel,
                  validation: Optional[ValidationService] = None,
-                 max_pending: int = DEFAULT_MAX_PENDING,
-                 batch_size: int = DEFAULT_BATCH_SIZE) -> None:
-        if max_pending < 1 or batch_size < 1:
-            raise ValueError("max_pending and batch_size must be positive")
+                 max_pending: int = DEFAULT_MAX_PENDING) -> None:
+        if max_pending < 1:
+            raise ValueError("max_pending must be positive")
         self.server = server
         self.size_model = size_model
         self.validation = validation
         self.max_pending = max_pending
-        self.batch_size = batch_size
         self._queue: Optional[asyncio.Queue] = None
         self._dispatcher: Optional[asyncio.Task] = None
         self._listeners: List[asyncio.AbstractServer] = []
@@ -169,17 +164,13 @@ class ReproServer:
         self._queue = None
 
     # ------------------------------------------------------------------ #
-    # the dispatcher: batched, serial, deterministic
+    # the dispatcher: serial, deterministic
     # ------------------------------------------------------------------ #
     async def _dispatch_loop(self) -> None:
         assert self._queue is not None
         while True:
-            batch = [await self._queue.get()]
-            while (len(batch) < self.batch_size
-                   and not self._queue.empty()):
-                batch.append(self._queue.get_nowait())
-            for connection, payload in batch:
-                await self._serve_query(connection, payload)
+            connection, payload = await self._queue.get()
+            await self._serve_query(connection, payload)
 
     async def _serve_query(self, connection: _Connection,
                            payload: bytes) -> None:
@@ -352,8 +343,8 @@ class ReproServer:
 class ServerThread:
     """Run a :class:`ReproServer` on a dedicated event-loop thread.
 
-    The loopback fleet runner and the tests drive synchronous clients from
-    the calling thread, so the server needs its own loop.  ``start()``
+    The loopback transport wrapper and the tests drive synchronous clients
+    from the calling thread, so the server needs its own loop.  ``start()``
     returns once the listener is bound (exposing the resolved endpoint);
     ``stop()`` tears the loop down and joins the thread.
     """

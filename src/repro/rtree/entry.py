@@ -5,11 +5,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro._compat import DATACLASS_SLOTS
 from repro.geometry import Point, Rect
 
 
-@dataclass(frozen=True, **DATACLASS_SLOTS)
+@dataclass(frozen=True, slots=True)
 class ObjectRecord:
     """A spatial data object stored in the database.
 
@@ -28,7 +27,7 @@ class ObjectRecord:
         return self.mbr.center()
 
 
-@dataclass(frozen=True, **DATACLASS_SLOTS)
+@dataclass(frozen=True, slots=True)
 class Entry:
     """An entry ``(MBR, p)`` inside an R-tree node.
 

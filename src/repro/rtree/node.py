@@ -5,12 +5,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from repro._compat import DATACLASS_SLOTS
 from repro.geometry import Rect
 from repro.rtree.entry import Entry
 
 
-@dataclass(**DATACLASS_SLOTS)
+@dataclass(slots=True)
 class Node:
     """A single R-tree node, i.e. one page of the index.
 

@@ -18,14 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
-from repro._compat import DATACLASS_SLOTS
 from repro.geometry import Rect
 from repro.rtree.entry import Entry
 from repro.rtree.node import Node
 from repro.rtree.split import rstar_split
 
 
-@dataclass(frozen=True, **DATACLASS_SLOTS)
+@dataclass(frozen=True, slots=True)
 class SuperEntry:
     """A coarse stand-in ``(node_id, code)`` for a subset of a node's entries."""
 

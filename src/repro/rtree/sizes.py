@@ -13,10 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro._compat import DATACLASS_SLOTS
 
-
-@dataclass(frozen=True, **DATACLASS_SLOTS)
+@dataclass(frozen=True, slots=True)
 class SizeModel:
     """Byte sizes of the building blocks of the system.
 

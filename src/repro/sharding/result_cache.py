@@ -68,7 +68,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple, TYPE_CHECKING
 
-from repro._compat import DATACLASS_SLOTS
 from repro.core.cache import CacheItemState
 from repro.core.replacement.grd import GRD3Policy
 from repro.geometry import Point, Rect
@@ -91,7 +90,7 @@ ENTRY_BYTES = 48
 SHARD_FACT_BYTES = 12
 
 
-@dataclass(**DATACLASS_SLOTS)
+@dataclass(slots=True)
 class HitSetFact:
     """Per-shard emptiness knowledge of one canonical variant rectangle.
 
@@ -108,7 +107,7 @@ class HitSetFact:
         return ENTRY_BYTES + SHARD_FACT_BYTES * len(self.shards)
 
 
-@dataclass(**DATACLASS_SLOTS)
+@dataclass(slots=True)
 class GlobalFact:
     """A whole-deployment fact (kNN square radius / pair-count bit)."""
 

@@ -82,9 +82,9 @@ class ShardedServerState:
     def shard_summary(self, partitioner: str = "grid") -> Dict:
         """The fleet-facing routing summary block of this deployment.
 
-        The *single* assembly point shared by the in-process and networked
-        fleet runners, so counter keys cannot drift between the two (the
-        nets-vs-inproc equivalence tests compare these dicts wholesale).
+        The *single* assembly point for every deployment of the fleet
+        pipeline, so counter keys cannot drift between transports (the
+        net-vs-inproc equivalence tests compare these dicts wholesale).
         Always includes the result-cache counters — zero for cache-off
         runs — so downstream consumers see a stable key set.
         """

@@ -15,29 +15,37 @@ cache-holding clients.  This module grows the simulator in that direction:
   (:class:`~repro.sim.metrics.FleetResult`).
 
 Clients only share server-side state (the tree, the partition trees and the
-memoised ground truth), all of which is read-only during a run, so a fleet
-can be **sharded across worker processes**: every shard rebuilds the
-deterministic server state and simulates its slice of the clients.  Serial
-and parallel runs produce identical seed-deterministic metrics.
+memoised ground truth), all of which is read-only during a static run, so
+such a fleet can be **split across worker processes**: every worker rebuilds
+the deterministic server state and simulates its slice of the clients.
+Serial and parallel runs produce identical seed-deterministic metrics.
+
+What the fleet runs *against* — storage, topology, transport — is composed
+by :func:`repro.sim.deployment.open_deployment`; this module defines the
+fleet, builds its event list and sessions, and drives the one replay loop.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.cost_model import QueryCost
-from repro.obs import instrument as obs
 from repro.obs.status import publish
 from repro.sim.config import SimulationConfig
+from repro.sim.deployment import (
+    COMBINATIONS,
+    Deployment,
+    check_combination,
+    open_deployment,
+    replay,
+)
 from repro.sim.metrics import ClientResult, FleetResult
 from repro.sim.runner import (
     SharedServerState,
-    build_shared_state,
     generate_trace,
     map_maybe_parallel,
 )
-from repro.sim.sessions import ClientSession, GroundTruthCache, make_session
+from repro.sim.sessions import ClientSession, make_session
 from repro.workload.generator import QueryMix
 from repro.workload.trace import TraceRecord
 
@@ -144,11 +152,12 @@ class FleetConfig:
         if self.transport not in TRANSPORTS:
             raise ValueError(f"unknown transport {self.transport!r}; "
                              f"expected one of {', '.join(TRANSPORTS)}")
-        if self.router_cache and self.shards is None:
-            raise ValueError("router_cache needs a sharded fleet "
-                             "(set shards)")
         if self.router_cache_bytes <= 0:
             raise ValueError("router_cache_bytes must be positive")
+        if self.router_cache and self.shards is None:
+            # The one combination a config contradicts on its own; every
+            # other is checked when a run is requested.
+            raise ValueError(COMBINATIONS["router-cache single"])
 
     @property
     def is_dynamic(self) -> bool:
@@ -275,111 +284,122 @@ def _split_clients(total: int, weights: Sequence[int]) -> List[int]:
 def run_fleet(fleet: FleetConfig, max_workers: Optional[int] = None,
               store_path: Optional[str] = None,
               durable: bool = False) -> FleetResult:
-    """Simulate the whole fleet against one shared server.
+    """Simulate the whole fleet against one shared deployment.
 
-    With ``max_workers`` > 1 the clients are sharded round-robin over worker
-    processes; every shard rebuilds the deterministic shared server state.
-    Clients are mutually independent (they share only read-only server
-    state), so sharding changes nothing about the results except wall-clock
-    time; the seed-deterministic metrics are identical to a serial run.
+    Every fleet is the same pipeline — open the deployment, build one
+    cold-cache session per client, replay the arrival-ordered event list,
+    stamp final cache state and summaries — over whatever
+    :func:`~repro.sim.deployment.open_deployment` composes for it:
 
-    With ``store_path`` the shared server serves from a disk-backed
-    ``.rpro`` page store instead of an in-memory tree (every shard opens
-    its own read-only handle); all deterministic metrics are identical to
-    the in-memory run.
+    * ``store_path`` serves the tree from a disk-backed ``.rpro`` page
+      store (a shard-store *directory* for a sharded fleet, see ``repro
+      persist save-shards``) instead of memory; all deterministic metrics
+      are identical to the in-memory run.
+    * A *dynamic* fleet (``update_rate`` > 0 or a real consistency
+      protocol) replays one shared mutation history against the live
+      server between queries; a disk store is then opened copy-on-write
+      — or, with ``durable=True``, through the store's write-ahead log
+      (one per shard), so every applied batch is crash-safe on disk (see
+      :mod:`repro.storage.wal`).
+    * A *sharded* fleet (``fleet.shards`` set) plans every query through
+      the scatter-gather router; with one shard the run is byte-identical
+      to the single-server fleet, with N shards result-identical, and the
+      per-shard routing counters land in :attr:`FleetResult.shard_summary`.
+    * A *networked* fleet (``fleet.transport`` of ``uds`` or ``tcp``) puts
+      the same deployment behind a loopback socket — pinned byte-identical
+      to the in-process run by the ``tests/net`` equivalence suite, with
+      the two-sided byte reconciliation in :attr:`FleetResult.net_summary`.
 
-    A *dynamic* fleet (``update_rate`` > 0 or a real consistency protocol)
-    replays one shared mutation history against the live server between
-    queries, so clients are no longer independent: such fleets run
-    serially (``max_workers`` > 1 is rejected) via
-    :func:`run_dynamic_fleet`, with a disk store opened copy-on-write —
-    or, with ``durable=True``, through the store's write-ahead log, so
-    every applied batch is crash-safe on disk (see
-    :mod:`repro.storage.wal`).  ``durable`` requires a dynamic fleet and a
-    disk store.
-
-    A *sharded* fleet (``fleet.shards`` set) runs through
-    :func:`run_sharded_fleet`: the shared router keeps per-shard routing
-    statistics, so these fleets also run serially; ``store_path`` then
-    names a shard-store *directory* (see ``repro persist save-shards``)
-    and ``durable`` commits through one write-ahead log per shard.
-
-    A *networked* fleet (``fleet.transport`` of ``uds`` or ``tcp``) puts
-    the same server behind a loopback socket via
-    :func:`repro.net.fleet.run_networked_fleet` — pinned byte-identical
-    to the in-process run by the ``tests/net`` equivalence suite.
+    With ``max_workers`` > 1 the clients of a static, single-server,
+    in-process fleet are split round-robin over worker processes; every
+    worker opens its own deployment.  Such clients share only read-only
+    server state, so the seed-deterministic metrics are identical to a
+    serial run.  Combinations that cannot work (workers with anything that
+    shares mutable server-side state, ``durable`` without a dynamic fleet
+    and a store, PAG/SEM outside the static single-server fleet) raise the
+    ``ValueError`` of :data:`~repro.sim.deployment.COMBINATIONS`.
     """
-    if durable and not fleet.is_dynamic:
-        raise ValueError(
-            "durable mode only applies to dynamic fleets (--update-rate / "
-            "--consistency): a static fleet never writes, so there is "
-            "nothing to log")
-    if durable and store_path is None:
-        raise ValueError("durable mode needs a disk store to log to "
-                         "(pass store_path)")
-    if fleet.is_networked:
-        if max_workers is not None and max_workers > 1:
-            raise ValueError(
-                "a networked fleet serializes its clients through one "
-                "loopback server; run it serially")
-        if store_path is not None or durable:
-            raise ValueError(
-                "networked fleets build their server state in memory; "
-                "disk stores and durable mode are inproc-only for now")
-        from repro.net.fleet import run_networked_fleet
-        return run_networked_fleet(fleet, fleet.transport)
-    if fleet.is_sharded:
-        if max_workers is not None and max_workers > 1:
-            raise ValueError(
-                "a sharded fleet routes every query through one shared "
-                "router, so clients cannot be sharded over worker "
-                "processes; run it serially")
-        return run_sharded_fleet(fleet, store_dir=store_path, durable=durable)
-    if fleet.is_dynamic:
-        if max_workers is not None and max_workers > 1:
-            raise ValueError(
-                "a dynamic fleet shares one mutating server, so clients "
-                "cannot be sharded over workers; run it serially")
-        return run_dynamic_fleet(fleet, store_path=store_path,
-                                 durable=durable)
+    check_combination(fleet, max_workers=max_workers, store_path=store_path,
+                      durable=durable)
     specs = fleet.client_specs()
     if max_workers is not None and max_workers > 1 and len(specs) > 1:
-        shard_count = min(max_workers, len(specs))
-        shards = [specs[offset::shard_count] for offset in range(shard_count)]
-        shard_results = map_maybe_parallel(
-            _run_fleet_shard,
-            [(fleet.base, shard, store_path) for shard in shards], max_workers)
-        return FleetResult(clients=[client for shard in shard_results
-                                    for client in shard])
-    shared = build_shared_state(fleet.base, store_path=store_path)
+        count = min(max_workers, len(specs))
+        slices = map_maybe_parallel(
+            _run_slice, [(fleet, specs[offset::count], store_path)
+                         for offset in range(count)], max_workers)
+        return FleetResult(clients=[client for part in slices
+                                    for client in part.clients])
+    return _run_slice(fleet, specs, store_path, durable)
+
+
+def _run_slice(fleet: FleetConfig, specs: List[FleetClientSpec],
+               store_path: Optional[str] = None,
+               durable: bool = False) -> FleetResult:
+    """Open the deployment and run ``specs``' clients from a cold start.
+
+    The whole serial fleet, or (as the process-pool task) one worker's
+    slice of it.
+    """
+    deployment = open_deployment(fleet, store_path, durable)
     try:
-        return FleetResult(clients=_run_clients(shared, specs))
+        sessions = make_sessions(deployment, specs)
+        results = fresh_results(specs)
+        events = build_dynamic_events(fleet, specs)
+        publish("fleet", lambda: {"clients": len(specs),
+                                  "events": len(events),
+                                  "consistency": fleet.consistency,
+                                  "shards": fleet.shards,
+                                  "partitioner": fleet.partitioner,
+                                  "transport": fleet.transport})
+        publish("cache", lambda: cache_churn(sessions))
+        replay(deployment, sessions, results, events)
+        return finish_fleet(deployment, specs, sessions, results)
     finally:
-        shared.tree.store.close()
+        deployment.close()
 
 
-def _run_fleet_shard(base: SimulationConfig, specs: List[FleetClientSpec],
-                     store_path: Optional[str] = None) -> List[ClientResult]:
-    """Process-pool task: rebuild the shared state and run one client shard."""
-    shared = build_shared_state(base, store_path=store_path)
-    try:
-        return _run_clients(shared, specs)
-    finally:
-        shared.tree.store.close()
+def make_sessions(deployment: Deployment, specs: Sequence[FleetClientSpec],
+                  ) -> Dict[int, ClientSession]:
+    """One cold-cache session per spec, wired to ``deployment``.
+
+    The one session factory of every fleet run, halted or resumed: a
+    resumed run must build byte-identical session wiring (same protocol
+    instances bound to the same updater) to reproduce an uninterrupted one.
+    """
+    sessions: Dict[int, ClientSession] = {}
+    for spec in specs:
+        handle, consistency = deployment.connect(spec)
+        sessions[spec.client_id] = make_session(
+            spec.model, deployment.tree, spec.config, server=handle,
+            replacement_policy=spec.replacement_policy,
+            ground_truth=deployment.ground_truth, consistency=consistency)
+    return sessions
 
 
-def make_fleet_sessions(shared: SharedServerState,
-                        specs: Sequence[FleetClientSpec]) -> Dict[int, ClientSession]:
-    """One freshly built (cold-cache) session per client spec."""
-    return {spec.client_id: make_session(
-        spec.model, shared.tree, spec.config, server=shared.server,
-        replacement_policy=spec.replacement_policy,
-        ground_truth=shared.ground_truth) for spec in specs}
+def make_dynamic_sessions(fleet: FleetConfig, shared: SharedServerState,
+                          specs: Sequence[FleetClientSpec],
+                          updater) -> Dict[int, ClientSession]:
+    """One cold-cache session per spec, wired to the fleet's consistency.
+
+    :func:`make_sessions` for callers that built the in-process server
+    state themselves: ``updater`` backs the ``versioned`` protocol and may
+    be ``None`` for a fleet that never validates.
+    """
+    return make_sessions(
+        Deployment(fleet, shared.server, shared.tree, shared.size_model,
+                   shared.ground_truth, updater), specs)
+
+
+def fresh_results(specs: Sequence[FleetClientSpec]) -> Dict[int, ClientResult]:
+    """An empty per-client result record for every spec."""
+    return {spec.client_id: ClientResult(client_id=spec.client_id,
+                                         group=spec.group, model=spec.model)
+            for spec in specs}
 
 
 def build_fleet_events(specs: Sequence[FleetClientSpec],
                        ) -> List[Tuple[float, int, TraceRecord]]:
-    """The fleet's deterministic global event list.
+    """The fleet's deterministic global query-event list.
 
     Every client's seeded trace, merged and sorted by simulated arrival
     time (ties broken by client id, then issue order).  The list depends
@@ -395,122 +415,6 @@ def build_fleet_events(specs: Sequence[FleetClientSpec],
     return events
 
 
-def replay_fleet_events(sessions: Dict[int, ClientSession],
-                        results: Dict[int, ClientResult],
-                        events: Sequence[Tuple[float, int, TraceRecord]]) -> None:
-    """Process ``events`` in order, recording each cost on its client."""
-    for arrival_time, client_id, record in events:
-        if obs.ENABLED:
-            cost = _process_traced(sessions[client_id], client_id, record)
-        else:
-            cost = sessions[client_id].process(record)
-        results[client_id].record(cost, arrival_time)
-
-
-def _process_traced(session: ClientSession, client_id: int,
-                    record: TraceRecord) -> "QueryCost":
-    """Run one query under an open ``query`` span, annotated with its cost."""
-    instrument = obs.active()
-    with instrument.span("query", client=client_id, seq=record.index,
-                         kind=record.query.query_type.value):
-        cost = session.process(record)
-        instrument.annotate(
-            pages=cost.server_page_reads,
-            uplink_bytes=cost.uplink_bytes,
-            downlink_bytes=cost.downlink_bytes,
-            contacted_server=cost.contacted_server)
-    instrument.count("repro_queries_total", 1.0, kind=cost.query_type)
-    instrument.count("repro_query_pages_total", float(cost.server_page_reads))
-    return cost
-
-
-def replay_dynamic_events(updater, sessions: Dict[int, ClientSession],
-                          results: Dict[int, "ClientResult"],
-                          events: Sequence[Tuple]) -> None:
-    """Process a merged query + update event list in arrival order.
-
-    The one replay loop shared by the single-server and sharded dynamic
-    fleets: update events apply through ``updater`` (a
-    :class:`~repro.updates.applier.DatasetUpdater` or
-    :class:`~repro.sharding.updater.ShardedUpdater`), query events run
-    through their client's session and record on its result.
-    """
-    for kind, arrival_time, client_id, payload in events:
-        if kind == "update":
-            if obs.ENABLED:
-                with obs.active().span("update",
-                                       kind=getattr(payload, "kind", "?"),
-                                       seq=getattr(payload, "index", -1)):
-                    updater.apply(payload)
-                obs.active().count("repro_updates_total", 1.0)
-            else:
-                updater.apply(payload)
-        else:
-            if obs.ENABLED:
-                cost = _process_traced(sessions[client_id], client_id,
-                                       payload)
-            else:
-                cost = sessions[client_id].process(payload)
-            results[client_id].record(cost, arrival_time)
-
-
-def finalize_fleet_results(sessions: Dict[int, ClientSession],
-                           results: Dict[int, ClientResult]) -> None:
-    """Stamp final cache usage (and content digest, where supported)."""
-    for client_id, session in sessions.items():
-        snapshot = session.cache_snapshot(len(results[client_id].costs))
-        results[client_id].final_cache_used_bytes = snapshot.used_bytes
-        cache = getattr(session, "cache", None)
-        if hasattr(cache, "content_digest"):
-            results[client_id].final_cache_digest = cache.content_digest()
-
-
-def cache_churn(sessions: Dict[int, ClientSession]) -> Dict[str, int]:
-    """Replacement-policy churn totals over every session's live cache.
-
-    Read by the status board mid-run; models without a proactive cache
-    (PAG, SEM) simply contribute zeros.
-    """
-    totals = {"evictions": 0, "rejected_inserts": 0,
-              "invalidations": 0, "refreshes": 0}
-    for client_id in sorted(sessions):
-        cache = getattr(sessions[client_id], "cache", None)
-        for key in totals:
-            totals[key] += int(getattr(cache, key, 0) or 0)
-    return totals
-
-
-def _wal_facts(store: object) -> Dict[str, object]:
-    """Live write-ahead-log facts of a (possibly non-durable) store."""
-    wal = getattr(store, "wal", None)
-    if wal is None:
-        return {"durable": False}
-    return {"durable": True,
-            "records_written": int(getattr(wal, "records_written", 0)),
-            "bytes_written": int(getattr(wal, "bytes_written", 0))}
-
-
-def _run_clients(shared: SharedServerState,
-                 specs: Sequence[FleetClientSpec]) -> List[ClientResult]:
-    """Replay every client's trace, interleaved by arrival timestamp."""
-    sessions = make_fleet_sessions(shared, specs)
-    results = {spec.client_id: ClientResult(client_id=spec.client_id,
-                                            group=spec.group, model=spec.model)
-               for spec in specs}
-    events = build_fleet_events(specs)
-    publish("fleet", lambda: {"clients": len(specs), "events": len(events)})
-    publish("cache", lambda: cache_churn(sessions))
-    replay_fleet_events(sessions, results, events)
-    finalize_fleet_results(sessions, results)
-    return [results[spec.client_id] for spec in specs]
-
-
-# --------------------------------------------------------------------------- #
-# dynamic fleets: one shared mutation history
-# --------------------------------------------------------------------------- #
-_PROACTIVE_MODELS = ("APRO", "FPRO", "CPRO")
-
-
 def build_dynamic_events(fleet: FleetConfig,
                          specs: Sequence[FleetClientSpec]) -> List[Tuple]:
     """The merged, arrival-ordered query + update event list of a fleet.
@@ -520,7 +424,7 @@ def build_dynamic_events(fleet: FleetConfig,
     stream (see :mod:`repro.updates.stream`) slot in by arrival time, an
     update winning ties so a mutation at time *t* is visible to every
     query at time *t*.  Each element is ``("query", t, client_id, record)``
-    or ``("update", t, None, event)``.
+    or ``("update", t, None, event)``; a static fleet has no update events.
     """
     from repro.updates.stream import UpdateStreamConfig, generate_update_stream
     query_events = build_fleet_events(specs)
@@ -555,161 +459,36 @@ def _initial_object_ids(base: SimulationConfig) -> List[int]:
     return list(range(base.object_count))
 
 
-def make_dynamic_sessions(fleet: FleetConfig, shared: SharedServerState,
-                          specs: Sequence[FleetClientSpec],
-                          updater) -> Dict[int, ClientSession]:
-    """One cold-cache session per spec, wired to the fleet's consistency.
+def finish_fleet(deployment: Deployment, specs: Sequence[FleetClientSpec],
+                 sessions: Dict[int, ClientSession],
+                 results: Dict[int, ClientResult]) -> FleetResult:
+    """Stamp final cache state on every client and assemble the result.
 
-    The one session factory shared by :func:`run_dynamic_fleet` and the
-    dynamic halt/resume paths of :mod:`repro.sim.restart` — both must
-    build byte-identical session wiring (same protocol instances bound to
-    the same updater) for a resumed run to reproduce an uninterrupted one.
+    Final cache usage and content digest (where the model has one) per
+    client, then the deployment's own summary blocks (updates, shards,
+    loopback reconciliation).  Must run before the deployment closes.
     """
-    from repro.updates import make_protocol
-    return {spec.client_id: make_session(
-        spec.model, shared.tree, spec.config, server=shared.server,
-        replacement_policy=spec.replacement_policy,
-        ground_truth=shared.ground_truth,
-        consistency=make_protocol(fleet.consistency, updater=updater,
-                                  size_model=shared.size_model,
-                                  ttl_seconds=fleet.ttl_seconds))
-        for spec in specs}
-
-
-def check_dynamic_models(fleet: FleetConfig, kind: str = "dynamic") -> None:
-    """Reject fleet groups whose model cannot join a mutating fleet."""
-    for group in fleet.groups:
-        if group.model.upper() not in _PROACTIVE_MODELS:
-            raise ValueError(
-                f"group {group.name!r} runs {group.model}, which cannot "
-                f"join a {kind} fleet; supported models: "
-                f"{', '.join(_PROACTIVE_MODELS)}")
-
-
-def run_dynamic_fleet(fleet: FleetConfig,
-                      store_path: Optional[str] = None,
-                      durable: bool = False) -> FleetResult:
-    """Run a fleet whose shared server mutates mid-run.
-
-    All clients observe one mutation history: update events apply to the
-    single live tree (a disk store is opened through its copy-on-write
-    overlay; ``durable=True`` additionally commits every batch to the
-    store's write-ahead log) strictly interleaved with the query events,
-    and every proactive session reconciles its cache through the fleet's
-    consistency protocol.  Only proactive models participate — PAG and SEM
-    have no consistency story and are rejected up front.
-    """
-    from repro.updates import DatasetUpdater
-    check_dynamic_models(fleet)
-    specs = fleet.client_specs()
-    shared = build_shared_state(fleet.base, store_path=store_path,
-                                store_writable=fleet.update_rate > 0,
-                                store_durable=durable)
-    try:
-        updater = DatasetUpdater(shared.tree, shared.server,
-                                 ground_truth=shared.ground_truth)
-        sessions = make_dynamic_sessions(fleet, shared, specs, updater)
-        results = {spec.client_id: ClientResult(client_id=spec.client_id,
-                                                group=spec.group,
-                                                model=spec.model)
-                   for spec in specs}
-        events = build_dynamic_events(fleet, specs)
-        publish("fleet", lambda: {"clients": len(specs),
-                                  "events": len(events),
-                                  "consistency": fleet.consistency})
-        publish("cache", lambda: cache_churn(sessions))
-        publish("updates", lambda: dict(updater.summary()))
-        publish("wal", lambda: _wal_facts(shared.tree.store))
-        replay_dynamic_events(updater, sessions, results, events)
-        finalize_fleet_results(sessions, results)
-    finally:
-        shared.tree.store.close()
+    for client_id, session in sessions.items():
+        snapshot = session.cache_snapshot(len(results[client_id].costs))
+        results[client_id].final_cache_used_bytes = snapshot.used_bytes
+        cache = getattr(session, "cache", None)
+        if hasattr(cache, "content_digest"):
+            results[client_id].final_cache_digest = cache.content_digest()
     result = FleetResult(clients=[results[spec.client_id] for spec in specs])
-    result.update_summary = dict(updater.summary())
-    result.update_summary["consistency"] = fleet.consistency
+    deployment.summaries(result)
     return result
 
 
-# --------------------------------------------------------------------------- #
-# sharded fleets: the scatter-gather execution tier
-# --------------------------------------------------------------------------- #
-def run_sharded_fleet(fleet: FleetConfig,
-                      store_dir: Optional[str] = None,
-                      durable: bool = False) -> FleetResult:
-    """Run a fleet against a sharded deployment (see :mod:`repro.sharding`).
+def cache_churn(sessions: Dict[int, ClientSession]) -> Dict[str, int]:
+    """Replacement-policy churn totals over every session's live cache.
 
-    The same arrival-ordered event list as the single-server run replays
-    against the shard router: every session talks to the router exactly as
-    it would to one :class:`~repro.core.server.ServerQueryProcessor`, and a
-    dynamic fleet's update stream routes each mutation to its owning shard.
-    With one shard the run is byte-identical to the single-server fleet
-    (same results, per-query costs and cache digests); with N shards it is
-    result-identical, with per-shard page reads rolled up into each
-    query's cost and surfaced in :attr:`FleetResult.shard_summary`.
-
-    Only the proactive models participate: PAG and SEM answer from the
-    ground-truth oracle rather than the server protocol, so routing them
-    through shards would be a no-op with misleading metrics.
-
-    ``store_dir`` serves every shard from its own ``.rpro`` file in that
-    directory (copy-on-write when the fleet mutates the dataset;
-    ``durable=True`` commits every shard's update batches to that shard's
-    write-ahead log).
+    Read by the status board mid-run; models without a proactive cache
+    (PAG, SEM) simply contribute zeros.
     """
-    from repro.sharding import (
-        PartitionResultCache,
-        ShardedUpdater,
-        build_sharded_state,
-    )
-    from repro.updates import make_protocol
-    shard_count = fleet.shards if fleet.shards is not None else 1
-    check_dynamic_models(fleet, kind="sharded")
-    specs = fleet.client_specs()
-    state = build_sharded_state(fleet.base, shard_count,
-                                partitioner=fleet.partitioner,
-                                store_dir=store_dir,
-                                writable=fleet.update_rate > 0,
-                                durable=durable)
-    router = state.router
-    if fleet.router_cache:
-        router.attach_result_cache(
-            PartitionResultCache(capacity_bytes=fleet.router_cache_bytes))
-    updater = None
-    try:
-        ground_truth = GroundTruthCache(state.view)
-        consistency_factory = lambda: None  # noqa: E731 - tiny local factory
-        if fleet.is_dynamic:
-            updater = ShardedUpdater(router, ground_truth=ground_truth)
-            consistency_factory = lambda: make_protocol(  # noqa: E731
-                fleet.consistency, updater=updater,
-                size_model=state.size_model, ttl_seconds=fleet.ttl_seconds)
-        sessions = {spec.client_id: make_session(
-            spec.model, state.view, spec.config, server=router,
-            replacement_policy=spec.replacement_policy,
-            ground_truth=ground_truth,
-            consistency=consistency_factory()) for spec in specs}
-        results = {spec.client_id: ClientResult(client_id=spec.client_id,
-                                                group=spec.group,
-                                                model=spec.model)
-                   for spec in specs}
-        publish("fleet", lambda: {"clients": len(specs),
-                                  "shards": shard_count,
-                                  "partitioner": fleet.partitioner})
-        publish("cache", lambda: cache_churn(sessions))
-        publish("shards", lambda: state.shard_summary(fleet.partitioner))
-        if fleet.is_dynamic:
-            publish("updates", lambda: dict(updater.summary()))
-            replay_dynamic_events(updater, sessions, results,
-                                  build_dynamic_events(fleet, specs))
-        else:
-            replay_fleet_events(sessions, results, build_fleet_events(specs))
-        finalize_fleet_results(sessions, results)
-        shard_summary = state.shard_summary(fleet.partitioner)
-    finally:
-        state.close()
-    result = FleetResult(clients=[results[spec.client_id] for spec in specs])
-    result.shard_summary = shard_summary
-    if updater is not None:
-        result.update_summary = dict(updater.summary())
-        result.update_summary["consistency"] = fleet.consistency
-    return result
+    totals = {"evictions": 0, "rejected_inserts": 0,
+              "invalidations": 0, "refreshes": 0}
+    for client_id in sorted(sessions):
+        cache = getattr(sessions[client_id], "cache", None)
+        for key in totals:
+            totals[key] += int(getattr(cache, key, 0) or 0)
+    return totals

@@ -34,10 +34,17 @@ of two equivalent routes back to the halt-time tree:
   a ``kill -9``'d server process does on restart — and the resumed run
   keeps committing to the same log.
 
+Both functions run the same pipeline as :func:`~repro.sim.fleet.run_fleet`
+— :func:`~repro.sim.deployment.open_deployment`, the one session factory,
+:func:`~repro.sim.deployment.replay` with ``stop`` (halt) or ``start``
+(resume) — so a static fleet is simply the dynamic case without update
+events or an updater snapshot.
+
 Only proactive sessions (APRO / FPRO / CPRO) are resumable; PAG and SEM
-sessions raise when snapshotted, and :func:`run_fleet_interrupted` rejects
-fleets containing them up front.  Sharded fleets remain non-resumable: the
-router's owner table and virtual root are not part of the snapshot yet.
+sessions raise when snapshotted.  Sharded and networked fleets are not
+resumable (router statistics and connection ledgers are not part of the
+snapshot).  All three are refused up front from
+:data:`~repro.sim.deployment.COMBINATIONS`.
 """
 
 from __future__ import annotations
@@ -48,85 +55,55 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.cost_model import QueryCost
 from repro.sim.config import SimulationConfig
+from repro.sim.deployment import check_combination, open_deployment, replay
 from repro.sim.fleet import (
     ClientGroupSpec,
     FleetClientSpec,
     FleetConfig,
     build_dynamic_events,
-    build_fleet_events,
-    check_dynamic_models,
-    finalize_fleet_results,
-    make_dynamic_sessions,
-    make_fleet_sessions,
-    replay_dynamic_events,
-    replay_fleet_events,
+    finish_fleet,
+    fresh_results,
+    make_sessions,
 )
 from repro.sim.metrics import ClientResult, FleetResult
-from repro.sim.runner import build_shared_state
 from repro.storage.snapshot import load_state, save_state
 from repro.workload.generator import QueryMix
 
 SESSION_FILE = "session.json"
 
-_RESUMABLE_MODELS = ("APRO", "FPRO", "CPRO")
-
 
 # --------------------------------------------------------------------------- #
 # (de)serialising the fleet configuration
 # --------------------------------------------------------------------------- #
-def _config_dict(config: SimulationConfig) -> dict:
-    # asdict recurses into nested dataclasses, so query_mix arrives as a
-    # plain dict already.
-    return dataclasses.asdict(config)
-
-
-def _config_from_dict(data: dict) -> SimulationConfig:
-    data = dict(data)
-    data["query_mix"] = QueryMix(**data["query_mix"])
-    return SimulationConfig(**data)
-
-
 def fleet_to_dict(fleet: FleetConfig) -> dict:
-    """JSON-serialisable form of a :class:`FleetConfig`."""
-    return {"base": _config_dict(fleet.base),
-            "groups": [dataclasses.asdict(group) for group in fleet.groups],
-            "fleet_seed": fleet.fleet_seed,
-            "update_rate": fleet.update_rate,
-            "consistency": fleet.consistency,
-            "ttl_seconds": fleet.ttl_seconds,
-            "update_seed": fleet.update_seed,
-            "shards": fleet.shards,
-            "partitioner": fleet.partitioner}
+    """JSON-serialisable form of a :class:`FleetConfig` (every field)."""
+    # asdict recurses into nested dataclasses, so base, its query_mix and
+    # every group arrive as plain dicts already.
+    return dataclasses.asdict(fleet)
 
 
 def fleet_from_dict(data: dict) -> FleetConfig:
     """Rebuild a :class:`FleetConfig` from :func:`fleet_to_dict` output.
 
-    Session files written before the dynamic-dataset subsystem carry no
-    update fields; they resume as the static fleets they were.
+    Keys are matched against the dataclass's own fields, so session files
+    written before a field existed (the dynamic-dataset, sharding or
+    transport knobs) load with its default and resume as the fleets they
+    were.
     """
+    values = {field.name: data[field.name]
+              for field in dataclasses.fields(FleetConfig)
+              if field.name in data}
+    base = dict(data["base"])
+    base["query_mix"] = QueryMix(**base["query_mix"])
+    values["base"] = SimulationConfig(**base)
     groups = []
     for entry in data["groups"]:
         entry = dict(entry)
         if entry.get("query_mix") is not None:
             entry["query_mix"] = QueryMix(**entry["query_mix"])
         groups.append(ClientGroupSpec(**entry))
-    return FleetConfig(base=_config_from_dict(data["base"]),
-                       groups=tuple(groups), fleet_seed=data["fleet_seed"],
-                       update_rate=data.get("update_rate", 0.0),
-                       consistency=data.get("consistency", "none"),
-                       ttl_seconds=data.get("ttl_seconds", 120.0),
-                       update_seed=data.get("update_seed", 4242),
-                       shards=data.get("shards"),
-                       partitioner=data.get("partitioner", "grid"))
-
-
-def _cost_dict(cost: QueryCost) -> dict:
-    return dataclasses.asdict(cost)
-
-
-def _cost_from_dict(data: dict) -> QueryCost:
-    return QueryCost(**data)
+    values["groups"] = tuple(groups)
+    return FleetConfig(**values)
 
 
 def _client_entries(specs: Sequence[FleetClientSpec], sessions: Dict,
@@ -137,7 +114,8 @@ def _client_entries(specs: Sequence[FleetClientSpec], sessions: Dict,
             "client_id": spec.client_id,
             "group": spec.group,
             "model": spec.model,
-            "costs": [_cost_dict(c) for c in results[spec.client_id].costs],
+            "costs": [dataclasses.asdict(cost)
+                      for cost in results[spec.client_id].costs],
             "arrival_times": list(results[spec.client_id].arrival_times),
             "session": sessions[spec.client_id].state_dict(),
         }
@@ -155,7 +133,7 @@ def _restore_clients(specs: Sequence[FleetClientSpec], sessions: Dict,
         sessions[spec.client_id].restore_state(entry["session"])
         results[spec.client_id] = ClientResult(
             client_id=spec.client_id, group=spec.group, model=spec.model,
-            costs=[_cost_from_dict(c) for c in entry["costs"]],
+            costs=[QueryCost(**cost) for cost in entry["costs"]],
             arrival_times=list(entry["arrival_times"]))
     return results
 
@@ -177,101 +155,37 @@ def run_fleet_interrupted(fleet: FleetConfig, halt_after: int, directory: str,
     ``durable`` (dynamic fleets with a disk store only) commits every
     update batch to the store's write-ahead log as it runs, so
     :func:`resume_fleet` recovers the halt-time tree from the log instead
-    of replaying the pre-halt update history.
+    of replaying the pre-halt update history; the session file then only
+    records *that* the log is authoritative.
     """
     if halt_after < 0:
         raise ValueError("halt_after must be non-negative")
-    if fleet.is_sharded:
-        raise ValueError(
-            "sharded fleets (--shards) cannot be halted and resumed: the "
-            "router's per-shard state is not part of the session snapshot "
-            "yet")
-    if durable and not fleet.is_dynamic:
-        raise ValueError(
-            "durable halt only applies to dynamic fleets (--update-rate / "
-            "--consistency): a static fleet never writes, so there is "
-            "nothing to log")
-    if durable and store_path is None:
-        raise ValueError("durable halt needs a disk store to log to "
-                         "(pass store_path)")
-    for group in fleet.groups:
-        if group.model.upper() not in _RESUMABLE_MODELS:
-            raise ValueError(
-                f"group {group.name!r} runs {group.model}, which does not "
-                f"support warm restarts; resumable models: "
-                f"{', '.join(_RESUMABLE_MODELS)}")
-    if fleet.is_dynamic:
-        return _run_dynamic_interrupted(fleet, halt_after, directory,
-                                        store_path, durable)
+    check_combination(fleet, store_path=store_path, durable=durable,
+                      halt_resume=True)
     specs = fleet.client_specs()
-    shared = build_shared_state(fleet.base, store_path=store_path)
+    deployment = open_deployment(fleet, store_path, durable)
     try:
-        sessions = make_fleet_sessions(shared, specs)
-        results = {spec.client_id: ClientResult(client_id=spec.client_id,
-                                                group=spec.group, model=spec.model)
-                   for spec in specs}
-        events = build_fleet_events(specs)
-        halt_after = min(halt_after, len(events))
-        replay_fleet_events(sessions, results, events[:halt_after])
-    finally:
-        shared.tree.store.close()
-
-    state = {
-        "format": 1,
-        "kind": "fleet-session",
-        "fleet": fleet_to_dict(fleet),
-        "store_path": store_path,
-        "processed_events": halt_after,
-        "total_events": len(events),
-        "clients": _client_entries(specs, sessions, results),
-    }
-    os.makedirs(directory, exist_ok=True)
-    save_state(state, os.path.join(directory, SESSION_FILE))
-    return state
-
-
-def _run_dynamic_interrupted(fleet: FleetConfig, halt_after: int,
-                             directory: str, store_path: Optional[str],
-                             durable: bool) -> dict:
-    """Dynamic half of :func:`run_fleet_interrupted`.
-
-    Replays the merged query + update event list up to the halt point and
-    snapshots the updater (counters + version registry) alongside the
-    sessions.  With ``durable`` the store's write-ahead log already holds
-    every committed batch when the run stops, so the session file only
-    needs to record *that* the log is authoritative.
-    """
-    from repro.updates import DatasetUpdater
-    check_dynamic_models(fleet)
-    specs = fleet.client_specs()
-    shared = build_shared_state(fleet.base, store_path=store_path,
-                                store_writable=fleet.update_rate > 0,
-                                store_durable=durable)
-    try:
-        updater = DatasetUpdater(shared.tree, shared.server,
-                                 ground_truth=shared.ground_truth)
-        sessions = make_dynamic_sessions(fleet, shared, specs, updater)
-        results = {spec.client_id: ClientResult(client_id=spec.client_id,
-                                                group=spec.group, model=spec.model)
-                   for spec in specs}
+        sessions = make_sessions(deployment, specs)
+        results = fresh_results(specs)
         events = build_dynamic_events(fleet, specs)
         halt_after = min(halt_after, len(events))
-        replay_dynamic_events(updater, sessions, results, events[:halt_after])
+        replay(deployment, sessions, results, events, stop=halt_after)
+        updater = deployment.updater
+        state = {
+            "format": 1,
+            "kind": "fleet-session",
+            "fleet": fleet_to_dict(fleet),
+            "store_path": store_path,
+            "dynamic": fleet.is_dynamic,
+            "durable": durable,
+            "processed_events": halt_after,
+            "total_events": len(events),
+            # Counters + version registry; None for a static fleet.
+            "updater": updater.state_dict() if updater is not None else None,
+            "clients": _client_entries(specs, sessions, results),
+        }
     finally:
-        shared.tree.store.close()
-
-    state = {
-        "format": 1,
-        "kind": "fleet-session",
-        "fleet": fleet_to_dict(fleet),
-        "store_path": store_path,
-        "dynamic": True,
-        "durable": durable,
-        "processed_events": halt_after,
-        "total_events": len(events),
-        "updater": updater.state_dict(),
-        "clients": _client_entries(specs, sessions, results),
-    }
+        deployment.close()
     os.makedirs(directory, exist_ok=True)
     save_state(state, os.path.join(directory, SESSION_FILE))
     return state
@@ -284,66 +198,41 @@ def resume_fleet(directory: str) -> Tuple[FleetResult, dict]:
     run — the costs recorded before the halt plus the resumed remainder —
     exactly as an uninterrupted :func:`~repro.sim.fleet.run_fleet` would
     have reported them (wall-clock CPU fields aside).
+
+    A dynamic fleet's halt-time server tree comes back by whichever route
+    the session was halted with — WAL recovery (``durable``) or
+    deterministic replay of the pre-halt update events — then the updater
+    and session snapshots are restored and the remaining merged events
+    replay exactly as an uninterrupted run would have processed them.
     """
     state = load_state(os.path.join(directory, SESSION_FILE))
     if state.get("kind") != "fleet-session" or state.get("format") != 1:
         raise ValueError(f"{directory}: not a fleet session directory")
     fleet = fleet_from_dict(state["fleet"])
-    specs = fleet.client_specs()
-    if state.get("dynamic"):
-        return _resume_dynamic(fleet, specs, state)
-    shared = build_shared_state(fleet.base, store_path=state.get("store_path"))
-    try:
-        sessions = make_fleet_sessions(shared, specs)
-        results = _restore_clients(specs, sessions, state)
-        events = build_fleet_events(specs)
-        replay_fleet_events(sessions, results, events[state["processed_events"]:])
-        finalize_fleet_results(sessions, results)
-    finally:
-        shared.tree.store.close()
-    return (FleetResult(clients=[results[spec.client_id] for spec in specs]),
-            state)
-
-
-def _resume_dynamic(fleet: FleetConfig, specs: List[FleetClientSpec],
-                    state: dict) -> Tuple[FleetResult, dict]:
-    """Resume a halted dynamic fleet: recover the tree, replay the rest.
-
-    The halt-time server tree comes back by whichever route the session
-    was halted with — WAL recovery (``durable``) or deterministic replay
-    of the pre-halt update events — then the updater and session snapshots
-    are restored and the remaining merged events replay exactly as an
-    uninterrupted run would have processed them.
-    """
-    from repro.updates import DatasetUpdater
+    store_path = state.get("store_path")
     durable = bool(state.get("durable"))
     processed = state["processed_events"]
-    shared = build_shared_state(fleet.base,
-                                store_path=state.get("store_path"),
-                                store_writable=fleet.update_rate > 0,
-                                store_durable=durable)
+    check_combination(fleet, store_path=store_path, durable=durable,
+                      halt_resume=True)
+    specs = fleet.client_specs()
+    deployment = open_deployment(fleet, store_path, durable)
     try:
-        updater = DatasetUpdater(shared.tree, shared.server,
-                                 ground_truth=shared.ground_truth)
         events = build_dynamic_events(fleet, specs)
-        if not durable:
-            # Rebuild the halt-time tree by re-applying the pre-halt
-            # update events: queries never mutate the tree and the merged
-            # event list is deterministic, so the rebuilt tree equals the
-            # one that was killed.  The durable route skips this — WAL
-            # recovery inside build_shared_state already landed the tree
-            # at the newest committed batch.
-            for kind, _time, _client, payload in events[:processed]:
-                if kind == "update":
-                    updater.apply(payload)
-        updater.restore_state(state["updater"])
-        sessions = make_dynamic_sessions(fleet, shared, specs, updater)
+        if deployment.updater is not None:
+            if not durable:
+                # Rebuild the halt-time tree by re-applying the pre-halt
+                # update events: queries never mutate the tree and the
+                # merged event list is deterministic, so the rebuilt tree
+                # equals the one that was killed.  The durable route skips
+                # this — WAL recovery inside open_deployment already landed
+                # the tree at the newest committed batch.
+                replay(deployment, {}, {}, [event for event in
+                                            events[:processed]
+                                            if event[0] == "update"])
+            deployment.updater.restore_state(state["updater"])
+        sessions = make_sessions(deployment, specs)
         results = _restore_clients(specs, sessions, state)
-        replay_dynamic_events(updater, sessions, results, events[processed:])
-        finalize_fleet_results(sessions, results)
+        replay(deployment, sessions, results, events, start=processed)
+        return finish_fleet(deployment, specs, sessions, results), state
     finally:
-        shared.tree.store.close()
-    result = FleetResult(clients=[results[spec.client_id] for spec in specs])
-    result.update_summary = dict(updater.summary())
-    result.update_summary["consistency"] = fleet.consistency
-    return result, state
+        deployment.close()

@@ -27,7 +27,6 @@ import abc
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro._compat import DATACLASS_SLOTS
 from repro.core.items import CachedIndexNode
 from repro.rtree.entry import ObjectRecord
 
@@ -37,7 +36,7 @@ DROP = 1
 REFRESH = 2
 
 
-@dataclass(frozen=True, **DATACLASS_SLOTS)
+@dataclass(frozen=True, slots=True)
 class ValidationStamp:
     """One cached item's identity and version, as the client reports it.
 
@@ -53,7 +52,7 @@ class ValidationStamp:
     parent_id: Optional[int]
 
 
-@dataclass(**DATACLASS_SLOTS)
+@dataclass(slots=True)
 class ValidationVerdict:
     """The server's answer for one stamp.
 

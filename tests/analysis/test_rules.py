@@ -244,9 +244,7 @@ class Cost:
 _SLT01_COMPLIANT = '''
 from dataclasses import dataclass
 
-from repro._compat import DATACLASS_SLOTS
-
-@dataclass(**DATACLASS_SLOTS)
+@dataclass(frozen=True, slots=True)
 class Cost:
     bytes_down: int = 0
 '''
@@ -267,6 +265,16 @@ def test_slt01_silent_with_literal_slots_kwarg():
               "class Cost:\n"
               "    bytes_down: int = 0\n")
     assert rules_at("src/repro/geometry/x.py", source, ["SLT01"]) == []
+
+
+def test_slt01_accepts_only_a_literal_slots_true():
+    for argument in ("**SLOTS", "slots=False", "slots=SLOTS"):
+        source = ("from dataclasses import dataclass\n"
+                  f"@dataclass({argument})\n"
+                  "class Cost:\n"
+                  "    bytes_down: int = 0\n")
+        assert rules_at("src/repro/core/x.py", source,
+                        ["SLT01"]) == ["SLT01"], argument
 
 
 def test_slt01_out_of_scope_outside_hot_packages():

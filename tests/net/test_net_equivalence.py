@@ -17,6 +17,11 @@ import pytest
 
 from repro.sim.config import SimulationConfig
 from repro.sim.fleet import default_fleet, run_fleet
+from tests.conftest import (
+    assert_byte_identical as _assert_byte_identical,
+    assert_reconciled as _assert_reconciled,
+    save_fleet_store,
+)
 
 ALL_TRANSPORTS = ("uds", "tcp")
 
@@ -25,43 +30,6 @@ def _small_fleet(policy="GRD3", queries=10, objects=800, clients=4):
     base = SimulationConfig.scaled(query_count=queries, object_count=objects
                                    ).with_overrides(replacement_policy=policy)
     return default_fleet(clients, base=base)
-
-
-def _deterministic_cost(cost):
-    return (cost.query_index, cost.query_type, cost.uplink_bytes,
-            cost.downlink_bytes, cost.downloaded_result_bytes,
-            cost.confirmed_cached_bytes, cost.index_downlink_bytes,
-            cost.result_bytes, cost.cached_result_bytes, cost.saved_bytes,
-            cost.contacted_server, cost.server_page_reads,
-            cost.sync_uplink_bytes, cost.sync_downlink_bytes,
-            cost.refreshed_items, cost.invalidated_items, cost.response_time)
-
-
-def _assert_byte_identical(reference, networked):
-    for ref_client, net_client in zip(reference.clients, networked.clients):
-        assert ([_deterministic_cost(cost) for cost in ref_client.costs]
-                == [_deterministic_cost(cost) for cost in net_client.costs])
-        assert ref_client.final_cache_digest == net_client.final_cache_digest
-        assert ref_client.final_cache_used_bytes \
-            == net_client.final_cache_used_bytes
-
-
-def _assert_reconciled(networked, transport, clients):
-    summary = networked.net_summary
-    assert summary is not None
-    assert summary["transport"] == transport
-    assert summary["all_reconciled"] is True
-    assert len(summary["clients"]) == clients
-    for entry in summary["clients"]:
-        assert entry["reconciled"] is True
-        assert entry["retries"] == 0
-        assert entry["client_uplink_bytes"] == entry["server_uplink_bytes"]
-        assert entry["client_downlink_bytes"] \
-            == entry["server_downlink_bytes"]
-        assert entry["queries_served"] > 0
-        # Raw wire bytes exist but never enter the modelled accounting.
-        assert entry["wire_bytes_to_server"] > entry["client_uplink_bytes"] \
-            or entry["wire_bytes_to_server"] > 0
 
 
 def _networked(fleet, transport):
@@ -146,6 +114,48 @@ def test_sharded_versioned_fleet_is_byte_identical_over_uds():
 
 
 # --------------------------------------------------------------------------- #
+# the storage axis: a networked fleet serves whatever the deployment opened
+# --------------------------------------------------------------------------- #
+#: storage -> (fleet overrides, durable): the read-only paged store, its
+#: copy-on-write overlay under churn, and the WAL-backed durable store.
+STORAGE = {
+    "paged": ({}, False),
+    "paged-cow": ({"update_rate": 0.05, "consistency": "versioned"}, False),
+    "durable": ({"update_rate": 0.05, "consistency": "versioned"}, True),
+}
+
+
+@pytest.mark.parametrize("transport", ALL_TRANSPORTS)
+@pytest.mark.parametrize("storage", sorted(STORAGE))
+@pytest.mark.parametrize("shards", [None, 2])
+def test_store_backed_fleet_is_byte_identical(transport, storage, shards,
+                                              tmp_path):
+    """uds/tcp x {paged, copy-on-write, durable} x {single, shard dir}.
+
+    The reference is the *in-memory*, in-process twin: storage and
+    transport must both be invisible in every deterministic quantity.
+    """
+    overrides, durable = STORAGE[storage]
+    fleet = dataclasses.replace(_small_fleet(), shards=shards, **overrides)
+    reference = run_fleet(fleet)
+    networked = run_fleet(dataclasses.replace(fleet, transport=transport),
+                          store_path=save_fleet_store(fleet, tmp_path),
+                          durable=durable)
+    _assert_byte_identical(reference, networked)
+    _assert_reconciled(networked, transport, clients=4)
+    assert reference.shard_summary == networked.shard_summary
+    if durable:
+        # Every applied batch went through a write-ahead log; nothing else
+        # about the update history differs from the in-memory twin.
+        assert networked.update_summary["wal_commits"] \
+            == networked.update_summary["applied"] > 0
+        assert reference.update_summary \
+            == dict(networked.update_summary, wal_commits=0)
+    else:
+        assert reference.update_summary == networked.update_summary
+
+
+# --------------------------------------------------------------------------- #
 # config guard rails
 # --------------------------------------------------------------------------- #
 def test_unknown_transport_is_rejected():
@@ -158,9 +168,3 @@ def test_networked_fleet_rejects_parallel_workers():
     fleet = dataclasses.replace(_small_fleet(), transport="uds")
     with pytest.raises(ValueError, match="serial"):
         run_fleet(fleet, max_workers=2)
-
-
-def test_networked_fleet_rejects_disk_stores(tmp_path):
-    fleet = dataclasses.replace(_small_fleet(), transport="uds")
-    with pytest.raises(ValueError, match="inproc"):
-        run_fleet(fleet, store_path=str(tmp_path / "pages.db"))

@@ -103,7 +103,8 @@ def test_consistency_protocols_diverge_under_updates():
 
 
 def test_dynamic_fleet_rejects_workers_and_baseline_models():
-    with pytest.raises(ValueError, match="sharded"):
+    with pytest.raises(ValueError, match="dynamic fleet shares one mutating "
+                                         "server"):
         run_fleet(_fleet(update_rate=0.1), max_workers=4)
     fleet = FleetConfig.make(_base(), [ClientGroupSpec(name="pag", clients=2,
                                                        model="PAG")])

@@ -203,7 +203,8 @@ def test_fleet_rejects_unknown_consistency_value(capsys):
 
 
 def test_fleet_rejects_workers_with_updates():
-    with pytest.raises(SystemExit, match="sharded"):
+    with pytest.raises(SystemExit, match="dynamic fleet shares one mutating "
+                                         "server"):
         main(["fleet", "--clients", "2", "--queries", "2", "--objects", "150",
               "--update-rate", "0.5", "--workers", "2"])
 

@@ -67,6 +67,23 @@ def test_cli_guide_covers_every_subcommand():
             f"docs/cli.md does not document 'repro {command}'")
 
 
+def test_cli_guide_mirrors_the_combination_table_row_for_row():
+    from repro.sim.deployment import COMBINATIONS
+    text = (DOCS_DIR / "cli.md").read_text(encoding="utf-8")
+    matrix = text[text.index("### Combination matrix"):]
+    documented = [line for line in matrix.splitlines()
+                  if line.startswith("| `") and line.count("|") == 4
+                  and (" | enabled | " in line or " | rejected | " in line)]
+    assert len(documented) == len(COMBINATIONS)
+    for line, (row, message) in zip(documented, COMBINATIONS.items()):
+        name = " × ".join(f"`{feature}`" for feature in row.split())
+        assert line.startswith(f"| {name} | "), (line, row)
+        if message is None:
+            assert " | enabled | " in line
+        else:
+            assert line == f"| {name} | rejected | {message} |"
+
+
 @pytest.mark.parametrize("path", _markdown_files(),
                          ids=[str(p.relative_to(REPO_ROOT))
                               for p in _markdown_files()])
