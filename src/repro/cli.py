@@ -36,7 +36,7 @@ from repro.experiments import fig6, fig7, fig8, fig9, fig10, fig11, overheads, t
 from repro.experiments.report import (
     format_fleet_report, format_latency_line, format_table,
 )
-from repro.sim.config import SimulationConfig
+from repro.sim.config import SimulationConfig, config_meta
 from repro.sim.deployment import check_combination
 from repro.sim.fleet import ClientGroupSpec, FleetConfig, default_fleet, run_fleet
 from repro.sim.runner import run_comparison
@@ -451,8 +451,8 @@ def _run_params(args: argparse.Namespace) -> str:
 
 def _run_bench(args: argparse.Namespace) -> str:
     from repro.perf import (
-        compare_to_baseline, format_report, load_report, run_suite,
-        scenario_descriptions, scenario_names, write_report,
+        check_comparable, compare_to_baseline, format_report, load_report,
+        run_suite, scenario_descriptions, scenario_names, write_report,
     )
     if args.list:
         descriptions = scenario_descriptions()
@@ -463,13 +463,22 @@ def _run_bench(args: argparse.Namespace) -> str:
         # A gate that never ran must not look like a gate that passed.
         raise SystemExit("repro bench: error: --check requires --baseline")
     names = args.scenario or scenario_names()
+    baseline = None
+    if args.baseline:
+        # Whether the baseline can gate this run is decidable from the
+        # arguments alone: refuse it before the suite runs, not after.
+        try:
+            baseline = load_report(args.baseline, section=args.baseline_section)
+            check_comparable(args.scale, names, baseline)
+        except KeyError as error:
+            raise SystemExit(f"repro bench: error: {args.baseline} lacks field {error}")
+        except (OSError, ValueError) as error:  # ValueError covers bad JSON
+            raise SystemExit(f"repro bench: error: {error}")
     current = run_suite(names, scale=args.scale, repeats=args.repeats,
                         measure_allocations=not args.no_alloc,
                         label=args.label, progress=print)
-    baseline = None
     comparison = None
-    if args.baseline:
-        baseline = load_report(args.baseline, section=args.baseline_section)
+    if baseline is not None:
         comparison = compare_to_baseline(current, baseline,
                                          max_regression=args.max_regression)
     if args.output:
@@ -498,12 +507,8 @@ def _run_persist_save_tree(args: argparse.Namespace) -> str:
     from repro.storage import StorageError, save_tree
     config = config_from_args(args)
     tree = build_tree(config)
-    meta = {"dataset": config.dataset_name, "object_count": config.object_count,
-            "dataset_seed": config.dataset_seed, "page_bytes": config.page_bytes,
-            "mean_object_bytes": config.mean_object_bytes,
-            "zipf_theta": config.zipf_theta}
     try:
-        header = save_tree(tree, args.out, meta=meta)
+        header = save_tree(tree, args.out, meta=config_meta(config))
     except (OSError, StorageError) as error:
         raise SystemExit(f"repro persist: error: {error}")
     return (f"saved {header['node_count']} node pages and "
@@ -512,7 +517,7 @@ def _run_persist_save_tree(args: argparse.Namespace) -> str:
 
 
 def _run_persist_save_shards(args: argparse.Namespace) -> str:
-    from repro.sharding import build_sharded_state, config_meta, save_sharded_state
+    from repro.sharding import build_sharded_state, save_sharded_state
     from repro.storage import StorageError
     config = config_from_args(args)
     try:

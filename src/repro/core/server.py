@@ -7,7 +7,7 @@ starts from the root.  While processing it records which partition-tree
 regions of each accessed node were touched, and from that record it builds
 the supporting index ``Ir`` in the form requested by the
 :class:`~repro.core.supporting_index.SupportingIndexPolicy` (full / compact /
-``d+``-level).
+``d+``-level).  The join's pairwise traversal lives in :mod:`repro.core.join`.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.items import CacheEntry, FrontierTarget, TargetKind
+from repro.core.join import Side, element_sides, join_pairs, seed_pairs, target_side
 from repro.core.remainder import FrontierItem, RemainderQuery
 from repro.core.supporting_index import IndexForm, SupportingIndexPolicy
 from repro.geometry import Point, Rect
@@ -113,6 +114,14 @@ class _AccessRecord:
     full_access: bool = False
 
 
+def default_frontier(query: Query, root_id: int, root_mbr: Rect) -> List[FrontierItem]:
+    """The frontier of a query with no client state: the root alone."""
+    root_target = FrontierTarget.for_node(root_id, root_mbr)
+    if isinstance(query, JoinQuery):
+        return [(root_target, root_target)]
+    return [(root_target,)]
+
+
 class ServerQueryProcessor:
     """Executes (remainder) queries over the full R-tree."""
 
@@ -152,7 +161,8 @@ class ServerQueryProcessor:
             self.registry.pin()  # type: ignore[attr-defined]
         start = perf_clock()
         recorder: Dict[int, _AccessRecord] = {}
-        frontier = remainder.frontier if remainder is not None else self._default_frontier(query)
+        frontier = (remainder.frontier if remainder is not None
+                    else default_frontier(query, self.root_id, self.root_mbr))
         # Objects the client declared it already holds: their membership is
         # confirmed but their payload is never re-shipped.
         client_held: Set[int] = {target.object_id for item in frontier for target in item
@@ -187,12 +197,6 @@ class ServerQueryProcessor:
     # ------------------------------------------------------------------ #
     # frontier handling
     # ------------------------------------------------------------------ #
-    def _default_frontier(self, query: Query) -> List[FrontierItem]:
-        root_target = FrontierTarget.for_node(self.root_id, self.root_mbr)
-        if isinstance(query, JoinQuery):
-            return [(root_target, root_target)]
-        return [(root_target,)]
-
     def partition_tree_for(self, node_id: int) -> PartitionTree:
         """The node's (memoised) partition tree, building it on first use.
 
@@ -354,151 +358,30 @@ class ServerQueryProcessor:
     def _process_join(self, query: JoinQuery, frontier: List[FrontierItem],
                       recorder: Dict[int, _AccessRecord],
                       policy: SupportingIndexPolicy) -> Tuple[Dict[int, Optional[int]], int]:
-        # The shard router keeps a shard-aware twin of this traversal
-        # (repro.sharding.router.ShardRouter._scatter_join); a semantic
-        # change here must be mirrored there.
-        window = query.window
-        threshold = query.threshold
-        results: Dict[int, Optional[int]] = {}
-        examined = 0
-
-        def target_to_side(target: FrontierTarget) -> Tuple:
+        def resolve(target: FrontierTarget) -> Optional[Side]:
+            # Pairs naming since-deleted objects or freed pages (stale
+            # client state) are unanswerable; drop them.
             if target.kind is TargetKind.OBJECT:
-                return ("object", target.object_id, target.mbr, target.parent_node_id)
-            if target.kind is TargetKind.NODE:
-                return ("node", target.node_id, "", target.mbr)
-            return ("node", target.node_id, target.code, target.mbr)
-
-        def side_mbr(side: Tuple) -> Rect:
-            return side[3] if side[0] == "node" else side[2]
-
-        def side_key(side: Tuple) -> Tuple:
-            if side[0] == "node":
-                return ("n", side[1], side[2])
-            return ("o", side[1])
-
-        # This predicate runs once per candidate pair — the hottest loop of
-        # the whole server — so the window test and the MINDIST comparison
-        # are inlined on hoisted coordinates and squared distances.
-        w_min_x, w_min_y = window.min_x, window.min_y
-        w_max_x, w_max_y = window.max_x, window.max_y
-        threshold_sq = threshold * threshold
-
-        def qualifies(a: Tuple, b: Tuple) -> bool:
-            mbr_a = a[3] if a[0] == "node" else a[2]
-            mbr_b = b[3] if b[0] == "node" else b[2]
-            if (mbr_a.min_x > w_max_x or mbr_a.max_x < w_min_x
-                    or mbr_a.min_y > w_max_y or mbr_a.max_y < w_min_y):
-                return False
-            if (mbr_b.min_x > w_max_x or mbr_b.max_x < w_min_x
-                    or mbr_b.min_y > w_max_y or mbr_b.max_y < w_min_y):
-                return False
-            dx = mbr_a.min_x - mbr_b.max_x
-            if dx < 0.0:
-                dx = mbr_b.min_x - mbr_a.max_x
-                if dx < 0.0:
-                    dx = 0.0
-            dy = mbr_a.min_y - mbr_b.max_y
-            if dy < 0.0:
-                dy = mbr_b.min_y - mbr_a.max_y
-                if dy < 0.0:
-                    dy = 0.0
-            return dx * dx + dy * dy <= threshold_sq
+                alive = target.object_id in self.tree.objects
+            else:
+                alive = target.node_id in self.tree.store
+            return target_side(target) if alive else None
 
         # A node side is expanded once per pair it appears in; the expansion
         # is deterministic and the recorder bookkeeping inside _start_node is
         # idempotent, so repeated expansions of the same (node, base) within
         # this query are served from a memo.
-        expand_cache: Dict[Tuple[int, str], List[Tuple]] = {}
+        memo: Dict[Tuple[int, str], List[Side]] = {}
 
-        def expand(side: Tuple) -> List[Tuple]:
-            cache_key = (side[1], side[2])
-            cached = expand_cache.get(cache_key)
-            if cached is not None:
-                return cached
-            node_id, base = cache_key
-            sides: List[Tuple] = []
-            for owner, element in self._start_node(node_id, base, recorder, policy):
-                if isinstance(element, SuperEntry):
-                    sides.append(("node", owner, element.code, element.mbr))
-                elif element.is_leaf_entry:
-                    sides.append(("object", element.object_id, element.mbr, owner))
-                else:
-                    sides.append(("node", element.child_id, "", element.mbr))
-            expand_cache[cache_key] = sides
+        def expand(side: Side) -> List[Side]:
+            key = (side[1], side[2])
+            sides = memo.get(key)
+            if sides is None:
+                sides = memo[key] = element_sides(
+                    self._start_node(side[1], side[2], recorder, policy))
             return sides
 
-        # Stack entries are (side_a, side_b, prequalified).  Children are
-        # only pushed after passing the pair predicate, so re-evaluating it
-        # on pop would always succeed — the flag skips that redundant check
-        # while `examined` still counts every popped pair, exactly as before.
-        def side_alive(side: Tuple) -> bool:
-            # Pairs naming since-deleted objects or freed pages (stale
-            # client state) are unanswerable; drop them.
-            if side[0] == "object":
-                return side[1] in self.tree.objects
-            return side[1] in self.tree.store
-
-        stack: List[Tuple[Tuple, Tuple, bool]] = []
-        for item in frontier:
-            sides = [target_to_side(target) for target in item]
-            if not all(side_alive(side) for side in sides):
-                continue
-            if len(sides) == 2:
-                stack.append((sides[0], sides[1], False))
-            else:
-                stack.append((sides[0], sides[0], False))
-        seen: Set[Tuple] = set()
-
-        while stack:
-            side_a, side_b, prequalified = stack.pop()
-            examined += 1
-            if not prequalified and not qualifies(side_a, side_b):
-                continue
-            key_a, key_b = side_key(side_a), side_key(side_b)
-            pair_key = (key_a, key_b) if key_a <= key_b else (key_b, key_a)
-            if pair_key in seen:
-                continue
-            seen.add(pair_key)
-
-            a_is_object = side_a[0] == "object"
-            b_is_object = side_b[0] == "object"
-            if a_is_object and b_is_object:
-                if side_a[1] == side_b[1]:
-                    continue
-                for side in (side_a, side_b):
-                    if side[1] not in results:
-                        results[side[1]] = side[3]
-                continue
-            if not a_is_object:
-                children, other = expand(side_a), side_b
-            else:
-                children, other = expand(side_b), side_a
-            # Inline child-vs-other predicate: `other` survived the pair
-            # check above, so only the child's window test and the mutual
-            # MINDIST remain.
-            o_mbr = other[3] if other[0] == "node" else other[2]
-            o_min_x, o_min_y = o_mbr.min_x, o_mbr.min_y
-            o_max_x, o_max_y = o_mbr.max_x, o_mbr.max_y
-            push = stack.append
-            for child in children:
-                c_mbr = child[3] if child[0] == "node" else child[2]
-                if (c_mbr.min_x > w_max_x or c_mbr.max_x < w_min_x
-                        or c_mbr.min_y > w_max_y or c_mbr.max_y < w_min_y):
-                    continue
-                dx = c_mbr.min_x - o_max_x
-                if dx < 0.0:
-                    dx = o_min_x - c_mbr.max_x
-                    if dx < 0.0:
-                        dx = 0.0
-                dy = c_mbr.min_y - o_max_y
-                if dy < 0.0:
-                    dy = o_min_y - c_mbr.max_y
-                    if dy < 0.0:
-                        dy = 0.0
-                if dx * dx + dy * dy <= threshold_sq:
-                    push((child, other, True))
-        return results, examined
+        return join_pairs(query, seed_pairs(frontier, resolve), expand)
 
     # ------------------------------------------------------------------ #
     # supporting-index construction

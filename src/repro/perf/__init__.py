@@ -15,6 +15,7 @@ The package has two halves:
 from repro.perf.harness import (
     BenchReport,
     ScenarioMeasurement,
+    check_comparable,
     compare_to_baseline,
     format_report,
     load_report,
@@ -33,6 +34,7 @@ __all__ = [
     "ScenarioMeasurement",
     "SCENARIOS",
     "SCALES",
+    "check_comparable",
     "compare_to_baseline",
     "format_report",
     "load_report",

@@ -15,7 +15,7 @@ import platform
 import time
 import tracemalloc
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro.perf.scenarios import SCALES, SCENARIOS, Fingerprint
 
@@ -201,6 +201,24 @@ def load_report(path: str, section: str = "current") -> BenchReport:
 # ---------------------------------------------------------------------- #
 # regression gate
 # ---------------------------------------------------------------------- #
+def check_comparable(scale: str, names: Iterable[str], baseline: BenchReport,
+                     allow_missing: bool = False) -> None:
+    """Raise ``ValueError`` unless ``baseline`` can gate a run of ``names``.
+
+    Needs only the run's scale and scenario names, so ``repro bench``
+    refuses an unusable baseline before it spends the run.
+    """
+    if scale != baseline.scale:
+        raise ValueError(
+            f"scale mismatch: current={scale!r} baseline={baseline.scale!r}; "
+            "regression comparison requires identical scenario parameters")
+    missing = [name for name in names if name not in baseline.scenarios]
+    if missing and not allow_missing:
+        raise ValueError(
+            "scenarios missing from the baseline (regenerate it or pass "
+            f"allow_missing=True): {', '.join(sorted(missing))}")
+
+
 def compare_to_baseline(current: BenchReport, baseline: BenchReport,
                         max_regression: float = 0.25,
                         allow_missing: bool = False) -> List[ComparisonEntry]:
@@ -215,15 +233,7 @@ def compare_to_baseline(current: BenchReport, baseline: BenchReport,
     renamed or newly added scenario must not silently fall out of the gate;
     regenerate the baseline file (or pass ``allow_missing=True``) instead.
     """
-    if current.scale != baseline.scale:
-        raise ValueError(
-            f"scale mismatch: current={current.scale!r} baseline={baseline.scale!r}; "
-            "regression comparison requires identical scenario parameters")
-    missing = [name for name in current.scenarios if name not in baseline.scenarios]
-    if missing and not allow_missing:
-        raise ValueError(
-            "scenarios missing from the baseline (regenerate it or pass "
-            f"allow_missing=True): {', '.join(sorted(missing))}")
+    check_comparable(current.scale, current.scenarios, baseline, allow_missing)
     entries: List[ComparisonEntry] = []
     for name, measurement in current.scenarios.items():
         base = baseline.scenarios.get(name)

@@ -11,8 +11,8 @@ server kernels:
   backend per shard, with globally disjoint page-id ranges;
 * :mod:`repro.sharding.router` — the scatter-gather
   :class:`ShardRouter`: plans range / kNN / join queries across shards
-  (MBR overlap pruning, a global k-th-best bound for kNN, cross-shard pair
-  traversal for joins) and merges one client-visible response, so the
+  (MBR overlap pruning, a global k-th-best bound for kNN, the one join
+  kernel routed across shards) and merges one client-visible response, so the
   proactive sessions and the cache layer run unchanged;
 * :mod:`repro.sharding.updater` — routes dynamic dataset updates to their
   owning shard under one shared version registry;
@@ -33,7 +33,6 @@ from repro.sharding.result_cache import (
     PartitionResultCache,
 )
 from repro.sharding.router import (
-    RouterStats,
     ShardRouter,
     ShardStats,
     ShardedTreeView,
@@ -48,7 +47,6 @@ from repro.sharding.shard import (
 from repro.sharding.state import (
     ShardedServerState,
     build_sharded_state,
-    config_meta,
     save_sharded_state,
 )
 from repro.sharding.storage import (
@@ -60,6 +58,7 @@ from repro.sharding.storage import (
     shard_wal_summaries,
 )
 from repro.sharding.updater import ShardedUpdater
+from repro.sim.config import config_meta
 
 __all__ = [
     "DEFAULT_CACHE_BYTES",
@@ -67,7 +66,6 @@ __all__ = [
     "NODE_ID_STRIDE",
     "PARTITIONER_METHODS",
     "PartitionResultCache",
-    "RouterStats",
     "ShardPlan",
     "ShardRouter",
     "ShardServer",

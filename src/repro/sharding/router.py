@@ -28,14 +28,14 @@ Per query type:
   routed frontier target; once ``k`` candidates are in hand, any shard
   whose MINDIST exceeds the global k-th-best distance is pruned without a
   visit.  Per-shard top-``k`` frontiers merge into the global top-``k``.
-* **join** — pairs may span shards, so the router runs the server's
-  pairwise traversal itself, expanding node sides through the owning
-  shard's partition-tree machinery (per-shard access recorders feed the
-  ordinary snapshot builder), which handles intra- and cross-shard pairs
-  uniformly.
+* **join** — pairs may span shards, so the router runs the one join kernel
+  (:func:`repro.core.join.join_pairs`) itself and supplies only the routing:
+  node sides expand through the owning shard's ``_start_node`` (per-shard
+  access recorders feed the ordinary snapshot builder), so intra- and
+  cross-shard pairs are the same code path.
 
 Every response rolls the per-shard page accounting up into one
-``accessed_node_count`` (and :class:`RouterStats` keeps the per-shard
+``accessed_node_count`` (and :class:`ShardStats` keeps the per-shard
 split), so ``QueryCost.server_page_reads`` stays meaningful unchanged.
 """
 
@@ -45,18 +45,20 @@ from collections.abc import Mapping
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.items import CacheEntry, FrontierTarget, TargetKind
+from repro.core.join import Side, element_sides, join_pairs, seed_pairs, target_side
 from repro.core.remainder import FrontierItem, RemainderQuery
 from repro.core.server import (
     IndexNodeSnapshot,
     ObjectDelivery,
     ServerResponse,
+    default_frontier,
 )
 from repro.core.supporting_index import SupportingIndexPolicy
 from repro.geometry import Rect
 from repro.obs import instrument as obs
 from repro.obs.instrument import perf_clock
 from repro.rtree.node import Node
-from repro.rtree.partition_tree import PartitionTree, SuperEntry
+from repro.rtree.partition_tree import PartitionTree
 from repro.rtree.entry import Entry
 from repro.rtree.sizes import SizeModel
 from repro.sharding.partitioner import ShardPlan
@@ -124,10 +126,6 @@ class ShardStats:
             "total_skipped": sum(self.shards_skipped),
             "total_pages_read": sum(self.pages_read),
         }
-
-
-#: Backward-compatible alias (pre-PR-9 name of :class:`ShardStats`).
-RouterStats = ShardStats
 
 
 class ShardedObjectView(Mapping):
@@ -388,7 +386,7 @@ class ShardRouter:
             self.result_cache.begin_query()
         start = perf_clock()
         frontier = (remainder.frontier if remainder is not None
-                    else self._default_frontier(query))
+                    else default_frontier(query, self.virtual_root_id, self.root_mbr))
         if isinstance(query, RangeQuery):
             response = self._scatter_range(query, frontier, policy)
         elif isinstance(query, KNNQuery):
@@ -416,12 +414,6 @@ class ShardRouter:
     # ------------------------------------------------------------------ #
     # routing helpers
     # ------------------------------------------------------------------ #
-    def _default_frontier(self, query: Query) -> List[FrontierItem]:
-        root_target = FrontierTarget.for_node(self.virtual_root_id, self.root_mbr)
-        if isinstance(query, JoinQuery):
-            return [(root_target, root_target)]
-        return [(root_target,)]
-
     def _is_virtual_target(self, target: FrontierTarget) -> bool:
         return (target.kind is not TargetKind.OBJECT
                 and target.node_id == self.virtual_root_id)
@@ -627,28 +619,15 @@ class ShardRouter:
     def _scatter_join(self, query: JoinQuery, frontier: List[FrontierItem],
                       policy: SupportingIndexPolicy,
                       client_held: set) -> ServerResponse:
-        """The server's pairwise join traversal, shard-aware.
+        """Run the one join kernel across the shard set.
 
-        Qualifying pairs may span shards, so no single shard can resume an
-        arbitrary pair: the router walks the pair space itself, expanding
-        node sides through the owning shard's ``_start_node`` (which keeps
-        that shard's access recorder, so the ordinary supporting-index
-        builder ships exactly the node regions this query touched).
-
-        This is a shard-aware twin of
-        :meth:`repro.core.server.ServerQueryProcessor._process_join` (same
-        side tuples plus an owning-shard slot, same inlined predicate,
-        same seen-pair dedup); a semantic fix to either copy — predicate,
-        dedup, stale-pair handling — must be mirrored in the other.
+        Everything here is routing: ``resolve`` (owner table, shard liveness,
+        result-cache plan), ``expand`` (the owning shard's ``_start_node`` on
+        its access recorder, or the live shard roots) and the response roll-up.
         """
         window = query.window
-        threshold_sq = query.threshold * query.threshold
-        w_min_x, w_min_y = window.min_x, window.min_y
-        w_max_x, w_max_y = window.max_x, window.max_y
         recorders: Dict[int, Dict] = {}
         virtual_hit = False
-        results: Dict[int, Optional[int]] = {}
-        examined = 0
         cache = self.result_cache
         allowed: Optional[set] = None
         if cache is not None:
@@ -667,150 +646,47 @@ class ShardRouter:
                 skip_noted.add(index)
                 self.stats.record_skip(index)
 
-        # Sides mirror the single server's layout with the owning shard
-        # appended: ("node", node_id, code, mbr, shard) and
-        # ("object", object_id, mbr, parent_node_id, shard).
-        def target_to_side(target: FrontierTarget) -> Optional[Tuple]:
-            if target.kind is TargetKind.OBJECT:
-                owner = self._owner.get(target.object_id)
-                if owner is None:
-                    return None
-                if allowed is not None and owner not in allowed:
-                    note_skip(owner)
-                    return None
-                return ("object", target.object_id, target.mbr,
-                        target.parent_node_id, owner)
+        def resolve(target: FrontierTarget) -> Optional[Side]:
             if self._is_virtual_target(target):
-                return ("node", self.virtual_root_id, "", self.root_mbr, None)
+                return ("node", self.virtual_root_id, "", self.root_mbr)
             index = self._route_target(target)
-            if index is None or target.node_id not in self.shards[index].tree.store:
+            if index is None or (target.kind is not TargetKind.OBJECT and
+                                 target.node_id not in self.shards[index].tree.store):
                 return None
             if allowed is not None and index not in allowed:
                 note_skip(index)
                 return None
-            return ("node", target.node_id, target.code or "", target.mbr, index)
+            return target_side(target)
 
-        def side_key(side: Tuple) -> Tuple:
-            if side[0] == "node":
-                return ("n", side[1], side[2])
-            return ("o", side[1])
+        # The per-query expansion memo of the single server's _process_join.
+        memo: Dict[Tuple[int, str], List[Side]] = {}
 
-        def qualifies(a: Tuple, b: Tuple) -> bool:
-            mbr_a = a[3] if a[0] == "node" else a[2]
-            mbr_b = b[3] if b[0] == "node" else b[2]
-            if (mbr_a.min_x > w_max_x or mbr_a.max_x < w_min_x
-                    or mbr_a.min_y > w_max_y or mbr_a.max_y < w_min_y):
-                return False
-            if (mbr_b.min_x > w_max_x or mbr_b.max_x < w_min_x
-                    or mbr_b.min_y > w_max_y or mbr_b.max_y < w_min_y):
-                return False
-            dx = mbr_a.min_x - mbr_b.max_x
-            if dx < 0.0:
-                dx = mbr_b.min_x - mbr_a.max_x
-                if dx < 0.0:
-                    dx = 0.0
-            dy = mbr_a.min_y - mbr_b.max_y
-            if dy < 0.0:
-                dy = mbr_b.min_y - mbr_a.max_y
-                if dy < 0.0:
-                    dy = 0.0
-            return dx * dx + dy * dy <= threshold_sq
-
-        expand_cache: Dict[Tuple[int, str], List[Tuple]] = {}
-
-        def expand(side: Tuple) -> List[Tuple]:
+        def expand(side: Side) -> List[Side]:
             nonlocal virtual_hit
-            if side[1] == self.virtual_root_id:
-                virtual_hit = True
-                if allowed is None:
-                    return [("node", shard.root_id, "", shard.root_mbr, index)
-                            for index, shard in self.live_shards()]
-                sides: List[Tuple] = []
-                for index, shard in self.live_shards():
-                    if index in allowed:
-                        sides.append(("node", shard.root_id, "",
-                                      shard.root_mbr, index))
-                    elif shard.root_mbr.intersects(window):
-                        note_skip(index)
-                    else:
-                        self.stats.record_prune(index)
+            key = (side[1], side[2])
+            sides = memo.get(key)
+            if sides is not None:
                 return sides
-            cache_key = (side[1], side[2])
-            cached = expand_cache.get(cache_key)
-            if cached is not None:
-                return cached
-            index = side[4]
-            recorder = recorders.setdefault(index, {})
-            sides: List[Tuple] = []
-            for owner, element in self.shards[index].server._start_node(
-                    side[1], side[2], recorder, policy):
-                if isinstance(element, SuperEntry):
-                    sides.append(("node", owner, element.code, element.mbr, index))
-                elif element.is_leaf_entry:
-                    sides.append(("object", element.object_id, element.mbr,
-                                  owner, index))
+            if side[1] != self.virtual_root_id:
+                index = shard_index_for_node(side[1])
+                sides = memo[key] = element_sides(
+                    self.shards[index].server._start_node(
+                        side[1], side[2], recorders.setdefault(index, {}), policy))
+                return sides
+            # The virtual root stays outside the memo: its prune / skip
+            # accounting is per expansion.
+            virtual_hit = True
+            sides = []
+            for index, shard in self.live_shards():
+                if allowed is None or index in allowed:
+                    sides.append(("node", shard.root_id, "", shard.root_mbr))
+                elif shard.root_mbr.intersects(window):
+                    note_skip(index)
                 else:
-                    sides.append(("node", element.child_id, "", element.mbr,
-                                  index))
-            expand_cache[cache_key] = sides
+                    self.stats.record_prune(index)
             return sides
 
-        stack: List[Tuple[Tuple, Tuple, bool]] = []
-        for item in frontier:
-            sides = [target_to_side(target) for target in item]
-            if any(side is None for side in sides):
-                continue
-            if len(sides) == 2:
-                stack.append((sides[0], sides[1], False))
-            else:
-                stack.append((sides[0], sides[0], False))
-        seen: set = set()
-
-        while stack:
-            side_a, side_b, prequalified = stack.pop()
-            examined += 1
-            if not prequalified and not qualifies(side_a, side_b):
-                continue
-            key_a, key_b = side_key(side_a), side_key(side_b)
-            pair_key = (key_a, key_b) if key_a <= key_b else (key_b, key_a)
-            if pair_key in seen:
-                continue
-            seen.add(pair_key)
-
-            a_is_object = side_a[0] == "object"
-            b_is_object = side_b[0] == "object"
-            if a_is_object and b_is_object:
-                if side_a[1] == side_b[1]:
-                    continue
-                for side in (side_a, side_b):
-                    if side[1] not in results:
-                        results[side[1]] = side[3]
-                continue
-            if not a_is_object:
-                children, other = expand(side_a), side_b
-            else:
-                children, other = expand(side_b), side_a
-            o_mbr = other[3] if other[0] == "node" else other[2]
-            o_min_x, o_min_y = o_mbr.min_x, o_mbr.min_y
-            o_max_x, o_max_y = o_mbr.max_x, o_mbr.max_y
-            push = stack.append
-            for child in children:
-                c_mbr = child[3] if child[0] == "node" else child[2]
-                if (c_mbr.min_x > w_max_x or c_mbr.max_x < w_min_x
-                        or c_mbr.min_y > w_max_y or c_mbr.max_y < w_min_y):
-                    continue
-                dx = c_mbr.min_x - o_max_x
-                if dx < 0.0:
-                    dx = o_min_x - c_mbr.max_x
-                    if dx < 0.0:
-                        dx = 0.0
-                dy = c_mbr.min_y - o_max_y
-                if dy < 0.0:
-                    dy = o_min_y - c_mbr.max_y
-                    if dy < 0.0:
-                        dy = 0.0
-                if dx * dx + dy * dy <= threshold_sq:
-                    push((child, other, True))
+        results, examined = join_pairs(query, seed_pairs(frontier, resolve), expand)
 
         if cache is not None and results:
             # Hit-set strengthening: every result object intersects the
@@ -827,8 +703,7 @@ class ShardRouter:
             examined_elements=examined)
         if virtual_hit:
             self._attach_virtual(merged)
-        for index in sorted(recorders):
-            recorder = recorders[index]
+        for index, recorder in sorted(recorders.items()):
             if not recorder:
                 continue
             merged.index_snapshots.extend(

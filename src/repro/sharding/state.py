@@ -4,10 +4,9 @@
 :func:`repro.sim.runner.build_shared_state`: it generates the deterministic
 dataset once, partitions it, builds one :class:`ShardServer` per slice (or
 reopens a saved shard-store directory) and wires the
-:class:`~repro.sharding.router.ShardRouter` over them.  The configuration
-object is duck-typed (``dataset_name`` / ``object_count`` / ``dataset_seed``
-/ ``mean_object_bytes`` / ``zipf_theta`` / ``page_bytes``), so this module
-stays below the simulation layer.
+:class:`~repro.sharding.router.ShardRouter` over them.  What identifies a
+dataset — and so what a reopened manifest must match — is defined once,
+beside :class:`~repro.sim.config.SimulationConfig`.
 """
 
 from __future__ import annotations
@@ -15,29 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.datasets import make_dataset
 from repro.rtree.sizes import SizeModel
 from repro.sharding.partitioner import ShardPlan, make_plan
 from repro.sharding.router import ShardRouter, ShardedTreeView
 from repro.sharding.shard import ShardServer, build_shards
 from repro.sharding.storage import load_shards, save_shards
+from repro.sim.config import dataset_records, meta_mismatches
 from repro.storage.backend import StorageError
-
-#: Manifest meta key -> configuration attribute it must match on reopen.
-_MANIFEST_META_FIELDS = {
-    "dataset": "dataset_name",
-    "object_count": "object_count",
-    "dataset_seed": "dataset_seed",
-    "page_bytes": "page_bytes",
-    "mean_object_bytes": "mean_object_bytes",
-    "zipf_theta": "zipf_theta",
-}
-
-
-def config_meta(config) -> Dict:
-    """The dataset-identity meta block stored in shard manifests."""
-    return {key: getattr(config, attribute)
-            for key, attribute in _MANIFEST_META_FIELDS.items()}
 
 
 def _check_manifest(config, shards: int, partitioner: str,
@@ -50,11 +33,7 @@ def _check_manifest(config, shards: int, partitioner: str,
     if manifest["partitioner"] != partitioner:
         problems.append(f"partitioner: store={manifest['partitioner']!r} "
                         f"requested={partitioner!r}")
-    meta = manifest.get("meta", {})
-    problems.extend(
-        f"{key}: store={meta[key]!r} config={getattr(config, attribute)!r}"
-        for key, attribute in _MANIFEST_META_FIELDS.items()
-        if key in meta and meta[key] != getattr(config, attribute))
+    problems.extend(meta_mismatches(config, manifest.get("meta", {})))
     if problems:
         raise StorageError(
             f"{directory} was written for a different sharded configuration "
@@ -104,14 +83,6 @@ class ShardedServerState:
         """Release every shard's storage backend."""
         for shard in self.shards:
             shard.close()
-
-
-def dataset_records(config):
-    """The deterministic record list of ``config`` (single dataset build)."""
-    return make_dataset(config.dataset_name, config.object_count,
-                        seed=config.dataset_seed,
-                        mean_object_bytes=config.mean_object_bytes,
-                        zipf_theta=config.zipf_theta)
 
 
 def build_sharded_state(config, shards: int, partitioner: str = "grid",

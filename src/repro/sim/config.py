@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
+from repro.datasets import make_dataset
+from repro.rtree.entry import ObjectRecord
 from repro.workload.generator import QueryMix
 
 
@@ -136,3 +138,41 @@ class SimulationConfig:
             "mobility": self.mobility_model,
             "replacement": self.replacement_policy,
         }
+
+
+#: Stored meta key (``.rpro`` header, shard manifest) -> the configuration
+#: attribute it must match when the store is reopened.
+_DATASET_META_FIELDS = {
+    "dataset": "dataset_name",
+    "object_count": "object_count",
+    "dataset_seed": "dataset_seed",
+    "page_bytes": "page_bytes",
+    "mean_object_bytes": "mean_object_bytes",
+    "zipf_theta": "zipf_theta",
+}
+
+
+def config_meta(config: SimulationConfig) -> Dict:
+    """The dataset-identity meta block recorded in stores built from ``config``."""
+    return {key: getattr(config, attribute)
+            for key, attribute in _DATASET_META_FIELDS.items()}
+
+
+def meta_mismatches(config: SimulationConfig, meta: Dict) -> List[str]:
+    """One ``key: store=… config=…`` line per stored key contradicting ``config``.
+
+    Only keys actually present in ``meta`` are checked (stores written
+    outside the CLI may carry none), so a mismatch always means the caller
+    mixed dataset flags between save time and load time.
+    """
+    return [f"{key}: store={meta[key]!r} config={getattr(config, attribute)!r}"
+            for key, attribute in _DATASET_META_FIELDS.items()
+            if key in meta and meta[key] != getattr(config, attribute)]
+
+
+def dataset_records(config: SimulationConfig) -> List[ObjectRecord]:
+    """The deterministic record list of ``config`` (single dataset build)."""
+    return make_dataset(config.dataset_name, config.object_count,
+                        seed=config.dataset_seed,
+                        mean_object_bytes=config.mean_object_bytes,
+                        zipf_theta=config.zipf_theta)

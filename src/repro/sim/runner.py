@@ -6,14 +6,13 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.datasets import make_dataset
 from repro.mobility import PoissonThinkTime, make_mobility_model
 from repro.rtree.bulk import bulk_load_str
 from repro.rtree.partition_tree import build_partition_trees
 from repro.rtree.sizes import SizeModel
 from repro.rtree.tree import RTree
 from repro.core.server import ServerQueryProcessor
-from repro.sim.config import SimulationConfig
+from repro.sim.config import SimulationConfig, dataset_records, meta_mismatches
 from repro.sim.metrics import SimulationResult
 from repro.sim.sessions import ClientSession, GroundTruthCache, make_session
 from repro.workload.generator import QueryGenerator
@@ -79,37 +78,18 @@ def map_maybe_parallel(task, argument_lists, max_workers: Optional[int]) -> List
 
 def build_tree(config: SimulationConfig) -> RTree:
     """Generate the dataset of ``config`` and bulk-load it into an R*-tree."""
-    records = make_dataset(config.dataset_name, config.object_count,
-                           seed=config.dataset_seed,
-                           mean_object_bytes=config.mean_object_bytes,
-                           zipf_theta=config.zipf_theta)
     size_model = SizeModel(page_bytes=config.page_bytes)
-    return bulk_load_str(records, size_model=size_model)
-
-
-#: ``.rpro`` header meta key → SimulationConfig attribute it must match.
-_STORE_META_FIELDS = {
-    "dataset": "dataset_name",
-    "object_count": "object_count",
-    "dataset_seed": "dataset_seed",
-    "page_bytes": "page_bytes",
-    "mean_object_bytes": "mean_object_bytes",
-    "zipf_theta": "zipf_theta",
-}
+    return bulk_load_str(dataset_records(config), size_model=size_model)
 
 
 def _check_store_meta(config: SimulationConfig, meta: dict, store_path: str) -> None:
     """Reject a store whose recorded generating config contradicts ``config``.
 
-    Only keys actually present in the meta are checked (stores written
-    outside the CLI may carry none), so a mismatch always means the caller
-    mixed dataset flags between ``save-tree`` time and load time — caught
-    here with a clear message instead of silently simulating a hybrid.
+    A mismatch means the caller mixed dataset flags between ``save-tree``
+    time and load time — caught here with a clear message instead of
+    silently simulating a hybrid.
     """
-    mismatches = [
-        f"{key}: store={meta[key]!r} config={getattr(config, attribute)!r}"
-        for key, attribute in _STORE_META_FIELDS.items()
-        if key in meta and meta[key] != getattr(config, attribute)]
+    mismatches = meta_mismatches(config, meta)
     if mismatches:
         from repro.storage.backend import StorageError
         raise StorageError(

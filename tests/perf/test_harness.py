@@ -1,6 +1,10 @@
 """The perf harness: measurement plumbing, persistence and the CI gate."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -19,6 +23,8 @@ from repro.perf.scenarios import SCALES, SCENARIOS, scenario_names
 
 # Every test drives full perf scenarios (timed repeats): the slow lane.
 pytestmark = pytest.mark.slow
+
+REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 
 
 def make_measurement(name, wall, fingerprint=None):
@@ -133,6 +139,43 @@ def test_check_without_baseline_is_an_error(capsys):
         main(["bench", "--scenario", "fig6_models", "--scale", "smoke",
               "--repeats", "1", "--no-alloc", "--check"])
     capsys.readouterr()
+
+
+def _unusable_baselines(tmp_path):
+    wrong_scale = tmp_path / "default_scale.json"
+    write_report(str(wrong_scale), make_report({"storage_paged": 1.0},
+                                               scale="default"))
+    truncated = tmp_path / "truncated.json"
+    truncated.write_text('{"current": {"scenarios": {"storage_paged": {}}}')
+    fieldless = tmp_path / "fieldless.json"
+    fieldless.write_text('{"current": {"scale": "smoke", '
+                         '"scenarios": {"storage_paged": {}}}}')
+    return {
+        # The committed PR-2 baseline predates the storage scenarios.
+        str(REPO_ROOT / "BENCH_PR2_smoke.json"): "scenarios missing from the baseline",
+        str(tmp_path / "nonexistent.json"): "No such file",
+        str(wrong_scale): "scale mismatch",
+        str(truncated): "repro bench: error: ",
+        str(fieldless): "lacks field 'wall_seconds'",
+    }
+
+
+def test_unusable_baseline_is_refused_before_anything_runs(tmp_path):
+    """A real ``repro bench`` process: one error line, no run, no output."""
+    environment = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    output = tmp_path / "out.json"
+    for baseline, message in _unusable_baselines(tmp_path).items():
+        outcome = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "bench", "--scenario",
+             "storage_paged", "--scale", "smoke", "--baseline", baseline,
+             "--output", str(output)],
+            env=environment, capture_output=True, text=True, timeout=120)
+        assert outcome.returncode != 0, baseline
+        assert "repro bench: error: " in outcome.stderr, baseline
+        assert message in outcome.stderr, baseline
+        assert "Traceback" not in outcome.stderr, baseline
+        assert "running " not in outcome.stdout, baseline
+        assert not output.exists(), baseline
 
 
 def test_run_suite_rejects_unknown_names():
