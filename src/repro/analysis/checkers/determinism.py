@@ -74,7 +74,7 @@ class UnseededRandomChecker(Checker):
 
 @register
 class WallClockChecker(Checker):
-    """DET02 — wall-clock reads outside the perf harness and the CLI.
+    """DET02 — wall-clock reads outside the CLI.
 
     Simulated time is the only clock the models may consult; a
     ``time.time()`` or ``perf_counter()`` in a cost or decision path makes
@@ -84,7 +84,7 @@ class WallClockChecker(Checker):
     """
 
     rule = "DET02"
-    title = "wall-clock read outside perf/ and cli.py"
+    title = "wall-clock read outside cli.py"
 
     def visit_Call(self, node: ast.Call) -> None:
         resolved = self.context.imports.resolve(node.func)

@@ -4,10 +4,10 @@ The obs layer (``repro.obs.instrument.perf_clock``) is the single audited
 funnel for wall-clock reads in the instrumented packages.  A direct
 ``time.perf_counter()`` next to it re-opens the very hole the funnel
 closed: timing that silently bypasses the instrument cannot be switched
-off for determinism audits and never shows up in traces.  OBS01 therefore
-rides the same resolver as DET02 but with the *opposite* scope bias — it
-covers ``perf/`` (which DET02 exempts wholesale) so even the harness has
-to either go through ``perf_clock`` or carry an explicit waiver.
+off for determinism audits and never shows up in traces.  OBS01 rides
+the same resolver as DET02, scoped to the instrumented packages: DET02
+says "this read must not feed a decision", OBS01 says "and it must go
+through ``perf_clock``", so a measurement site waives each on its own.
 """
 
 from __future__ import annotations

@@ -7,10 +7,10 @@ path as given).  Patterns use :mod:`fnmatch` semantics, where ``*`` crosses
 ``/`` — ``repro/core/*`` therefore covers the whole subtree.
 
 The project defaults below encode the determinism contracts: wall-clock
-reads are legal only in the perf harness and the CLI, set-iteration order
-only matters in the decision-affecting packages, slots are enforced where
-the PR-2 profiles showed attribute-access heat, and the strict-typing
-companion rule mirrors the mypy strict packages.
+reads are legal only in the CLI, set-iteration order only matters in the
+decision-affecting packages, slots are enforced where the PR-2 profiles
+showed attribute-access heat, and the strict-typing companion rule mirrors
+the mypy strict packages.
 """
 
 from __future__ import annotations
@@ -70,13 +70,9 @@ STRICT_TYPING_PACKAGES = ("repro/geometry/*", "repro/rtree/*",
                           "repro/obs/*")
 
 #: Packages wired for instrumentation, where every wall-clock read must go
-#: through ``repro.obs.instrument.perf_clock`` — OBS01's scope.  Note that
-#: unlike DET02 this *includes* ``perf/``: the harness times things by
-#: design, but it must do so through the audited funnel (or carry a
-#: site-level waiver).
+#: through ``repro.obs.instrument.perf_clock`` — OBS01's scope.
 INSTRUMENTED_PACKAGES = ("repro/sim/*", "repro/core/*", "repro/sharding/*",
-                         "repro/net/*", "repro/storage/*", "repro/updates/*",
-                         "repro/perf/*")
+                         "repro/net/*", "repro/storage/*", "repro/updates/*")
 
 #: Packages where iteration order feeds query results, eviction choices or
 #: digests — DET03's scope.
@@ -89,7 +85,7 @@ DURABLE_WRITE_PACKAGES = ("repro/storage/*", "repro/sim/restart.py")
 
 DEFAULT_CONFIG = LintConfig.make({
     "DET01": RuleScope(),
-    "DET02": RuleScope(exclude=("repro/perf/*", "repro/cli.py")),
+    "DET02": RuleScope(exclude=("repro/cli.py",)),
     "DET03": RuleScope(include=DECISION_AFFECTING_PACKAGES),
     "DET04": RuleScope(),
     "DUR01": RuleScope(include=DURABLE_WRITE_PACKAGES),

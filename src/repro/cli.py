@@ -2,7 +2,7 @@
 
 Installed as the ``repro`` console script (also runnable as
 ``python -m repro.cli``; the legacy ``repro-spatial-cache`` alias is kept).
-Nine sub-commands are provided (see ``docs/cli.md`` for a full guide):
+Eight sub-commands are provided (see ``docs/cli.md`` for a full guide):
 
 * ``compare`` — run PAG / SEM / APRO (and optionally FPRO / CPRO) on one
   trace and print the headline metrics;
@@ -17,8 +17,6 @@ Nine sub-commands are provided (see ``docs/cli.md`` for a full guide):
 * ``figure`` — regenerate one of the paper's figures (``6``–``11``,
   ``table61`` or ``overheads``);
 * ``params`` — print the Table 6.1 parameter sheet for a configuration;
-* ``bench`` — run the perf-regression scenario suite, write a
-  ``BENCH_*.json`` report and optionally gate against a committed baseline;
 * ``persist`` — checkpoint a server R-tree into a ``.rpro`` page store,
   inspect one (header + write-ahead-log facts), verify it (WAL validation
   plus the backend-invariance differential), repair a damaged WAL tail or
@@ -343,8 +341,9 @@ def _run_serve(args: argparse.Namespace) -> str:
 
     async def main() -> None:
         shared = build_shared_state(base)
+        server = ReproServer(shared.server, shared.size_model)
+        status = None
         try:
-            server = ReproServer(shared.server, shared.size_model)
             if args.transport == "uds":
                 where = await server.listen_uds(args.path)
                 print(f"serving {base.object_count} objects on uds "
@@ -353,7 +352,6 @@ def _run_serve(args: argparse.Namespace) -> str:
                 host, port = await server.listen_tcp(args.host, args.port)
                 print(f"serving {base.object_count} objects on tcp "
                       f"{host}:{port}", flush=True)
-            status = None
             if args.status_port is not None:
                 # The status server shares the wire server's loop; the
                 # recorder feeds the /metrics registry from the query path.
@@ -377,21 +375,23 @@ def _run_serve(args: argparse.Namespace) -> str:
                 shost, sport = await status.start()
                 print(f"live ops: http://{shost}:{sport}/ "
                       f"(/status, /metrics)", flush=True)
-            try:
-                await asyncio.Event().wait()
-            finally:
-                if status is not None:
-                    from repro.obs.instrument import deactivate as _deactivate
-                    _deactivate()
-                    await status.close()
-                await server.close()
+            await asyncio.Event().wait()
         finally:
+            if status is not None:
+                from repro.obs.instrument import deactivate as _deactivate
+                _deactivate()
+                await status.close()
+            await server.close()
             shared.tree.store.close()
 
     try:
         asyncio.run(main())
     except KeyboardInterrupt:
         pass
+    except OSError as error:
+        # A listener that cannot bind (missing socket directory, port in
+        # use); main() has already closed the server and the store.
+        raise SystemExit(f"repro serve: error: {error}")
     return "server stopped"
 
 
@@ -436,70 +436,14 @@ def _run_trace(args: argparse.Namespace) -> str:
 def _run_figure(args: argparse.Namespace) -> str:
     module = _FIGURES[args.figure]
     config = config_from_args(args)
-    if args.figure in ("table61", "overheads"):
-        return module.render(module.run(config))
     if args.figure == "11":
         config = fig11.default_config(query_count=config.query_count).with_overrides(
             object_count=config.object_count)
-        return module.render(module.run(config))
     return module.render(module.run(config))
 
 
 def _run_params(args: argparse.Namespace) -> str:
     return table61.render(table61.run(config_from_args(args)))
-
-
-def _run_bench(args: argparse.Namespace) -> str:
-    from repro.perf import (
-        check_comparable, compare_to_baseline, format_report, load_report,
-        run_suite, scenario_descriptions, scenario_names, write_report,
-    )
-    if args.list:
-        descriptions = scenario_descriptions()
-        width = max(len(name) for name in descriptions)
-        return "\n".join(f"{name.ljust(width)}  {description}"
-                         for name, description in descriptions.items())
-    if args.check and not args.baseline:
-        # A gate that never ran must not look like a gate that passed.
-        raise SystemExit("repro bench: error: --check requires --baseline")
-    names = args.scenario or scenario_names()
-    baseline = None
-    if args.baseline:
-        # Whether the baseline can gate this run is decidable from the
-        # arguments alone: refuse it before the suite runs, not after.
-        try:
-            baseline = load_report(args.baseline, section=args.baseline_section)
-            check_comparable(args.scale, names, baseline)
-        except KeyError as error:
-            raise SystemExit(f"repro bench: error: {args.baseline} lacks field {error}")
-        except (OSError, ValueError) as error:  # ValueError covers bad JSON
-            raise SystemExit(f"repro bench: error: {error}")
-    current = run_suite(names, scale=args.scale, repeats=args.repeats,
-                        measure_allocations=not args.no_alloc,
-                        label=args.label, progress=print)
-    comparison = None
-    if baseline is not None:
-        comparison = compare_to_baseline(current, baseline,
-                                         max_regression=args.max_regression)
-    if args.output:
-        write_report(args.output, current, baseline=baseline,
-                     meta={"command": "repro bench", "scale": args.scale})
-    report = format_report(current, comparison)
-    if args.check and comparison is not None:
-        failures = [e.name for e in comparison if e.regressed]
-        mismatches = [e.name for e in comparison if e.fingerprint_matches is False]
-        if failures or mismatches:
-            print(report)
-            problems = []
-            if failures:
-                problems.append(
-                    f"wall-clock regression > {args.max_regression:.0%} in: "
-                    + ", ".join(failures))
-            if mismatches:
-                problems.append("behaviour fingerprint mismatch in: "
-                                + ", ".join(mismatches))
-            raise SystemExit("repro bench: FAILED — " + "; ".join(problems))
-    return report
 
 
 def _run_persist_save_tree(args: argparse.Namespace) -> str:
@@ -654,6 +598,9 @@ def _run_persist_recover(args: argparse.Namespace) -> str:
     """Repair a store's WAL in place: truncate torn/corrupt tails."""
     import os
     from repro.storage import StorageError, repair_wal, wal_path
+    if not os.path.exists(args.path):
+        # A typo'd path must not read as a healthy store.
+        raise SystemExit(f"repro persist: error: no such store: {args.path}")
     log = wal_path(args.path)
     if not os.path.exists(log):
         return f"{args.path}: no write-ahead log; nothing to recover"
@@ -790,14 +737,6 @@ examples:
 examples:
   repro params
   repro params --paper-scale
-""",
-    "bench": """\
-examples:
-  repro bench
-  repro bench --list
-  repro bench --scale smoke --repeats 1
-  repro bench --baseline BENCH_PR2.json --check
-  repro bench --scenario storage_paged --scenario warm_restart --scale smoke
 """,
     "persist": """\
 examples:
@@ -1066,40 +1005,6 @@ def build_parser() -> argparse.ArgumentParser:
     pack.add_argument("path", help="an .rpro file, or a shard-store "
                                    "directory to pack shard by shard")
     pack.set_defaults(handler=_run_persist_pack)
-
-    bench = subparsers.add_parser(
-        "bench", help="run the perf-regression scenario suite",
-        epilog=_EXAMPLES["bench"],
-        formatter_class=argparse.RawDescriptionHelpFormatter)
-    bench.add_argument("--list", action="store_true",
-                       help="list the registered scenarios with one-line "
-                            "descriptions and exit")
-    bench.add_argument("--scenario", action="append", default=[],
-                       help="scenario to run (repeatable; default: all)")
-    bench.add_argument("--scale", choices=("default", "smoke"), default="default",
-                       help="scenario scale: committed-baseline 'default' or "
-                            "CI-sized 'smoke' (default: default)")
-    bench.add_argument("--repeats", type=int, default=3,
-                       help="timed repeats per scenario; best-of is reported "
-                            "(default: 3)")
-    bench.add_argument("--output", default=None, metavar="PATH",
-                       help="write the BENCH_*.json report here")
-    bench.add_argument("--baseline", default=None, metavar="PATH",
-                       help="committed BENCH_*.json to compare against")
-    bench.add_argument("--baseline-section", choices=("current", "baseline"),
-                       default="current",
-                       help="which section of the baseline file to compare "
-                            "against (default: current)")
-    bench.add_argument("--max-regression", type=float, default=0.25,
-                       help="allowed fractional wall-clock growth before "
-                            "--check fails (default: 0.25)")
-    bench.add_argument("--check", action="store_true",
-                       help="exit non-zero on regression or fingerprint mismatch")
-    bench.add_argument("--no-alloc", action="store_true",
-                       help="skip the tracemalloc instrumentation pass")
-    bench.add_argument("--label", default="",
-                       help="free-form label stored in the report")
-    bench.set_defaults(handler=_run_bench)
 
     lint = subparsers.add_parser(
         "lint", help="run the determinism & invariant linter over the tree",

@@ -2,9 +2,9 @@
 
 Each module corresponds to one figure (or table) of Section 6 and exposes a
 ``run(config)`` function returning a structured result plus a ``render``
-helper that prints the same rows / series the paper reports.  The benchmark
-harness under ``benchmarks/`` simply calls these functions, so the figures
-can also be regenerated directly::
+helper that prints the same rows / series the paper reports.  The shape
+claims in ``tests/experiments/test_paper_claims.py`` call these functions,
+and the figures can also be regenerated directly::
 
     python -m repro.experiments.fig6
 """

@@ -1,4 +1,4 @@
-"""The loopback transport wrapper and the saturation probe.
+"""The loopback transport wrapper.
 
 :func:`serve` puts an already-built
 :class:`~repro.sim.deployment.Deployment` behind a real socket: a
@@ -22,12 +22,9 @@ from __future__ import annotations
 
 import statistics
 import tempfile
-import threading
-import time
 from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
 from repro.net.client import (
-    ClientPool,
     Endpoint,
     NetValidationService,
     RemoteSessionClient,
@@ -35,13 +32,7 @@ from repro.net.client import (
 from repro.net.server import ReproServer, ServerThread
 from repro.network.channel import WirelessChannel
 from repro.obs.status import publish
-from repro.sim.config import SimulationConfig
 from repro.sim.metrics import FleetResult
-from repro.sim.runner import (
-    SharedServerState,
-    build_shared_state,
-    generate_trace,
-)
 from repro.updates import make_protocol
 from repro.updates.validation import LocalValidationService
 
@@ -157,107 +148,6 @@ def serve(deployment: "Deployment") -> None:
     })
 
 
-# --------------------------------------------------------------------------- #
-# the saturation probe behind the net_fleet bench scenario
-# --------------------------------------------------------------------------- #
-def saturation_probe(base: SimulationConfig, connections: Sequence[int],
-                     queries_per_connection: int,
-                     transport: str = "uds") -> Dict[str, object]:
-    """Latency of one server under a ladder of concurrent connections.
-
-    For each rung, ``n`` threads each open their own connection and replay
-    ``queries_per_connection`` raw queries (no client cache — every query
-    is a full server round trip), recording per-query wall latency.  The
-    result ids of every (connection, query) pair are compared against a
-    direct in-process execution of the same query, so the fingerprint's
-    ``results_match`` bit is deterministic even though the latencies are
-    not.
-    """
-    shared = build_shared_state(base)
-    server = ReproServer(shared.server, shared.size_model)
-    rows: List[Dict[str, object]] = []
-    try:
-        with tempfile.TemporaryDirectory(prefix="repro-net-") as workdir:
-            thread = ServerThread(server, transport,
-                                  path=f"{workdir}/server.sock")
-            thread.start()
-            try:
-                endpoint = make_endpoint(thread)
-                for rung in connections:
-                    rows.append(_probe_rung(endpoint, shared, base, rung,
-                                            queries_per_connection))
-            finally:
-                thread.stop()
-    finally:
-        shared.tree.store.close()
-    return {
-        "transport": transport,
-        "queries_per_connection": queries_per_connection,
-        "connections": list(connections),
-        "rungs": rows,
-        "results_match": all(row["results_match"] for row in rows),
-    }
-
-
-def _probe_queries(base: SimulationConfig, worker: int,
-                   count: int) -> List[object]:
-    """A worker's deterministic query list (distinct per-worker seeds)."""
-    config = base.with_overrides(
-        query_count=count,
-        mobility_seed=base.mobility_seed + 7919 * (worker + 1),
-        workload_seed=base.workload_seed + 6007 * (worker + 1))
-    return [record.query for record in generate_trace(config)]
-
-
-def _probe_rung(endpoint: Endpoint, shared: SharedServerState,
-                base: SimulationConfig,
-                rung: int, per_connection: int) -> Dict[str, object]:
-    latencies: List[List[float]] = [[] for _ in range(rung)]
-    mismatches = [0] * rung
-    errors: List[str] = []
-    barrier = threading.Barrier(rung)
-    expected = [
-        [sorted(shared.server.execute(query).result_object_ids())
-         for query in _probe_queries(base, worker, per_connection)]
-        for worker in range(rung)]
-
-    def work(worker: int) -> None:
-        queries = _probe_queries(base, worker, per_connection)
-        pool = ClientPool(endpoint, shared.size_model,
-                          client_name=f"probe-{worker}", capacity=1)
-        client = RemoteSessionClient(endpoint, shared.size_model, pool=pool)
-        try:
-            barrier.wait()
-            for index, query in enumerate(queries):
-                start = time.perf_counter()  # repro: allow[DET02, OBS01] latency measurement of the wire round trip
-                response = client.execute(query)
-                elapsed = time.perf_counter() - start  # repro: allow[DET02, OBS01] latency measurement of the wire round trip
-                latencies[worker].append(elapsed)
-                got = sorted(response.result_object_ids())
-                if got != expected[worker][index]:
-                    mismatches[worker] += 1
-        except Exception as error:  # collected, not raised across threads
-            errors.append(f"worker {worker}: {type(error).__name__}: "
-                          f"{error}")
-        finally:
-            client.close()
-
-    threads = [threading.Thread(target=work, args=(worker,),
-                                name=f"probe-{worker}")
-               for worker in range(rung)]
-    for worker_thread in threads:
-        worker_thread.start()
-    for worker_thread in threads:
-        worker_thread.join()
-    if errors:
-        raise RuntimeError("saturation probe failed: " + "; ".join(errors))
-    flat = [lat * 1000.0 for worker in latencies for lat in worker]
-    row: Dict[str, object] = {"connections": rung}
-    row.update(latency_summary(flat))
-    row["results_match"] = sum(mismatches) == 0
-    return row
-
-
 def _percentile(ordered: List[float], fraction: float) -> float:
     """Nearest-rank percentile of an ascending list (0 for empty input)."""
     if not ordered:
@@ -269,10 +159,9 @@ def _percentile(ordered: List[float], fraction: float) -> float:
 def latency_summary(values_ms: Sequence[float]) -> Dict[str, object]:
     """p50 / p99 / mean of per-query wall latencies (milliseconds).
 
-    The one latency-reporting shape shared by the saturation probe's
-    rungs, the networked fleet's ``net_summary`` latency blocks and the
-    status server — wall-clock throughout, so never part of a
-    deterministic fingerprint.
+    The one latency-reporting shape shared by the networked fleet's
+    ``net_summary`` latency blocks and the status server — wall-clock
+    throughout, so never part of a deterministic fingerprint.
     """
     ordered = sorted(values_ms)
     return {

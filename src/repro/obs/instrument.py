@@ -9,8 +9,7 @@ instrumented like this::
         obs.active().event("router.execute", pages=pages)
 
 ``ENABLED`` is a module-level flag that is ``False`` by default, so the
-per-query cost of the disabled path is a single attribute read and a branch
-— bench-verified at <= 2% on the gated fleet scenario (``obs_overhead``).
+per-query cost of the disabled path is a single attribute read and a branch.
 The active instrument is swapped wholesale via :func:`activate` /
 :func:`activated`; the base :class:`Instrument` is a null object whose every
 hook is a no-op, so enabled-but-null runs stay cheap too.

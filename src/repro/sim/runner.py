@@ -156,7 +156,7 @@ def replay_store_trace(config: SimulationConfig, trace: QueryTrace,
     """Replay ``trace`` through one APRO session; the backend-invariance probe.
 
     The shared kernel of ``repro persist verify`` and the ``storage_paged``
-    perf scenario: returns ``(per_query_rows, logical_reads, io_stats)``
+    golden fingerprint: returns ``(per_query_rows, logical_reads, io_stats)``
     where each row is the deterministic
     ``(server_page_reads, uplink, downlink, result_bytes, response_time)``
     tuple.  Two replays of the same trace — one in-memory, one through a

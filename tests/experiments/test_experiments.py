@@ -1,8 +1,8 @@
 """Smoke tests for the figure-regenerating experiment modules.
 
 These run every experiment end to end on a deliberately tiny configuration
-(they exist to guarantee the experiment/benchmark code paths stay runnable;
-the shape assertions about the paper's findings live in ``benchmarks/``).
+(they exist to guarantee the experiment code paths stay runnable; the shape
+assertions about the paper's findings live in ``test_paper_claims.py``).
 """
 
 import pytest

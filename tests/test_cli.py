@@ -140,7 +140,7 @@ def test_fleet_resume_bad_directory(tmp_path):
 
 
 def test_help_epilogs_show_examples(capsys):
-    for command in ("compare", "fleet", "bench", "persist"):
+    for command in ("compare", "fleet", "persist"):
         with pytest.raises(SystemExit):
             main([command, "--help"])
         assert "examples:" in capsys.readouterr().out

@@ -1,9 +1,8 @@
-"""CLI coverage for the sharded execution tier and ``bench --list``."""
+"""CLI coverage for the sharded execution tier."""
 
 import pytest
 
 from repro.cli import main
-from repro.perf import scenario_names
 
 
 def test_fleet_sharded_run_reports_shard_routing(capsys):
@@ -88,13 +87,3 @@ def test_persist_save_shards_rejects_bad_partitioner():
     with pytest.raises(SystemExit):
         main(["persist", "save-shards", "--out", "x", "--shards", "2",
               "--partitioner", "voronoi"])
-
-
-def test_bench_list_names_every_scenario(capsys):
-    assert main(["bench", "--list"]) == 0
-    output = capsys.readouterr().out
-    for name in scenario_names():
-        assert name in output
-    assert "sharded_fleet" in output
-    # One-line descriptions ride along.
-    assert "grid-sharded fleet" in output

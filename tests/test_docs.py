@@ -52,7 +52,7 @@ def test_architecture_guide_has_the_layer_diagram():
     text = (DOCS_DIR / "architecture.md").read_text(encoding="utf-8")
     assert "```mermaid" in text, "architecture.md lost its mermaid layer map"
     for layer in ("geometry", "rtree", "storage", "core", "sharding",
-                  "net", "sim", "perf"):
+                  "net", "sim", "obs"):
         assert layer in text
 
 
