@@ -67,7 +67,7 @@ HOT_PATH_PACKAGES = ("repro/geometry/*", "repro/rtree/*", "repro/core/*")
 STRICT_TYPING_PACKAGES = ("repro/geometry/*", "repro/rtree/*",
                           "repro/storage/*", "repro/updates/*",
                           "repro/analysis/*", "repro/net/*",
-                          "repro/obs/*")
+                          "repro/obs/*", "repro/core/join.py")
 
 #: Packages wired for instrumentation, where every wall-clock read must go
 #: through ``repro.obs.instrument.perf_clock`` — OBS01's scope.

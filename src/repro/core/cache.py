@@ -114,12 +114,12 @@ class ProactiveCache:
         self.clock += 1
         return self.clock
 
-    def touch(self, key: str) -> None:
-        """Record that the item contributed to answering the current query."""
+    def touch(self, key: str, hits: int = 1) -> None:
+        """Record that the item contributed ``hits`` times to the current query."""
         state = self.items.get(key)
         if state is None:
             return
-        state.hit_queries += 1
+        state.hit_queries += hits
         state.last_access = self.clock
 
     # ------------------------------------------------------------------ #

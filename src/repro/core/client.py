@@ -23,6 +23,17 @@ from repro.core.items import (
     item_key_for_node,
     item_key_for_object,
 )
+from repro.core.join import (
+    OID,
+    SLOT,
+    Outer,
+    Side,
+    SideKey,
+    as_outer,
+    side_key,
+    side_mbr,
+    within,
+)
 from repro.core.remainder import FrontierItem, RemainderQuery
 from repro.geometry import Point, Rect
 from repro.obs import instrument as obs
@@ -263,169 +274,143 @@ class ClientQueryProcessor:
     # distance self-join queries
     # ------------------------------------------------------------------ #
     def _execute_join(self, query: JoinQuery) -> ClientExecution:
+        """Algorithm 1 for the self-join, in the batched shape of the kernel.
+
+        The walk starts from the pair (root, root): the first root is
+        descended to cached objects (the *outer* side), then the second root
+        is descended once, carrying at each element the outer objects within
+        the threshold of it.  A pair with an entry the cache cannot resolve
+        (a super entry, an uncached node or object) goes into the frontier
+        untouched (Algorithm 1, footnote 3).  What a pair-at-a-time walk of
+        the same cache would do is reproduced exactly: the frontier items in
+        its order, one node hit per pair expanded, one object hit per
+        distinct result pair.
+        """
         execution = ClientExecution(query=query)
         window = query.window
-        threshold = query.threshold
-        if not self.root_mbr.intersects(window):
+        threshold_sq = query.threshold * query.threshold
+        root_mbr = self.root_mbr
+        if not root_mbr.intersects(window):
             return execution
+        cache = self.cache
 
-        root_side = ("node", self.root_id, self.root_mbr)
-        stack: List[Tuple[Tuple, Tuple, bool]] = [(root_side, root_side, False)]
-        seen_pairs: Set[Tuple] = set()
-        result_pairs: Set[Tuple[int, int]] = set()
+        sides_of: Dict[int, List[Side]] = {}
 
-        def side_key(side: Tuple) -> Tuple:
-            kind = side[0]
-            if kind == "node":
-                return ("n", side[1])
-            if kind == "super":
-                return ("s", side[1], side[2])
-            return ("o", side[1])
-
-        def side_mbr(side: Tuple) -> Rect:
-            return side[-1] if side[0] != "object" else side[2]
-
-        # Same inlining as the server's join predicate: one call per
-        # candidate pair, hoisted window coords, squared MINDIST.
-        w_min_x, w_min_y = window.min_x, window.min_y
-        w_max_x, w_max_y = window.max_x, window.max_y
-        threshold_sq = threshold * threshold
-
-        def qualifies(a: Tuple, b: Tuple) -> bool:
-            mbr_a = a[2] if a[0] == "object" else a[-1]
-            mbr_b = b[2] if b[0] == "object" else b[-1]
-            if (mbr_a.min_x > w_max_x or mbr_a.max_x < w_min_x
-                    or mbr_a.min_y > w_max_y or mbr_a.max_y < w_min_y):
-                return False
-            if (mbr_b.min_x > w_max_x or mbr_b.max_x < w_min_x
-                    or mbr_b.min_y > w_max_y or mbr_b.max_y < w_min_y):
-                return False
-            dx = mbr_a.min_x - mbr_b.max_x
-            if dx < 0.0:
-                dx = mbr_b.min_x - mbr_a.max_x
-                if dx < 0.0:
-                    dx = 0.0
-            dy = mbr_a.min_y - mbr_b.max_y
-            if dy < 0.0:
-                dy = mbr_b.min_y - mbr_a.max_y
-                if dy < 0.0:
-                    dy = 0.0
-            return dx * dx + dy * dy <= threshold_sq
-
-        # Memoised per query: a cached node's side list never changes while
-        # the join runs (joins only touch, never insert or evict), but the
-        # hit-accounting touch must still land once per expansion, exactly
-        # as the unmemoised walk performed it.
-        expand_cache: Dict[int, Optional[List[Tuple]]] = {}
-
-        def expand(side: Tuple) -> Optional[List[Tuple]]:
-            """Expand a node side into child sides; None when not possible locally."""
-            kind = side[0]
-            if kind != "node":
-                return None
-            node_id = side[1]
-            if node_id in expand_cache:
-                cached = expand_cache[node_id]
-                if cached is not None:
-                    self._touch_node(node_id)
-                return cached
-            snapshot = self.cache.get_node(node_id)
-            if snapshot is None:
-                expand_cache[node_id] = None
-                return None
-            self._touch_node(node_id)
-            sides: List[Tuple] = []
-            for element in snapshot.entries():
-                if element.is_super:
-                    sides.append(("super", node_id, element.code, element.mbr))
-                elif element.is_node_entry:
-                    sides.append(("node", element.child_id, element.mbr))
-                else:
-                    sides.append(("object", element.object_id, element.mbr, node_id))
-            expand_cache[node_id] = sides
+        def children(node_id: int) -> List[Side]:
+            sides = sides_of.get(node_id)
+            if sides is None:
+                sides = sides_of[node_id] = []
+                for element in cache.get_node(node_id).elements.values():
+                    if element.is_super:
+                        sides.append(("node", node_id, element.code, element.mbr))
+                    elif element.is_node_entry:
+                        sides.append(("node", element.child_id, "", element.mbr))
+                    else:
+                        sides.append(("object", element.object_id, element.mbr, node_id))
             return sides
 
-        def to_target(side: Tuple) -> FrontierTarget:
-            kind = side[0]
-            if kind == "node":
-                return FrontierTarget.for_node(side[1], side[2])
-            if kind == "super":
+        def resolvable(side: Side) -> bool:
+            if side[0] == "object":
+                return cache.has_object(side[1])
+            return side[2] == "" and cache.has_node(side[1])
+
+        def to_target(side: Side) -> FrontierTarget:
+            if side[0] == "object":
+                return FrontierTarget.for_object(side[1], side[2], parent_node_id=side[3],
+                                                 confirm_only=cache.has_object(side[1]))
+            if side[2]:
                 return FrontierTarget.for_super(side[1], side[2], side[3])
-            return FrontierTarget.for_object(side[1], side[2], parent_node_id=side[3],
-                                             confirm_only=self.cache.has_object(side[1]))
+            return FrontierTarget.for_node(side[1], side[3])
 
-        def resolvable(side: Tuple) -> bool:
-            kind = side[0]
-            if kind == "super":
-                return False
-            if kind == "node":
-                return self.cache.has_node(side[1])
-            return self.cache.has_object(side[1])
+        # Frontier items keyed by when the pair-at-a-time walk sets them
+        # aside, as (2 * slot + phase, tick) — see join_pairs.
+        missing: List[Tuple[Tuple[int, int], FrontierItem]] = []
+        ticks = itertools.count()
+        node_hits: Dict[int, int] = {}
+        object_hits: Dict[int, int] = {}
 
+        root: Side = ("node", self.root_id, "", root_mbr)
+        root_target = to_target(root)
+        execution.examined_elements = 1
+        if not resolvable(root):
+            execution.frontier = [(root_target, root_target)]
+            return execution
+
+        # Outer side: descend the first root against the second root's MBR.
+        outer_sides: List[Side] = []
+        outers: List[Outer] = []
+        walked: Set[SideKey] = set()
+        bound = [as_outer(root_mbr)]
+        stack = [root]
         while stack:
-            side_a, side_b, prequalified = stack.pop()
-            execution.examined_elements += 1
-            if not prequalified and not qualifies(side_a, side_b):
+            side = stack.pop()
+            key = side_key(side)
+            if key in walked:
                 continue
-            key_a, key_b = side_key(side_a), side_key(side_b)
-            pair_key = (key_a, key_b) if key_a <= key_b else (key_b, key_a)
-            if pair_key in seen_pairs:
-                continue
-            seen_pairs.add(pair_key)
-
-            # A pair is a missing pair as soon as either entry is missing
-            # (Algorithm 1, footnote 3): it goes into the frontier untouched.
-            if not (resolvable(side_a) and resolvable(side_b)):
-                if side_a[0] == "object" and side_b[0] == "object" and side_a[1] == side_b[1]:
-                    continue
-                execution.frontier.append((to_target(side_a), to_target(side_b)))
-                continue
-
-            a_is_object = side_a[0] == "object"
-            b_is_object = side_b[0] == "object"
-            if a_is_object and b_is_object:
-                id_a, id_b = side_a[1], side_b[1]
-                if id_a == id_b:
-                    continue
-                cached_a = self.cache.get_object(id_a)
-                cached_b = self.cache.get_object(id_b)
-                self._touch_object(id_a)
-                self._touch_object(id_b)
-                result_pairs.add(tuple(sorted((id_a, id_b))))
-                execution.saved_objects[id_a] = cached_a
-                execution.saved_objects[id_b] = cached_b
-                continue
-
-            # Both sides resolvable and at least one is a node: expand one side
-            # and pair its children with the other side.
-            if not a_is_object:
-                expanded, other = expand(side_a), side_b
+            walked.add(key)
+            if not resolvable(side):
+                missing.append(((2 * len(outers), next(ticks)),
+                                (to_target(side), root_target)))
+            elif side[0] == "object":
+                outers.append(as_outer(side[2], len(outers), side[1], side[3]))
+                outer_sides.append(side)
             else:
-                expanded, other = expand(side_b), side_a
-            if expanded is None:  # pragma: no cover - defensive (resolvable node)
-                execution.frontier.append((to_target(side_a), to_target(side_b)))
-                continue
-            # Inline child-vs-other predicate (same shape as the server's):
-            # `other` already passed the window test as part of this pair.
-            o_mbr = other[2] if other[0] == "object" else other[-1]
-            o_min_x, o_min_y = o_mbr.min_x, o_mbr.min_y
-            o_max_x, o_max_y = o_mbr.max_x, o_mbr.max_y
-            push = stack.append
-            for child in expanded:
-                c_mbr = child[2] if child[0] == "object" else child[-1]
-                if (c_mbr.min_x > w_max_x or c_mbr.max_x < w_min_x
-                        or c_mbr.min_y > w_max_y or c_mbr.max_y < w_min_y):
+                node_hits[side[1]] = node_hits.get(side[1], 0) + 1
+                for child in children(side[1]):
+                    mbr = side_mbr(child)
+                    if mbr.intersects(window) and within(bound, mbr, threshold_sq):
+                        execution.examined_elements += 1
+                        stack.append(child)
+
+        # Inner side: descend the second root once.  An element reached
+        # again (a stale snapshot can list a node or an object twice) only
+        # meets the outer objects it has not met before.
+        met: Dict[SideKey, List[Outer]] = {}
+        paired: Set[Tuple[int, int]] = set()
+        descent: List[Tuple[Side, List[Outer]]] = [(root, outers)] if outers else []
+        while descent:
+            inner, outers = descent.pop()
+            tick = next(ticks)
+            key = side_key(inner)
+            before = met.get(key)
+            if before is None:
+                met[key] = outers
+            else:
+                known = {outer[OID] for outer in before}
+                outers = [outer for outer in outers if outer[OID] not in known]
+                if not outers:
                     continue
-                dx = c_mbr.min_x - o_max_x
-                if dx < 0.0:
-                    dx = o_min_x - c_mbr.max_x
-                    if dx < 0.0:
-                        dx = 0.0
-                dy = c_mbr.min_y - o_max_y
-                if dy < 0.0:
-                    dy = o_min_y - c_mbr.max_y
-                    if dy < 0.0:
-                        dy = 0.0
-                if dx * dx + dy * dy <= threshold_sq:
-                    push((child, other, True))
+                met[key] = before + outers
+            if not resolvable(inner):
+                target = to_target(inner)
+                missing.extend(((2 * outer[SLOT] + 1, tick),
+                                (target, to_target(outer_sides[outer[SLOT]])))
+                               for outer in outers)
+            elif inner[0] == "node":
+                node_hits[inner[1]] = node_hits.get(inner[1], 0) + len(outers)
+                for child in children(inner[1]):
+                    mbr = side_mbr(child)
+                    if mbr.intersects(window):
+                        near = within(outers, mbr, threshold_sq)
+                        if near:
+                            execution.examined_elements += len(near)
+                            descent.append((child, near))
+            else:
+                object_id = inner[1]
+                for outer in outers:
+                    other_id = outer[OID]
+                    pair = (object_id, other_id) if object_id < other_id else (other_id, object_id)
+                    if other_id == object_id or pair in paired:
+                        continue
+                    paired.add(pair)
+                    for hit in pair:
+                        object_hits[hit] = object_hits.get(hit, 0) + 1
+
+        for node_id, hits in node_hits.items():
+            cache.touch(item_key_for_node(node_id), hits)
+        for object_id, hits in object_hits.items():
+            cache.touch(item_key_for_object(object_id), hits)
+            execution.saved_objects[object_id] = cache.get_object(object_id)
+        missing.sort(key=lambda entry: entry[0])
+        execution.frontier = [item for _, item in missing]
         return execution

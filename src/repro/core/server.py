@@ -18,14 +18,19 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.items import CacheEntry, FrontierTarget, TargetKind
-from repro.core.join import Side, element_sides, join_pairs, seed_pairs, target_side
+from repro.core.join import NodeSide, Side, element_sides, join_pairs, seed_pairs, target_side
 from repro.core.remainder import FrontierItem, RemainderQuery
 from repro.core.supporting_index import IndexForm, SupportingIndexPolicy
 from repro.geometry import Point, Rect
 from repro.obs import instrument as obs
 from repro.obs.instrument import perf_clock
-from repro.rtree.entry import Entry, ObjectRecord
-from repro.rtree.partition_tree import PartitionTree, SuperEntry, build_partition_trees
+from repro.rtree.entry import ObjectRecord
+from repro.rtree.partition_tree import (
+    PartitionElement,
+    PartitionTree,
+    SuperEntry,
+    build_partition_trees,
+)
 from repro.rtree.sizes import SizeModel
 from repro.rtree.tree import RTree
 from repro.workload.queries import JoinQuery, KNNQuery, Query, RangeQuery
@@ -214,10 +219,13 @@ class ServerQueryProcessor:
         return pt
 
     def _record(self, recorder: Dict[int, _AccessRecord], node_id: int) -> _AccessRecord:
-        return recorder.setdefault(node_id, _AccessRecord())
+        record = recorder.get(node_id)
+        if record is None:
+            record = recorder[node_id] = _AccessRecord()
+        return record
 
     def _start_node(self, node_id: int, base: str, recorder: Dict[int, _AccessRecord],
-                    policy: SupportingIndexPolicy) -> List[Tuple[int, object]]:
+                    policy: SupportingIndexPolicy) -> List[Tuple[int, PartitionElement]]:
         """Begin processing (the ``base`` subtree of) a node.
 
         Returns ``(owner_node_id, element)`` pairs where ``element`` is an
@@ -244,7 +252,7 @@ class ServerQueryProcessor:
         return [(node_id, element) for element in pt.children(base)]
 
     def _expand_super(self, node_id: int, code: str, recorder: Dict[int, _AccessRecord]) \
-            -> List[Tuple[int, object]]:
+            -> List[Tuple[int, PartitionElement]]:
         record = self._record(recorder, node_id)
         record.expanded.add(code)
         pt = self._partition_tree(node_id)
@@ -367,21 +375,16 @@ class ServerQueryProcessor:
                 alive = target.node_id in self.tree.store
             return target_side(target) if alive else None
 
-        # A node side is expanded once per pair it appears in; the expansion
-        # is deterministic and the recorder bookkeeping inside _start_node is
-        # idempotent, so repeated expansions of the same (node, base) within
-        # this query are served from a memo.
-        memo: Dict[Tuple[int, str], List[Side]] = {}
+        def expand(side: NodeSide) -> List[Side]:
+            return element_sides(self._start_node(side[1], side[2], recorder, policy))
 
-        def expand(side: Side) -> List[Side]:
-            key = (side[1], side[2])
-            sides = memo.get(key)
-            if sides is None:
-                sides = memo[key] = element_sides(
-                    self._start_node(side[1], side[2], recorder, policy))
-            return sides
-
-        return join_pairs(query, seed_pairs(frontier, resolve), expand)
+        results, examined, touched = join_pairs(query, seed_pairs(frontier, resolve), expand)
+        # Snapshots ship in the recorder's order and the client inserts (and
+        # evicts) in that order: keep the walk's, not the kernel's.
+        in_walk_order = [(node_id, recorder[node_id]) for node_id in touched]
+        recorder.clear()
+        recorder.update(in_walk_order)
+        return results, examined
 
     # ------------------------------------------------------------------ #
     # supporting-index construction
@@ -392,29 +395,31 @@ class ServerQueryProcessor:
         for node_id, record in recorder.items():
             node = self.tree.store.peek(node_id)
             pt = self._partition_tree(node_id)
-            elements: Dict[str, CacheEntry] = {}
+            bases = record.bases or {""}
             if record.full_access or policy.form is IndexForm.FULL:
-                bases = record.bases or {""}
-                for base in bases:
-                    for code, entry in self._full_elements(pt, base):
-                        elements[code] = self._to_cache_entry(code, entry)
+                codes = [pt.entry_code(entry)
+                         for base in bases for entry in pt.subsets[base]]
             else:
                 depth = policy.effective_depth(pt.height)
-                for base in record.bases or {""}:
-                    for code, element in pt.subtree_form(base, record.expanded, depth):
-                        elements.setdefault(code, self._to_cache_entry(code, element))
+                codes = [code for base in bases
+                         for code in pt.subtree_codes(base, record.expanded, depth)]
+            # An element's entry is built once and kept with the partition
+            # tree, so it lives exactly as long as the node's content does.
+            entries: Dict[str, CacheEntry] = pt.derived
+            elements: List[CacheEntry] = []
+            for code in dict.fromkeys(codes):  # two bases can reach one code
+                entry = entries.get(code)
+                if entry is None:
+                    entry = entries[code] = self._to_cache_entry(code, pt.element_at(code))
+                elements.append(entry)
             snapshots.append(IndexNodeSnapshot(node_id=node_id, level=node.level,
-                                               parent_id=node.parent_id,
-                                               elements=list(elements.values())))
+                                               parent_id=node.parent_id, elements=elements))
         # Parents first so that the client can attach children when inserting.
         snapshots.sort(key=lambda snap: -snap.level)
         return snapshots
 
-    def _full_elements(self, pt: PartitionTree, base: str) -> List[Tuple[str, Entry]]:
-        return [(pt.entry_code(entry), entry) for entry in pt.entries_under(base)]
-
     @staticmethod
-    def _to_cache_entry(code: str, element) -> CacheEntry:
+    def _to_cache_entry(code: str, element: PartitionElement) -> CacheEntry:
         if isinstance(element, SuperEntry):
             return CacheEntry(mbr=element.mbr, code=code)
         if element.is_leaf_entry:

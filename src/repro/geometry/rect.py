@@ -176,9 +176,8 @@ class Rect:
     def min_dist_sq_to_rect(self, other: "Rect") -> float:
         """Squared minimum distance between the two rectangles.
 
-        Reference formulation of the arithmetic the join predicates inline
-        (``rtree/join.py`` and the server/client join loops hoist the
-        coordinates rather than calling this).
+        The join's pair predicate; ``repro.core.join.within`` evaluates the
+        same arithmetic for a whole batch on hoisted coordinates.
         """
         dx = max(self.min_x - other.max_x, 0.0, other.min_x - self.max_x)
         dy = max(self.min_y - other.max_y, 0.0, other.min_y - self.max_y)

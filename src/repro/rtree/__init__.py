@@ -10,9 +10,7 @@ Public surface:
 
 * :class:`RTree` — insertion (R* ChooseSubtree + split + forced reinsert),
   STR bulk loading, deletion, and the classic traversals.
-* :func:`range_search`, :func:`knn_search` (best-first, Hjaltason–Samet),
-  :func:`rtree_join` (recursive RJ) and :func:`bfrj_join` (breadth-first with
-  an intermediate join index).
+* :func:`range_search` and :func:`knn_search` (best-first, Hjaltason–Samet).
 * :class:`PartitionTree` — the per-node binary partition tree of Section 4.2,
   with compact-form and ``d+``-level compact-form computation.
 * :class:`SizeModel` — byte sizes of entries, nodes and messages.
@@ -25,7 +23,6 @@ from repro.rtree.tree import PageStore, RTree
 from repro.rtree.bulk import bulk_load_str
 from repro.rtree.range_search import range_search
 from repro.rtree.knn import knn_search
-from repro.rtree.join import rtree_join, bfrj_join
 from repro.rtree.partition_tree import PartitionTree, SuperEntry
 from repro.rtree.validation import assert_tree_valid
 
@@ -40,8 +37,6 @@ __all__ = [
     "bulk_load_str",
     "range_search",
     "knn_search",
-    "rtree_join",
-    "bfrj_join",
     "PartitionTree",
     "SuperEntry",
 ]

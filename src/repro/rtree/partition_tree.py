@@ -16,7 +16,7 @@ compact form, ``d = height`` is the full form).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.geometry import Rect
 from repro.rtree.entry import Entry
@@ -68,6 +68,11 @@ class PartitionTree:
         # caches instead of being recomputed in the query-processing loops.
         self._leaf_codes: Set[str] = set(self._entry_codes.values())
         self._children_cache: Dict[str, List[PartitionElement]] = {}
+        #: Per-code memo for whoever derives another representation of this
+        #: tree's elements (the server's supporting-index entries).  It is
+        #: kept here so that it dies with the tree: dropping a mutated
+        #: node's partition tree is all the invalidation a derived form needs.
+        self.derived: Dict[str, Any] = {}
 
     def _build(self, code: str, entries: List[Entry]) -> None:
         self.subsets[code] = entries
@@ -194,14 +199,16 @@ class PartitionTree:
         reached, matching the paper's "d level descendant nodes or the
         entries whichever come first".
         """
-        results: List[Tuple[str, PartitionElement]] = []
+        return [(descendant, self.element_at(descendant))
+                for descendant in self._expand_codes(code, levels)]
+
+    def _expand_codes(self, code: str, levels: int) -> List[str]:
+        results: List[str] = []
         frontier = [(code, 0)]
         while frontier:
             current, depth = frontier.pop()
-            if self.is_leaf_code(current):
-                results.append((current, self.entry_at(current)))
-            elif depth >= levels:
-                results.append((current, SuperEntry(self.node_id, current, self.mbrs[current])))
+            if self.is_leaf_code(current) or depth >= levels:
+                results.append(current)
             else:
                 frontier.append((current + "0", depth + 1))
                 frontier.append((current + "1", depth + 1))
@@ -217,33 +224,25 @@ class PartitionTree:
                 refined.append((code, element))
         return refined
 
-    def subtree_form(self, base_code: str, expanded_codes: Set[str],
-                     d: int) -> List[Tuple[str, PartitionElement]]:
-        """Like :meth:`d_level_form` but restricted to the subtree at ``base_code``.
+    def subtree_codes(self, base_code: str, expanded_codes: Set[str], d: int) -> List[str]:
+        """The codes of :meth:`d_level_form` restricted to the subtree at ``base_code``.
 
         Used when the server resumes from a super-entry frontier element: it
         only needs to (re)describe the part of the node below that element.
+        :meth:`element_at` turns each code into its element.
         """
-        cut: List[Tuple[str, PartitionElement]] = []
+        cut: List[str] = []
         stack = [base_code]
         while stack:
             code = stack.pop()
-            if self.is_leaf_code(code):
-                cut.append((code, self.entry_at(code)))
-            elif code in expanded_codes:
+            if self.is_leaf_code(code) or code not in expanded_codes:
+                cut.append(code)
+            else:
                 stack.append(code + "0")
                 stack.append(code + "1")
-            else:
-                cut.append((code, SuperEntry(self.node_id, code, self.mbrs[code])))
         if d <= 0:
             return cut
-        refined: List[Tuple[str, PartitionElement]] = []
-        for code, element in cut:
-            if isinstance(element, SuperEntry):
-                refined.extend(self.expand_element(code, d))
-            else:
-                refined.append((code, element))
-        return refined
+        return [descendant for code in cut for descendant in self._expand_codes(code, d)]
 
 
 def build_partition_trees(nodes: Iterable[Node]) -> Dict[int, PartitionTree]:

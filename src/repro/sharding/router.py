@@ -30,9 +30,9 @@ Per query type:
   visit.  Per-shard top-``k`` frontiers merge into the global top-``k``.
 * **join** — pairs may span shards, so the router runs the one join kernel
   (:func:`repro.core.join.join_pairs`) itself and supplies only the routing:
-  node sides expand through the owning shard's ``_start_node`` (per-shard
-  access recorders feed the ordinary snapshot builder), so intra- and
-  cross-shard pairs are the same code path.
+  node sides expand through the owning shard's ``_start_node`` (the access
+  recorder, split per shard, feeds the ordinary snapshot builder), so
+  intra- and cross-shard pairs are the same code path.
 
 Every response rolls the per-shard page accounting up into one
 ``accessed_node_count`` (and :class:`ShardStats` keeps the per-shard
@@ -45,7 +45,7 @@ from collections.abc import Mapping
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.items import CacheEntry, FrontierTarget, TargetKind
-from repro.core.join import Side, element_sides, join_pairs, seed_pairs, target_side
+from repro.core.join import NodeSide, Side, element_sides, join_pairs, seed_pairs, target_side
 from repro.core.remainder import FrontierItem, RemainderQuery
 from repro.core.server import (
     IndexNodeSnapshot,
@@ -90,7 +90,8 @@ class ShardStats:
         """One *router-level* prune of ``shard_index``.
 
         Counts virtual-root scatters that skipped the shard (root-MBR /
-        k-th-best-bound pruning).  Clients that cached the virtual root
+        k-th-best-bound pruning) in shards ruled out per query: at most
+        one per query and shard.  Clients that cached the virtual root
         prune shards on their own side instead — those queries simply
         never route anything to the shard, so a mostly-irrelevant shard
         shows a low ``queries_routed``, not a high ``shards_pruned``.
@@ -626,8 +627,7 @@ class ShardRouter:
         its access recorder, or the live shard roots) and the response roll-up.
         """
         window = query.window
-        recorders: Dict[int, Dict] = {}
-        virtual_hit = False
+        recorder: Dict = {}
         cache = self.result_cache
         allowed: Optional[set] = None
         if cache is not None:
@@ -658,25 +658,14 @@ class ShardRouter:
                 return None
             return target_side(target)
 
-        # The per-query expansion memo of the single server's _process_join.
-        memo: Dict[Tuple[int, str], List[Side]] = {}
-
-        def expand(side: Side) -> List[Side]:
-            nonlocal virtual_hit
-            key = (side[1], side[2])
-            sides = memo.get(key)
-            if sides is not None:
-                return sides
+        def expand(side: NodeSide) -> List[Side]:
             if side[1] != self.virtual_root_id:
-                index = shard_index_for_node(side[1])
-                sides = memo[key] = element_sides(
-                    self.shards[index].server._start_node(
-                        side[1], side[2], recorders.setdefault(index, {}), policy))
-                return sides
-            # The virtual root stays outside the memo: its prune / skip
-            # accounting is per expansion.
-            virtual_hit = True
-            sides = []
+                return element_sides(
+                    self.shards[shard_index_for_node(side[1])].server._start_node(
+                        side[1], side[2], recorder, policy))
+            # The kernel expands a node once per query, so a shard the
+            # virtual root rules out is one prune (or one skip) per query.
+            sides: List[Side] = []
             for index, shard in self.live_shards():
                 if allowed is None or index in allowed:
                     sides.append(("node", shard.root_id, "", shard.root_mbr))
@@ -686,7 +675,7 @@ class ShardRouter:
                     self.stats.record_prune(index)
             return sides
 
-        results, examined = join_pairs(query, seed_pairs(frontier, resolve), expand)
+        results, examined, touched = join_pairs(query, seed_pairs(frontier, resolve), expand)
 
         if cache is not None and results:
             # Hit-set strengthening: every result object intersects the
@@ -701,13 +690,18 @@ class ShardRouter:
                                        confirm_only=object_id in client_held)
                         for object_id, parent in sorted(results.items())],
             examined_elements=examined)
-        if virtual_hit:
+        if self.virtual_root_id in touched:
             self._attach_virtual(merged)
-        for index, recorder in sorted(recorders.items()):
-            if not recorder:
-                continue
+        # Per shard, the accessed nodes in the order the kernel reports them
+        # (the single server's snapshot order within each shard).
+        recorders: Dict[int, Dict] = {}
+        for node_id in touched:
+            if node_id in recorder:
+                recorders.setdefault(shard_index_for_node(node_id), {})[node_id] = \
+                    recorder[node_id]
+        for index, shard_recorder in sorted(recorders.items()):
             merged.index_snapshots.extend(
-                self.shards[index].server._build_snapshots(recorder, policy))
-            merged.accessed_node_count += len(recorder)
-            self.stats.record_visit(index, len(recorder))
+                self.shards[index].server._build_snapshots(shard_recorder, policy))
+            merged.accessed_node_count += len(shard_recorder)
+            self.stats.record_visit(index, len(shard_recorder))
         return merged

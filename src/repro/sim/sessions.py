@@ -33,6 +33,7 @@ from repro.rtree.sizes import SizeModel
 from repro.rtree.tree import RTree
 from repro.sim.config import SimulationConfig
 from repro.sim.metrics import CacheSnapshot
+from repro.updates.oracle import oracle_join
 from repro.workload.queries import JoinQuery, KNNQuery, Query, RangeQuery
 from repro.workload.trace import TraceRecord
 
@@ -52,15 +53,8 @@ def true_knn_results(tree: RTree, query: KNNQuery) -> List[int]:
 
 def true_join_results(tree: RTree, query: JoinQuery) -> List[int]:
     """Ids of the distinct objects participating in a qualifying join pair."""
-    candidate_ids = range_search(tree, query.window)
-    candidates = [tree.objects[object_id] for object_id in candidate_ids]
-    participating: Set[int] = set()
-    for i, left in enumerate(candidates):
-        for right in candidates[i + 1:]:
-            if left.mbr.min_dist_to_rect(right.mbr) <= query.threshold:
-                participating.add(left.object_id)
-                participating.add(right.object_id)
-    return sorted(participating)
+    return oracle_join({object_id: tree.objects[object_id]
+                        for object_id in range_search(tree, query.window)}, query)
 
 
 def true_results(tree: RTree, query: Query) -> List[int]:

@@ -1,9 +1,9 @@
 """The join kernel on its own: a fake ``expand``, no tree, no shards.
 
-``join_pairs`` is checked against a plain reference traversal written with
-``Rect`` methods (every pair re-tested on pop, no inlining, no
-``prequalified`` shortcut) and against brute-force enumeration of object
-pairs, over a hand-built two-level hierarchy.
+``join_pairs`` is checked against the pair-at-a-time reference walk
+(``join_reference.py``: every pair popped, re-tested and looked up in a
+seen-set) and against brute-force enumeration of object pairs, over a
+hand-built two-level hierarchy.
 """
 
 from __future__ import annotations
@@ -18,6 +18,8 @@ from repro.geometry import Rect
 from repro.rtree.entry import Entry
 from repro.rtree.partition_tree import SuperEntry
 from repro.workload.queries import JoinQuery
+
+from tests.core.join_reference import reference_kernel
 
 
 def box(x, y, half=0.004):
@@ -66,40 +68,6 @@ class FakeExpand:
         return CHILDREN[(side[1], side[2])]
 
 
-def side_mbr(side):
-    return side[3] if side[0] == "node" else side[2]
-
-
-def reference_traversal(query, seeds):
-    """The same walk, written plainly: test every popped pair in full."""
-    def qualifies(a, b):
-        return (side_mbr(a).intersects(query.window)
-                and side_mbr(b).intersects(query.window)
-                and side_mbr(a).min_dist_to_rect(side_mbr(b)) <= query.threshold)
-
-    results, examined, seen = {}, 0, set()
-    stack = list(seeds)
-    while stack:
-        a, b = stack.pop()
-        examined += 1
-        if not qualifies(a, b):
-            continue
-        key = frozenset([(a[0], a[1], a[2] if a[0] == "node" else None),
-                         (b[0], b[1], b[2] if b[0] == "node" else None)])
-        if key in seen:
-            continue
-        seen.add(key)
-        if a[0] == b[0] == "object":
-            if a[1] != b[1]:
-                results.setdefault(a[1], a[3])
-                results.setdefault(b[1], b[3])
-            continue
-        node, other = (a, b) if a[0] == "node" else (b, a)
-        stack.extend((child, other) for child in CHILDREN[(node[1], node[2])]
-                     if qualifies(child, other))
-    return results, examined
-
-
 def brute_force(query, object_ids):
     """Every object within the threshold of another, both in the window."""
     inside = [oid for oid in object_ids
@@ -122,27 +90,50 @@ def brute_force(query, object_ids):
 ])
 def test_join_pairs_matches_reference_and_brute_force(seeds, reachable):
     expand = FakeExpand()
-    results, examined = join_pairs(QUERY, seeds, expand)
-    assert (results, examined) == reference_traversal(QUERY, seeds)
+    results, examined, touched = join_pairs(QUERY, seeds, expand)
+    assert (results, examined, touched) == reference_kernel(QUERY, seeds, FakeExpand())
+    assert len(expand.calls) == len(set(expand.calls)), "one expansion per node side"
     if reachable is not None:
         assert results == brute_force(QUERY, reachable)
 
 
 def test_root_pair_finds_the_expected_objects():
-    results, _ = join_pairs(QUERY, [(ROOT, ROOT)], FakeExpand())
+    results, _, touched = join_pairs(QUERY, [(ROOT, ROOT)], FakeExpand())
     # 1-2 within leaf 10, 3-4 across leaves 10/20, 5-6 across leaves 20/30.
     assert results == {1: 10, 2: 10, 3: 10, 4: 20, 5: 20, 6: 30}
+    # The pair-at-a-time walk descends the last child first.
+    assert touched == [1, 30, 20, 10]
 
 
 def test_duplicate_seed_costs_one_examined_pair_and_nothing_else():
     once = join_pairs(QUERY, [(ROOT, ROOT)], FakeExpand())
     twice = join_pairs(QUERY, [(ROOT, ROOT), (ROOT, ROOT)], FakeExpand())
-    assert twice == (once[0], once[1] + 1)
+    assert twice == (once[0], once[1] + 1, once[2])
 
 
 def test_identity_pair_yields_nothing():
     assert join_pairs(QUERY, [(object_side(1), object_side(1))],
-                      FakeExpand()) == ({}, 1)
+                      FakeExpand()) == ({}, 1, [])
+
+
+def test_objects_paired_with_one_node_share_its_descent():
+    # Three (node, object) seeds on leaf 20: the kernel walks them from the
+    # object's end, so the leaf is expanded once for all three.
+    seeds = [(node_side(20), object_side(oid)) for oid in (3, 5, 6)]
+    expand = FakeExpand()
+    assert join_pairs(QUERY, seeds, expand) == reference_kernel(QUERY, seeds, FakeExpand())
+    assert expand.calls == [(20, "")]
+
+
+def test_the_first_side_to_reach_an_object_names_its_parent():
+    # A stale client can claim a parent the tree no longer agrees with; the
+    # walk reports whichever side it reaches first (the later seed).
+    claimed = ("object", 4, OBJECTS[4][0], 99)
+    for seeds in ([(node_side(10), node_side(20)), (object_side(3), claimed)],
+                  [(object_side(3), claimed), (node_side(10), node_side(20))]):
+        results, examined, _ = join_pairs(QUERY, seeds, FakeExpand())
+        assert (results, examined) == reference_kernel(QUERY, seeds, FakeExpand())[:2]
+    assert results[4] == 20 and join_pairs(QUERY, seeds[::-1], FakeExpand())[0][4] == 99
 
 
 def test_seed_pairs_pairs_lone_targets_and_drops_unanswerable_items():
@@ -158,7 +149,7 @@ def test_seed_pairs_pairs_lone_targets_and_drops_unanswerable_items():
                        resolve)
     assert seeds == [(node_side(10), node_side(10)),
                      (node_side(10, "1"), object_side(4))]
-    results, _ = join_pairs(QUERY, seeds, FakeExpand())
+    results, _, _ = join_pairs(QUERY, seeds, FakeExpand())
     assert results == brute_force(QUERY, [1, 2, 3, 4])
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from repro.geometry import Rect
 from repro.rtree import SizeModel, bulk_load_str
 from repro.rtree.entry import ObjectRecord
-from repro.rtree.join import bfrj_join, distance_predicate, intersection_predicate, rtree_join
+from tests.rtree.rtree_join import bfrj_join, distance_predicate, intersection_predicate, rtree_join
 
 from tests.conftest import make_records
 

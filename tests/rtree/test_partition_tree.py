@@ -127,10 +127,18 @@ def test_d_level_form_covers_exactly(pt10):
         assert sorted(covered) == sorted(e.key() for e in pt10.entries_under(""))
 
 
-def test_subtree_form_restricted(pt10):
-    cut = pt10.subtree_form("0", expanded_codes=set(), d=0)
-    covered = {e.key() for code, _ in cut for e in pt10.entries_under(code)}
+def test_subtree_codes_restricted(pt10):
+    cut = pt10.subtree_codes("0", expanded_codes=set(), d=0)
+    covered = {e.key() for code in cut for e in pt10.entries_under(code)}
     assert covered == {e.key() for e in pt10.entries_under("0")}
+
+
+def test_subtree_codes_at_the_root_are_the_d_level_form(pt10):
+    internal = [code for code in sorted(pt10.subsets) if not pt10.is_leaf_code(code)]
+    for expanded in ({""}, set(internal[:3]), set(internal)):
+        for d in range(pt10.height + 1):
+            assert pt10.subtree_codes("", expanded, d) == \
+                [code for code, _ in pt10.d_level_form(expanded, d)]
 
 
 def test_expand_element_reaches_entries(pt10):

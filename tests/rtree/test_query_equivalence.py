@@ -17,7 +17,7 @@ import pytest
 from repro.geometry import Point, Rect
 from repro.rtree import RTree, assert_tree_valid, bulk_load_str
 from repro.rtree.entry import Entry, ObjectRecord
-from repro.rtree.join import bfrj_join, distance_predicate, rtree_join
+from tests.rtree.rtree_join import bfrj_join, distance_predicate, rtree_join
 from repro.rtree.knn import knn_search
 from repro.rtree.range_search import range_search
 from repro.rtree.sizes import SizeModel

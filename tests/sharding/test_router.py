@@ -169,6 +169,26 @@ def test_knn_global_bound_prunes_far_shards():
         state.close()
 
 
+def test_join_rules_a_shard_out_once_per_query():
+    """``shards_pruned`` is in shards ruled out per query: the join comes
+    back to the virtual root for every outer object, the count does not."""
+    from repro.sharding import PartitionResultCache
+    state = build_sharded_state(CONFIG, 4, "grid")
+    try:
+        router = state.router
+        router.attach_result_cache(PartitionResultCache(grid=48))
+        corner = JoinQuery(window=Rect(0.0, 0.0, 0.3, 0.3), threshold=0.02)
+        for queries in (1, 2):
+            response = router.execute(corner)
+            assert len(response.deliveries) > 2, "several outer objects reach the root"
+            stats = router.stats
+            assert sum(stats.shards_pruned) >= queries
+            for index in range(len(state.shards)):
+                assert stats.shards_pruned[index] + stats.shards_skipped[index] <= queries
+    finally:
+        state.close()
+
+
 def test_range_prunes_non_overlapping_shards():
     state = build_sharded_state(CONFIG, 4, "grid")
     try:

@@ -147,6 +147,38 @@ def _query_at(index, now, center=Point(0.5, 0.5), side=0.4):
                            center, side, side).clamped_unit()))
 
 
+def test_snapshot_entries_are_built_once_and_die_with_the_partition_tree():
+    """The supporting index ships memoised entries: an update rebuilds the
+    entries of exactly the nodes it mutated, every other node's entries are
+    the very objects shipped before."""
+    tree, server, updater = _system(count=120)
+    query = RangeQuery(window=Rect(0.0, 0.0, 1.0, 1.0))
+
+    def shipped():
+        return {snapshot.node_id: {entry.code: entry for entry in snapshot.elements}
+                for snapshot in server.execute(query).index_snapshots}
+
+    before = shipped()
+    again = shipped()
+    assert all(again[node_id][code] is entry
+               for node_id, entries in before.items() for code, entry in entries.items())
+
+    dropped_before = set(server.partition_trees)
+    assert updater.apply(_insert_event(0, 500))
+    mutated = dropped_before - set(server.partition_trees)
+    assert mutated and len(mutated) < len(before)
+    after = shipped()
+    for node_id in before.keys() & after.keys():
+        for code, entry in after[node_id].items():
+            if node_id in mutated:
+                assert before[node_id].get(code) is not entry
+            else:
+                assert before[node_id][code] is entry
+    # The rebuilt entries describe the new content: the object is shipped.
+    assert any(entry.object_id == 500
+               for node_id in mutated for entry in after[node_id].values())
+
+
 def test_make_protocol_validation():
     assert make_protocol("none") is None
     assert isinstance(make_protocol("ttl"), TTLProtocol)
