@@ -11,7 +11,7 @@ and ``id()``-based tie-breaks.
 from __future__ import annotations
 
 import ast
-from typing import Optional
+from typing import Optional, Union
 
 from repro.analysis.base import Checker, register
 
@@ -134,8 +134,10 @@ class SetIterationChecker(Checker):
         self._check_iterable(node.iter)
         self.generic_visit(node)
 
-    def _visit_comprehension(self, node: ast.AST) -> None:
-        for generator in node.generators:  # type: ignore[attr-defined]
+    def _visit_comprehension(self, node: Union[ast.ListComp, ast.SetComp,
+                                               ast.GeneratorExp,
+                                               ast.DictComp]) -> None:
+        for generator in node.generators:
             self._check_iterable(generator.iter)
         self.generic_visit(node)
 

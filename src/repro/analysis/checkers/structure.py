@@ -1,35 +1,19 @@
-"""Structural invariant checkers: STM01, SLT01 and PRT01.
+"""Structural invariant checkers: STM01 and SLT01.
 
-These three rules pin class-shape contracts that runtime tests only catch
+These two rules pin class-shape contracts that runtime tests only catch
 by luck: a ``state_dict`` that silently misses a newly added field (the
-PR-3/PR-4 digest-stability hazard), a hot-path dataclass that regresses to
-``__dict__`` storage, and a protocol implementer that drifts off the
-surface the rest of the system programs against.
+PR-3/PR-4 digest-stability hazard) and a hot-path dataclass that regresses
+to ``__dict__`` storage.  (Who implements which seam is not a lint rule:
+each seam is a ``typing.Protocol`` — see :mod:`repro.core.handles` —
+checked by mypy and ``tests/test_seams.py``.)
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Optional, Set
 
 from repro.analysis.base import Checker, register
-
-#: Protocol surfaces checked by PRT01: surface name → members every
-#: implementer must define.  ``StorageBackend`` implementers are found by
-#: base-class name; classes re-implementing the ``ServerQueryProcessor``
-#: surface without subclassing (duck-typed drop-ins like ``ShardRouter``)
-#: are enumerated explicitly.
-PROTOCOL_SURFACES: Dict[str, Tuple[str, ...]] = {
-    "StorageBackend": ("allocate", "get", "peek", "free", "node_ids",
-                       "__contains__", "__len__", "reads", "writes"),
-    "ServerQueryProcessor": ("execute", "root_id", "root_mbr",
-                             "partition_tree_for"),
-}
-
-#: Duck-typed implementers: class name → surface it must satisfy.
-DUCK_TYPED_IMPLEMENTERS: Dict[str, str] = {
-    "ShardRouter": "ServerQueryProcessor",
-}
 
 
 def _decorator_callable(decorator: ast.AST) -> Optional[ast.AST]:
@@ -175,70 +159,3 @@ class SlotsChecker(Checker):
                    and isinstance(keyword.value, ast.Constant)
                    and keyword.value.value is True
                    for keyword in decorator.keywords)
-
-
-@register
-class ProtocolSurfaceChecker(Checker):
-    """PRT01 — protocol implementers missing surface members.
-
-    ``StorageBackend`` subclasses must implement the full abstract surface
-    (plus the ``reads``/``writes`` logical counters), and duck-typed
-    ``ServerQueryProcessor`` drop-ins (``ShardRouter``) must keep the
-    query-execution surface the sessions program against.  A member counts
-    as defined when it is a method, a class-level assignment or a
-    ``self.X = ...`` in ``__init__``.
-    """
-
-    rule = "PRT01"
-    title = "protocol implementer missing surface members"
-
-    def visit_ClassDef(self, node: ast.ClassDef) -> None:
-        surface = self._surface_for(node)
-        if surface is not None:
-            surface_name, members = surface
-            defined = self._defined_members(node)
-            missing = [member for member in members if member not in defined]
-            if missing:
-                self.report(node, f"{node.name} implements the {surface_name} "
-                                  f"surface but does not define "
-                                  f"{', '.join(missing)}")
-        self.generic_visit(node)
-
-    @staticmethod
-    def _surface_for(node: ast.ClassDef) -> Optional[Tuple[str, Tuple[str, ...]]]:
-        if node.name in PROTOCOL_SURFACES:
-            return None  # the defining class, not an implementer
-        for base in node.bases:
-            name = base.attr if isinstance(base, ast.Attribute) else (
-                base.id if isinstance(base, ast.Name) else None)
-            if name in PROTOCOL_SURFACES:
-                return name, PROTOCOL_SURFACES[name]
-        duck_surface = DUCK_TYPED_IMPLEMENTERS.get(node.name)
-        if duck_surface is not None:
-            return duck_surface, PROTOCOL_SURFACES[duck_surface]
-        return None
-
-    @staticmethod
-    def _defined_members(node: ast.ClassDef) -> Set[str]:
-        defined: Set[str] = set()
-        for statement in node.body:
-            if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                defined.add(statement.name)
-                if statement.name == "__init__":
-                    for inner in ast.walk(statement):
-                        target = None
-                        if isinstance(inner, ast.Assign) and inner.targets:
-                            target = inner.targets[0]
-                        elif isinstance(inner, ast.AnnAssign):
-                            target = inner.target
-                        if (isinstance(target, ast.Attribute)
-                                and isinstance(target.value, ast.Name)
-                                and target.value.id == "self"):
-                            defined.add(target.attr)
-            elif isinstance(statement, ast.Assign):
-                defined.update(t.id for t in statement.targets
-                               if isinstance(t, ast.Name))
-            elif (isinstance(statement, ast.AnnAssign)
-                    and isinstance(statement.target, ast.Name)):
-                defined.add(statement.target.id)
-        return defined

@@ -10,6 +10,7 @@ strict gate — CI runs full mypy, but missing annotations are caught at
 from __future__ import annotations
 
 import ast
+from typing import Union
 
 from repro.analysis.base import Checker, register
 
@@ -70,9 +71,9 @@ class FloatEqualityChecker(Checker):
 class AnnotationChecker(Checker):
     """TYP01 — unannotated function signatures in the strict-typing packages.
 
-    The packages mypy checks strictly (``geometry/``, ``rtree/``,
-    ``storage/``, ``updates/``, ``analysis/``) must annotate every
-    parameter and return type; this is the subset of the gate that runs
+    The packages mypy checks strictly (``STRICT_TYPING_PACKAGES`` in
+    :mod:`repro.analysis.config`) must annotate every parameter and
+    return type; this is the subset of the gate that runs
     without mypy installed, so a fresh checkout still enforces it via
     ``repro lint``.  Lambdas and ``self``/``cls`` are exempt.
     """
@@ -80,8 +81,9 @@ class AnnotationChecker(Checker):
     rule = "TYP01"
     title = "missing parameter/return annotations in strict-typing packages"
 
-    def _check_function(self, node: ast.AST) -> None:
-        args = node.args  # type: ignore[attr-defined]
+    def _check_function(self, node: Union[ast.FunctionDef,
+                                          ast.AsyncFunctionDef]) -> None:
+        args = node.args
         positional = list(args.posonlyargs) + list(args.args)
         missing = []
         for index, arg in enumerate(positional):
@@ -97,10 +99,9 @@ class AnnotationChecker(Checker):
             self.report(node, f"unannotated parameter(s) "
                               f"{', '.join(sorted(missing))} in a "
                               "strict-typing package")
-        if node.returns is None:  # type: ignore[attr-defined]
-            name = node.name  # type: ignore[attr-defined]
-            self.report(node, f"missing return annotation on {name}() in a "
-                              "strict-typing package")
+        if node.returns is None:
+            self.report(node, f"missing return annotation on {node.name}() "
+                              "in a strict-typing package")
         self.generic_visit(node)
 
     visit_FunctionDef = _check_function

@@ -67,7 +67,8 @@ HOT_PATH_PACKAGES = ("repro/geometry/*", "repro/rtree/*", "repro/core/*")
 STRICT_TYPING_PACKAGES = ("repro/geometry/*", "repro/rtree/*",
                           "repro/storage/*", "repro/updates/*",
                           "repro/analysis/*", "repro/net/*",
-                          "repro/obs/*", "repro/core/join.py")
+                          "repro/obs/*", "repro/core/*",
+                          "repro/sharding/*", "repro/sim/*")
 
 #: Packages wired for instrumentation, where every wall-clock read must go
 #: through ``repro.obs.instrument.perf_clock`` — OBS01's scope.
@@ -93,7 +94,6 @@ DEFAULT_CONFIG = LintConfig.make({
     "OBS01": RuleScope(include=INSTRUMENTED_PACKAGES),
     "STM01": RuleScope(),
     "SLT01": RuleScope(include=HOT_PATH_PACKAGES),
-    "PRT01": RuleScope(),
     "TYP01": RuleScope(include=STRICT_TYPING_PACKAGES),
 })
 

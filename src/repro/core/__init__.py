@@ -13,14 +13,17 @@ The package is organised around the three-stage processing flow of Figure 3:
    cache, which evicts with one of the replacement policies in
    :mod:`repro.core.replacement` (GRD3 by default).
 
-:mod:`repro.core.adaptive` implements the fmr-driven adaptation of the
-compact-form depth ``d`` and :mod:`repro.core.cost_model` the response-time
-and hit-rate accounting of Section 4.1.
+:mod:`repro.core.handles` states the client/server seam of stage 2 as a
+type (:class:`~repro.core.handles.ServerHandle`), :mod:`repro.core.adaptive`
+implements the fmr-driven adaptation of the compact-form depth ``d`` and
+:mod:`repro.core.cost_model` the response-time and hit-rate accounting of
+Section 4.1.
 """
 
 from repro.core.items import CacheEntry, CachedIndexNode, CachedObject, FrontierTarget, TargetKind
 from repro.core.cache import ProactiveCache
 from repro.core.client import ClientQueryProcessor, ClientExecution
+from repro.core.handles import LocalServerHandle, ServerHandle
 from repro.core.remainder import RemainderQuery
 from repro.core.server import ServerQueryProcessor, ServerResponse, IndexNodeSnapshot, ObjectDelivery
 from repro.core.supporting_index import IndexForm, SupportingIndexPolicy
@@ -37,6 +40,8 @@ __all__ = [
     "ClientQueryProcessor",
     "ClientExecution",
     "RemainderQuery",
+    "ServerHandle",
+    "LocalServerHandle",
     "ServerQueryProcessor",
     "ServerResponse",
     "IndexNodeSnapshot",

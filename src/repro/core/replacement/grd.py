@@ -199,7 +199,8 @@ class GRD2Policy(ReplacementPolicy):
         benefit, size = self._benefit_and_size(state, cache)
         return benefit / size if size else 0.0
 
-    def _benefit_and_size(self, state: "CacheItemState", cache: "ProactiveCache"):
+    def _benefit_and_size(self, state: "CacheItemState",
+                          cache: "ProactiveCache") -> Tuple[float, int]:
         sums = _subtree_sums(cache, cache.clock, root_key=state.key)
         return sums.get(state.key, (0.0, 0))
 

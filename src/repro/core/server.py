@@ -15,7 +15,10 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.handles import VersionPin
 
 from repro.core.items import CacheEntry, FrontierTarget, TargetKind
 from repro.core.join import NodeSide, Side, element_sides, join_pairs, seed_pairs, target_side
@@ -140,9 +143,8 @@ class ServerQueryProcessor:
         #: Version registry of the dynamic-dataset updater, when one drives
         #: this server.  Queries pin the committed version at start (MVCC):
         #: pinning raises mid-batch, so a reader can never observe a
-        #: half-applied update batch.  Duck-typed to keep the core tier
-        #: below :mod:`repro.updates`.
-        self.registry: Optional[object] = None
+        #: half-applied update batch.
+        self.registry: Optional[VersionPin] = None
 
     # ------------------------------------------------------------------ #
     # public API
@@ -163,7 +165,7 @@ class ServerQueryProcessor:
         """Process ``query`` (resuming from ``remainder`` when given)."""
         policy = policy or SupportingIndexPolicy.adaptive()
         if self.registry is not None:
-            self.registry.pin()  # type: ignore[attr-defined]
+            self.registry.pin()
         start = perf_clock()
         recorder: Dict[int, _AccessRecord] = {}
         frontier = (remainder.frontier if remainder is not None
@@ -205,13 +207,9 @@ class ServerQueryProcessor:
     def partition_tree_for(self, node_id: int) -> PartitionTree:
         """The node's (memoised) partition tree, building it on first use.
 
-        Public contract point for collaborators outside the query path —
-        the consistency protocols build refresh snapshots through it after
-        the dataset updater dropped a mutated node's stale tree.
+        Also what the consistency protocols build refresh snapshots through
+        after the dataset updater dropped a mutated node's stale tree.
         """
-        return self._partition_tree(node_id)
-
-    def _partition_tree(self, node_id: int) -> PartitionTree:
         pt = self.partition_trees.get(node_id)
         if pt is None:
             pt = PartitionTree(self.tree.store.peek(node_id))
@@ -237,7 +235,7 @@ class ServerQueryProcessor:
             record.bases.add(base)
             record.full_access = True
             return [(node_id, entry) for entry in node.entries]
-        pt = self._partition_tree(node_id)
+        pt = self.partition_tree_for(node_id)
         if base and base not in pt.subsets:
             # A stale super-entry code from an outdated client snapshot:
             # the node's content (and hence its partition tree) changed
@@ -255,7 +253,7 @@ class ServerQueryProcessor:
             -> List[Tuple[int, PartitionElement]]:
         record = self._record(recorder, node_id)
         record.expanded.add(code)
-        pt = self._partition_tree(node_id)
+        pt = self.partition_tree_for(node_id)
         return [(node_id, element) for element in pt.children(code)]
 
     # ------------------------------------------------------------------ #
@@ -394,7 +392,7 @@ class ServerQueryProcessor:
         snapshots: List[IndexNodeSnapshot] = []
         for node_id, record in recorder.items():
             node = self.tree.store.peek(node_id)
-            pt = self._partition_tree(node_id)
+            pt = self.partition_tree_for(node_id)
             bases = record.bases or {""}
             if record.full_access or policy.form is IndexForm.FULL:
                 codes = [pt.entry_code(entry)

@@ -1,12 +1,12 @@
 """The synchronous client: a drop-in for the sessions' server handle.
 
-:class:`RemoteSessionClient` exposes exactly the surface
-:class:`~repro.sim.sessions.ProactiveSession` uses on its server —
-``execute`` / ``root_id`` / ``root_mbr`` / ``partition_tree_for`` — so
-sessions, consistency protocols and the sharded router's callers run
-unchanged whether the "server" is an object in the same process or a
-:class:`~repro.net.server.ReproServer` behind a socket (the ZEO-style
-split: same logical API, pluggable transport).
+:class:`RemoteSessionClient` is a
+:class:`~repro.core.handles.ServerHandle` — all a
+:class:`~repro.sim.sessions.ProactiveSession` uses of its server — so
+sessions and consistency protocols run unchanged whether the "server" is
+an object in the same process or a :class:`~repro.net.server.ReproServer`
+behind a socket (the ZEO-style split: same logical API, pluggable
+transport).
 
 Billing discipline: the client bills its
 :class:`~repro.network.channel.WirelessChannel` the *modelled* bytes of a
@@ -38,8 +38,6 @@ from repro.net.frames import (
 from repro.network.channel import WirelessChannel
 from repro.obs import instrument as obs
 from repro.obs.instrument import perf_clock
-from repro.rtree.partition_tree import PartitionTree
-from repro.rtree.serialize import decode_node
 from repro.rtree.sizes import SizeModel
 from repro.updates.validation import (
     ValidationService,
@@ -266,7 +264,7 @@ class RemoteSessionClient:
 
     def _catalogue(self) -> Tuple[int, Rect]:
         if self._catalog is None or self._catalog_dirty:
-            answer = self._rpc(frames.CATALOG_REQ, b"", frames.CATALOG_ACK)
+            answer = self.request(frames.CATALOG_REQ, b"", frames.CATALOG_ACK)
             self._note_catalog(*codec.decode_catalog_ack(answer))
         assert self._catalog is not None
         return self._catalog
@@ -287,8 +285,7 @@ class RemoteSessionClient:
         """
         start = perf_clock()
         request = codec.encode_query_request(query, remainder, policy)
-        payload = self._request_with_retry(frames.QUERY, request,
-                                           frames.RESPONSE)
+        payload = self.request(frames.QUERY, request, frames.RESPONSE)
         response, root_id, root_mbr = codec.decode_response(payload)
         self._note_catalog(root_id, root_mbr)
         if remainder is not None:
@@ -305,18 +302,10 @@ class RemoteSessionClient:
                                retries_so_far=self.retries)
         return response
 
-    def partition_tree_for(self, node_id: int) -> PartitionTree:
-        """Build the node's partition tree from its fetched page."""
-        answer = self._rpc(frames.NODE_REQ, codec.encode_node_request(node_id),
-                           frames.NODE_ACK)
-        page = codec.decode_node_ack(answer)
-        if page is None:
-            raise KeyError(f"server has no node {node_id}")
-        return PartitionTree(decode_node(page))
-
     # -- plumbing ---------------------------------------------------------- #
-    def _request_with_retry(self, frame_type: int, payload: bytes,
-                            reply: int) -> bytes:
+    def request(self, frame_type: int, payload: bytes, reply: int) -> bytes:
+        """One round trip answered by a ``reply`` frame, retried on a fresh
+        connection when the transport died before the answer arrived."""
         attempts = self.max_retries + 1
         for attempt in range(attempts):
             try:
@@ -340,9 +329,6 @@ class RemoteSessionClient:
             self.pool.release(connection)
             return answer
         raise AssertionError("unreachable")  # pragma: no cover
-
-    def _rpc(self, frame_type: int, payload: bytes, reply: int) -> bytes:
-        return self._request_with_retry(frame_type, payload, reply)
 
     def send_oneway(self, frame_type: int, payload: bytes) -> None:
         """Fire-and-forget frame (SYNC_DONE) on a pooled connection."""
@@ -384,9 +370,9 @@ class NetValidationService(ValidationService):
     def validate(self, stamps: Sequence[ValidationStamp]
                  ) -> List[ValidationVerdict]:
         """Ship the stamp batch, decode the verdict batch."""
-        answer = self.client._rpc(frames.SYNC,
-                                  codec.encode_sync_request(stamps),
-                                  frames.SYNC_ACK)
+        answer = self.client.request(frames.SYNC,
+                                     codec.encode_sync_request(stamps),
+                                     frames.SYNC_ACK)
         verdicts, root_id, root_mbr = codec.decode_sync_ack(answer)
         self.client._note_catalog(root_id, root_mbr)
         return verdicts
@@ -395,7 +381,7 @@ class NetValidationService(ValidationService):
                          object_ids: Sequence[int]
                          ) -> Tuple[Dict[int, int], Dict[int, int]]:
         """Fetch current version stamps (free metadata, like in-process)."""
-        answer = self.client._rpc(
+        answer = self.client.request(
             frames.VERSIONS,
             codec.encode_versions_request(node_ids, object_ids),
             frames.VERSIONS_ACK)

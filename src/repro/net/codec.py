@@ -112,10 +112,9 @@ def _read_bool(reader: PayloadReader) -> bool:
     return bool(value)
 
 
-def _read_count(reader: PayloadReader, what: str,
-                limit: int = 1 << 24) -> int:
+def _read_count(reader: PayloadReader, what: str) -> int:
     (count,) = reader.unpack(_U32)
-    if count > limit:
+    if count > 1 << 24:
         raise FrameError(f"implausible {what} count {count}")
     return int(count)
 
@@ -655,40 +654,8 @@ def decode_versions_ack(payload: bytes
 
 
 # --------------------------------------------------------------------------- #
-# node fetch / session close
+# session close
 # --------------------------------------------------------------------------- #
-def encode_node_request(node_id: int) -> bytes:
-    """The NODE_REQ payload."""
-    return _I64.pack(node_id)
-
-
-def decode_node_request(payload: bytes) -> int:
-    """Decode a NODE_REQ payload."""
-    reader = PayloadReader(payload)
-    (node_id,) = reader.unpack(_I64)
-    reader.expect_end()
-    return int(node_id)
-
-
-def encode_node_ack(page: Optional[bytes]) -> bytes:
-    """The NODE_ACK payload: the node's page bytes, or a not-found flag."""
-    if page is None:
-        return _U8.pack(0)
-    return _U8.pack(1) + _U32.pack(len(page)) + page
-
-
-def decode_node_ack(payload: bytes) -> Optional[bytes]:
-    """Decode a NODE_ACK payload → page bytes or ``None``."""
-    reader = PayloadReader(payload)
-    if not _read_bool(reader):
-        reader.expect_end()
-        return None
-    length = _read_count(reader, "page byte", limit=1 << 26)
-    page = reader.read_bytes(length)
-    reader.expect_end()
-    return page
-
-
 _LEDGER = struct.Struct("<7q")
 
 #: The per-connection ledger fields, in wire order.

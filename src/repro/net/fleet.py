@@ -46,11 +46,9 @@ TRANSPORTS = ("inproc", "uds", "tcp")
 
 def make_endpoint(thread: ServerThread) -> Endpoint:
     """The client-side endpoint of a started :class:`ServerThread`."""
-    kind, where = thread.address
-    if kind == "uds":
-        return Endpoint(transport="uds", path=str(where))
-    host, port = where  # type: ignore[misc]
-    return Endpoint(transport="tcp", host=host, port=int(port))
+    if thread.transport == "uds":
+        return Endpoint(transport="uds", path=thread.path)
+    return Endpoint(transport="tcp", host=thread.host, port=thread.port)
 
 
 def _reconcile(channel: WirelessChannel,

@@ -39,6 +39,8 @@ HEADER_BYTES = _HEADER.size
 MAX_PAYLOAD_BYTES = 64 * 1024 * 1024
 
 # Frame types.  Values are wire constants — never renumber, only append.
+# 10 and 11 (NODE_REQ / NODE_ACK, a page fetch no client ever sent) are
+# retired: a peer sending one gets the unknown-frame-type error.
 HELLO = 1
 HELLO_ACK = 2
 QUERY = 3
@@ -48,8 +50,6 @@ SYNC_ACK = 6
 SYNC_DONE = 7
 VERSIONS = 8
 VERSIONS_ACK = 9
-NODE_REQ = 10
-NODE_ACK = 11
 CATALOG_REQ = 12
 CATALOG_ACK = 13
 BYE = 14
@@ -61,7 +61,6 @@ FRAME_NAMES = {
     QUERY: "QUERY", RESPONSE: "RESPONSE",
     SYNC: "SYNC", SYNC_ACK: "SYNC_ACK", SYNC_DONE: "SYNC_DONE",
     VERSIONS: "VERSIONS", VERSIONS_ACK: "VERSIONS_ACK",
-    NODE_REQ: "NODE_REQ", NODE_ACK: "NODE_ACK",
     CATALOG_REQ: "CATALOG_REQ", CATALOG_ACK: "CATALOG_ACK",
     BYE: "BYE", BYE_ACK: "BYE_ACK",
     ERROR: "ERROR",
@@ -248,7 +247,7 @@ class PayloadReader:
         return values
 
     def read_bytes(self, count: int) -> bytes:
-        """Read a raw byte run (length-prefixed strings, embedded pages)."""
+        """Read a raw byte run (length-prefixed strings)."""
         if count < 0 or self.remaining < count:
             raise FrameError(f"truncated payload: needed {count} bytes, "
                              f"{self.remaining} left")

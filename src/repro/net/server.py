@@ -1,8 +1,8 @@
 """The asyncio server: many concurrent sessions over TCP and UNIX sockets.
 
-:class:`ReproServer` fronts an in-process
-:class:`~repro.core.server.ServerQueryProcessor` (or the sharded router —
-anything with the same duck-typed surface) with the framed wire protocol:
+:class:`ReproServer` fronts a :class:`~repro.core.handles.ServerHandle`
+(the in-process query processor or the sharded router) with the framed wire
+protocol:
 
 * **serial query admission** — readers push decoded queries into one
   bounded :class:`asyncio.Queue`; a single dispatcher task takes them in
@@ -22,20 +22,19 @@ anything with the same duck-typed surface) with the framed wire protocol:
 
 Consistency validation (SYNC / VERSIONS) is answered from an optional
 :class:`~repro.updates.validation.ValidationService`; metadata requests
-(CATALOG_REQ, NODE_REQ, VERSIONS) are free, matching the in-process
+(CATALOG_REQ, VERSIONS) are free, matching the in-process
 deployment where they are plain attribute reads.
 """
 
 from __future__ import annotations
 
 import asyncio
-import threading
-from typing import Dict, List, Optional, Tuple, cast
+from typing import Dict, List, Optional, Tuple
 
-from repro.geometry import Rect
+from repro.core.handles import ServerHandle
 from repro.net import codec, frames
 from repro.net.frames import ConnectionLost, FrameError
-from repro.rtree.serialize import encode_node
+from repro.obs.status import LoopThread
 from repro.rtree.sizes import SizeModel
 from repro.updates.validation import ValidationService
 
@@ -76,16 +75,13 @@ class _Connection:
 
 
 class ReproServer:
-    """Serve the wire protocol for one in-process query processor.
+    """Serve the wire protocol for one in-process server handle.
 
-    ``server`` is duck-typed — a
-    :class:`~repro.core.server.ServerQueryProcessor` or a
-    :class:`~repro.sharding.router.ShardRouter`.  ``validation`` answers
-    the versioned protocol's SYNC exchange; without one, SYNC gets a typed
-    error (static fleets never send it).
+    ``validation`` answers the versioned protocol's SYNC exchange; without
+    one, SYNC gets a typed error (static fleets never send it).
     """
 
-    def __init__(self, server: object, size_model: SizeModel,
+    def __init__(self, server: ServerHandle, size_model: SizeModel,
                  validation: Optional[ValidationService] = None,
                  max_pending: int = DEFAULT_MAX_PENDING) -> None:
         if max_pending < 1:
@@ -100,8 +96,8 @@ class ReproServer:
         #: Final ledgers of connections that completed a BYE handshake,
         #: keyed by client name (reconciliation tests read these).
         self.final_ledgers: Dict[str, Dict[str, int]] = {}
-        #: Every connection ever accepted (closed ones keep their flag set);
-        #: the status server reads live ledgers out of this list.
+        #: The open connections; the status server reads live ledgers out
+        #: of this list.
         self._connections: List[_Connection] = []
 
     # ------------------------------------------------------------------ #
@@ -116,7 +112,7 @@ class ReproServer:
         """Per-client wire ledgers: live connections overlaid on final ones."""
         ledgers = {name: dict(ledger)
                    for name, ledger in sorted(self.final_ledgers.items())}
-        for connection in self._connections:
+        for connection in list(self._connections):
             if not connection.closed and connection.name:
                 ledgers[connection.name] = dict(connection.ledger)
         return ledgers
@@ -180,8 +176,7 @@ class ReproServer:
             await connection.send_error("bad-query", str(error))
             return
         try:
-            response = self.server.execute(  # type: ignore[attr-defined]
-                query, remainder, policy)
+            response = self.server.execute(query, remainder, policy)
         except Exception as error:  # surfaced to the client, not swallowed
             await connection.send_error("server-error",
                                         f"{type(error).__name__}: {error}")
@@ -191,8 +186,8 @@ class ReproServer:
         else:
             uplink = query.descriptor_bytes(self.size_model)
         downlink = response.downlink_bytes(self.size_model)
-        reply = codec.encode_response(response, self._root_id(),
-                                      self._root_mbr())
+        reply = codec.encode_response(response, self.server.root_id,
+                                      self.server.root_mbr)
         try:
             await connection.send(frames.RESPONSE, reply)
         except ConnectionLost:
@@ -208,13 +203,6 @@ class ReproServer:
     # ------------------------------------------------------------------ #
     # per-connection protocol loop
     # ------------------------------------------------------------------ #
-    def _root_id(self) -> int:
-        return int(self.server.root_id)  # type: ignore[attr-defined]
-
-    def _root_mbr(self) -> Rect:
-        mbr = self.server.root_mbr  # type: ignore[attr-defined]
-        return cast(Rect, mbr)
-
     async def _handle(self, reader: asyncio.StreamReader,
                       writer: asyncio.StreamWriter) -> None:
         connection = _Connection(reader, writer)
@@ -231,6 +219,7 @@ class ReproServer:
             await connection.send_error("bad-frame", str(error))
         finally:
             connection.closed = True
+            self._connections.remove(connection)
             writer.close()
             try:
                 await writer.wait_closed()
@@ -263,7 +252,8 @@ class ReproServer:
                 f"{expected}, client with {model}")
             return False
         connection.name = name
-        ack = codec.encode_hello_ack(self._root_id(), self._root_mbr(),
+        ack = codec.encode_hello_ack(self.server.root_id,
+                                     self.server.root_mbr,
                                      self.validation is not None)
         await connection.send(frames.HELLO_ACK, ack)
         return True
@@ -281,10 +271,9 @@ class ReproServer:
                 connection.ledger["sync_downlink_bytes"] += applied
             elif frame_type == frames.VERSIONS:
                 await self._serve_versions(connection, payload)
-            elif frame_type == frames.NODE_REQ:
-                await self._serve_node(connection, payload)
             elif frame_type == frames.CATALOG_REQ:
-                ack = codec.encode_catalog(self._root_id(), self._root_mbr())
+                ack = codec.encode_catalog(self.server.root_id,
+                                           self.server.root_mbr)
                 await connection.send(frames.CATALOG_ACK, ack)
             elif frame_type == frames.BYE:
                 self.final_ledgers[connection.name] = dict(connection.ledger)
@@ -309,8 +298,8 @@ class ReproServer:
         stamp_bytes = self.size_model.pointer_bytes + 4
         connection.ledger["sync_uplink_bytes"] += (
             self.size_model.query_header_bytes + stamp_bytes * len(stamps))
-        ack = codec.encode_sync_ack(verdicts, self._root_id(),
-                                    self._root_mbr())
+        ack = codec.encode_sync_ack(verdicts, self.server.root_id,
+                                    self.server.root_mbr)
         await connection.send(frames.SYNC_ACK, ack)
 
     async def _serve_versions(self, connection: _Connection,
@@ -327,26 +316,14 @@ class ReproServer:
                                         node_ids, object_ids)
         await connection.send(frames.VERSIONS_ACK, ack)
 
-    async def _serve_node(self, connection: _Connection,
-                          payload: bytes) -> None:
-        node_id = codec.decode_node_request(payload)
-        page: Optional[bytes] = None
-        try:
-            tree = self.server.tree  # type: ignore[attr-defined]
-            if node_id in tree.store:
-                page = encode_node(tree.store.peek(node_id))
-        except (AttributeError, KeyError):
-            page = None
-        await connection.send(frames.NODE_ACK, codec.encode_node_ack(page))
 
-
-class ServerThread:
+class ServerThread(LoopThread):
     """Run a :class:`ReproServer` on a dedicated event-loop thread.
 
     The loopback transport wrapper and the tests drive synchronous clients
     from the calling thread, so the server needs its own loop.  ``start()``
-    returns once the listener is bound (exposing the resolved endpoint);
-    ``stop()`` tears the loop down and joins the thread.
+    returns once the listener is bound (``host`` / ``port`` then hold the
+    resolved address); ``stop()`` tears the loop down and joins the thread.
     """
 
     def __init__(self, server: ReproServer, transport: str,
@@ -356,77 +333,17 @@ class ServerThread:
             raise ValueError(f"unknown transport {transport!r}")
         if transport == "uds" and not path:
             raise ValueError("uds transport needs a socket path")
+        super().__init__("server", self._listen, server.close)
         self.server = server
         self.transport = transport
         self.path = path
         self.host = host
         self.port = port
-        self._thread: Optional[threading.Thread] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._stop_event: Optional[asyncio.Event] = None
-        self._ready = threading.Event()
-        self._startup_error: Optional[BaseException] = None
 
-    # -- what clients connect to ----------------------------------------- #
-    @property
-    def address(self) -> Tuple[str, object]:
-        """``("uds", path)`` or ``("tcp", (host, port))`` once started."""
+    async def _listen(self) -> None:
         if self.transport == "uds":
-            return ("uds", self.path)
-        return ("tcp", (self.host, self.port))
-
-    def start(self) -> None:
-        """Spawn the loop thread; blocks until the listener is bound."""
-        if self._thread is not None:
-            raise RuntimeError("server thread already started")
-        self._thread = threading.Thread(target=self._run,
-                                        name="repro-net-server", daemon=True)
-        self._thread.start()
-        self._ready.wait()
-        if self._startup_error is not None:
-            error = self._startup_error
-            self._thread.join()
-            self._thread = None
-            raise RuntimeError(f"server failed to start: {error}")
-
-    def stop(self) -> None:
-        """Shut the loop down and join the thread."""
-        if self._thread is None:
-            return
-        if self._loop is not None and self._stop_event is not None:
-            loop, event = self._loop, self._stop_event
-            loop.call_soon_threadsafe(event.set)
-        self._thread.join()
-        self._thread = None
-        self._loop = None
-        self._stop_event = None
-
-    def _run(self) -> None:
-        try:
-            asyncio.run(self._main())
-        except BaseException as error:  # startup failures surface in start()
-            if not self._ready.is_set():
-                self._startup_error = error
-                self._ready.set()
-            else:
-                raise
-
-    async def _main(self) -> None:
-        self._loop = asyncio.get_running_loop()
-        self._stop_event = asyncio.Event()
-        try:
-            if self.transport == "uds":
-                assert self.path is not None
-                await self.server.listen_uds(self.path)
-            else:
-                self.host, self.port = await self.server.listen_tcp(
-                    self.host, self.port)
-        except Exception as error:
-            self._startup_error = error
-            self._ready.set()
-            return
-        self._ready.set()
-        try:
-            await self._stop_event.wait()
-        finally:
-            await self.server.close()
+            assert self.path is not None
+            await self.server.listen_uds(self.path)
+        else:
+            self.host, self.port = await self.server.listen_tcp(
+                self.host, self.port)

@@ -11,7 +11,8 @@ down, because a scrape racing the end of a run is normal.
 (no routes beyond ``/``, ``/status``, ``/healthz`` and ``/metrics``, no
 keep-alive) so it can ride inside :class:`repro.net.server.ReproServer`'s
 loop or on its own :class:`StatusServerThread` next to an in-process fleet
-run — stdlib only, mirroring the wire server's thread harness.
+run — stdlib only.  :class:`LoopThread` is the thread harness it shares
+with :class:`repro.net.server.ServerThread`.
 """
 
 from __future__ import annotations
@@ -20,12 +21,12 @@ import asyncio
 import json
 import threading
 from contextlib import contextmanager
-from typing import Callable, Dict, Iterator, Optional, Tuple
+from typing import Awaitable, Callable, Dict, Iterator, Optional, Tuple
 
 from repro.obs.dashboard import DASHBOARD_HTML
 from repro.obs.registry import MetricsRegistry
 
-__all__ = ["StatusBoard", "StatusServer", "StatusServerThread",
+__all__ = ["LoopThread", "StatusBoard", "StatusServer", "StatusServerThread",
            "active_board", "board_active", "publish"]
 
 #: One status section: a zero-argument callable returning JSON-able data.
@@ -181,39 +182,33 @@ class StatusServer:
                 pass
 
 
-class StatusServerThread:
-    """Run a :class:`StatusServer` on its own event-loop thread.
+class LoopThread:
+    """Run one asyncio service on its own event-loop thread.
 
-    Mirrors :class:`repro.net.server.ServerThread`: ``start()`` blocks
-    until the port is bound (so callers can print the address before the
-    run begins), ``stop()`` tears the loop down and joins.
+    ``start`` is the coroutine that binds the service and ``close`` the one
+    that tears it down, both run on the thread's loop.  :meth:`start`
+    blocks until ``start`` has finished (so callers can print the bound
+    address before anything connects) and re-raises its failure as a
+    ``RuntimeError``; :meth:`stop` runs ``close`` and joins the thread.
     """
 
-    def __init__(self, board: StatusBoard, host: str = "127.0.0.1",
-                 port: int = 0) -> None:
-        self.server = StatusServer(board, host=host, port=port)
+    def __init__(self, name: str, start: Callable[[], Awaitable[object]],
+                 close: Callable[[], Awaitable[object]]) -> None:
+        self._name = name
+        self._start = start
+        self._close = close
         self._thread: Optional[threading.Thread] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._stop_event: Optional[asyncio.Event] = None
         self._ready = threading.Event()
         self._startup_error: Optional[BaseException] = None
 
-    @property
-    def host(self) -> str:
-        """Bound interface (resolved after ``start()``)."""
-        return self.server.host
-
-    @property
-    def port(self) -> int:
-        """Bound port (resolved after ``start()``)."""
-        return self.server.port
-
     def start(self) -> None:
-        """Spawn the loop thread; blocks until the listener is bound."""
+        """Spawn the loop thread; blocks until the service is bound."""
         if self._thread is not None:
-            raise RuntimeError("status server thread already started")
+            raise RuntimeError(f"{self._name} thread already started")
         self._thread = threading.Thread(target=self._run,
-                                        name="repro-status-server",
+                                        name=f"repro {self._name}",
                                         daemon=True)
         self._thread.start()
         self._ready.wait()
@@ -221,7 +216,7 @@ class StatusServerThread:
             error = self._startup_error
             self._thread.join()
             self._thread = None
-            raise RuntimeError(f"status server failed to start: {error}")
+            raise RuntimeError(f"{self._name} failed to start: {error}")
 
     def stop(self) -> None:
         """Shut the loop down and join the thread."""
@@ -248,11 +243,31 @@ class StatusServerThread:
     async def _main(self) -> None:
         self._loop = asyncio.get_running_loop()
         self._stop_event = asyncio.Event()
-        # _ready is set only after a successful bind; a failing start()
+        # _ready is set only after a successful bind; a failing start
         # propagates to _run, which records it before releasing start().
-        await self.server.start()
+        await self._start()
         self._ready.set()
         try:
             await self._stop_event.wait()
         finally:
-            await self.server.close()
+            await self._close()
+
+
+class StatusServerThread(LoopThread):
+    """Run a :class:`StatusServer` on its own event-loop thread."""
+
+    def __init__(self, board: StatusBoard, host: str = "127.0.0.1",
+                 port: int = 0) -> None:
+        self.server = StatusServer(board, host=host, port=port)
+        super().__init__("status server", self.server.start,
+                         self.server.close)
+
+    @property
+    def host(self) -> str:
+        """Bound interface (resolved after ``start()``)."""
+        return self.server.host
+
+    @property
+    def port(self) -> int:
+        """Bound port (resolved after ``start()``)."""
+        return self.server.port

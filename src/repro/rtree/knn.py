@@ -8,10 +8,10 @@ import math
 from typing import List, Optional, Set, Tuple
 
 from repro.geometry import Point
-from repro.rtree.tree import RTree
+from repro.rtree.tree import TreeView
 
 
-def knn_search(tree: RTree, query_point: Point, k: int,
+def knn_search(tree: TreeView, query_point: Point, k: int,
                visited_nodes: Optional[Set[int]] = None) -> List[Tuple[int, float]]:
     """Return the ``k`` nearest objects to ``query_point`` as ``(object_id, distance)``.
 
@@ -89,13 +89,13 @@ def knn_search(tree: RTree, query_point: Point, k: int,
     return results
 
 
-def nearest_neighbor(tree: RTree, query_point: Point) -> Optional[Tuple[int, float]]:
+def nearest_neighbor(tree: TreeView, query_point: Point) -> Optional[Tuple[int, float]]:
     """The single nearest neighbour, or ``None`` for an empty tree."""
     found = knn_search(tree, query_point, 1)
     return found[0] if found else None
 
 
-def knn_distance(tree: RTree, query_point: Point, k: int) -> float:
+def knn_distance(tree: TreeView, query_point: Point, k: int) -> float:
     """Distance to the k-th nearest neighbour (``inf`` if fewer than k objects)."""
     found = knn_search(tree, query_point, k)
     if len(found) < k:

@@ -5,10 +5,10 @@ from __future__ import annotations
 from typing import Callable, List, Optional, Set
 
 from repro.geometry import Rect
-from repro.rtree.tree import RTree
+from repro.rtree.tree import TreeView
 
 
-def range_search(tree: RTree, window: Rect,
+def range_search(tree: TreeView, window: Rect,
                  visited_nodes: Optional[Set[int]] = None) -> List[int]:
     """Return the ids of all objects whose MBR intersects ``window``.
 
@@ -52,12 +52,12 @@ def range_search(tree: RTree, window: Rect,
     return results
 
 
-def range_count(tree: RTree, window: Rect) -> int:
+def range_count(tree: TreeView, window: Rect) -> int:
     """Number of objects intersecting ``window`` (convenience wrapper)."""
     return len(range_search(tree, window))
 
 
-def range_search_filtered(tree: RTree, window: Rect,
+def range_search_filtered(tree: TreeView, window: Rect,
                           predicate: Callable[[int], bool]) -> List[int]:
     """Range search keeping only object ids accepted by ``predicate``."""
     return [object_id for object_id in range_search(tree, window) if predicate(object_id)]

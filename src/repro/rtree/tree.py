@@ -16,7 +16,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Protocol, Sequence, Tuple,
+    runtime_checkable,
+)
 
 from repro.geometry import Point, Rect
 from repro.rtree.entry import Entry, ObjectRecord
@@ -101,6 +104,46 @@ class PageStore:
 
     def close(self) -> None:
         """No-op: an in-memory store holds no external resources."""
+
+
+class PageReader(Protocol):
+    """The read side of a page store: what a :class:`TreeView` exposes."""
+
+    def __contains__(self, node_id: int) -> bool: ...
+
+    def get(self, node_id: int) -> Node: ...
+
+    def peek(self, node_id: int) -> Node: ...
+
+
+@runtime_checkable
+class TreeView(Protocol):
+    """The read side of an R-tree: all that sessions, the ground-truth
+    kernels and the consistency protocols use of one.
+
+    Structural: :class:`RTree` and the sharded deployment's
+    :class:`~repro.sharding.router.ShardedTreeView` satisfy it without
+    inheriting from it.
+    """
+
+    @property
+    def size_model(self) -> SizeModel: ...
+
+    @property
+    def objects(self) -> Mapping[int, ObjectRecord]: ...
+
+    @property
+    def store(self) -> PageReader: ...
+
+    @property
+    def root_id(self) -> int: ...
+
+    @property
+    def root(self) -> Node: ...
+
+    def node(self, node_id: int) -> Node: ...
+
+    def object(self, object_id: int) -> ObjectRecord: ...
 
 
 class RTree:

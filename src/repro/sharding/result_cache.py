@@ -66,7 +66,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple, TYPE_CHECKING
+from typing import Dict, List, Optional, Set, Tuple, TYPE_CHECKING, Union
 
 from repro.core.cache import CacheItemState
 from repro.core.replacement.grd import GRD3Policy
@@ -117,6 +117,10 @@ class GlobalFact:
     @property
     def size_bytes(self) -> int:
         return ENTRY_BYTES + SHARD_FACT_BYTES
+
+
+#: What a fact-store entry holds; both kinds report their ledger size.
+Fact = Union[HitSetFact, GlobalFact]
 
 
 class FactStore:
@@ -173,9 +177,9 @@ class FactStore:
             state.last_access = self.clock
         return state
 
-    def admit(self, key: str, payload: object) -> Optional[CacheItemState]:
+    def admit(self, key: str, payload: Fact) -> Optional[CacheItemState]:
         """Insert a fresh fact, evicting as needed; ``None`` if it cannot fit."""
-        size = payload.size_bytes  # type: ignore[attr-defined]
+        size = payload.size_bytes
         if size > self.capacity_bytes:
             return None
         if self.used_bytes + size > self.capacity_bytes:
@@ -187,9 +191,8 @@ class FactStore:
         self.used_bytes += size
         return state
 
-    def resize(self, state: CacheItemState) -> None:
+    def resize(self, state: CacheItemState, new_size: int) -> None:
         """Re-account an entry whose payload grew (new shard facts)."""
-        new_size = state.payload.size_bytes  # type: ignore[attr-defined]
         if new_size == state.size_bytes:
             return
         self.used_bytes += new_size - state.size_bytes
@@ -364,7 +367,7 @@ class PartitionResultCache:
         nonempty = self._probe_nonempty(shard, rect)
         if fact is not None and state is not None:
             fact.shards[index] = (nonempty, self._version())
-            self.store.resize(state)
+            self.store.resize(state, fact.size_bytes)
         return nonempty, True
 
     def _filter_by_variants(
@@ -420,7 +423,7 @@ class PartitionResultCache:
                 continue
             fact: HitSetFact = state.payload  # type: ignore[assignment]
             fact.shards[shard_index] = (True, version)
-            self.store.resize(state)
+            self.store.resize(state, fact.size_bytes)
 
     def knn_bound(self, point: Point, k: int) -> Optional[float]:
         """An upper bound on the k-th-nearest distance from ``point``.

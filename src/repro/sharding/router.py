@@ -1,8 +1,7 @@
 """The scatter-gather query router: one logical server over many shards.
 
-:class:`ShardRouter` presents exactly the ``ServerQueryProcessor`` surface
-the client tiers consume — ``root_id`` / ``root_mbr`` /
-``execute(query, remainder, policy)`` / ``partition_tree_for`` — so
+:class:`ShardRouter` is a :class:`~repro.core.handles.LocalServerHandle`
+(and its ``tree`` a :class:`~repro.rtree.tree.TreeView`), so
 :class:`~repro.sim.sessions.ProactiveSession`, the proactive cache and the
 consistency protocols run unchanged against a sharded deployment.
 
@@ -41,8 +40,11 @@ split), so ``QueryCost.server_page_reads`` stays meaningful unchanged.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Mapping, Optional, Tuple
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.sharding.result_cache import PartitionResultCache
+    from repro.updates.registry import VersionRegistry
 
 from repro.core.items import CacheEntry, FrontierTarget, TargetKind
 from repro.core.join import NodeSide, Side, element_sides, join_pairs, seed_pairs, target_side
@@ -59,7 +61,7 @@ from repro.obs import instrument as obs
 from repro.obs.instrument import perf_clock
 from repro.rtree.node import Node
 from repro.rtree.partition_tree import PartitionTree
-from repro.rtree.entry import Entry
+from repro.rtree.entry import Entry, ObjectRecord
 from repro.rtree.sizes import SizeModel
 from repro.sharding.partitioner import ShardPlan
 from repro.sharding.shard import NODE_ID_STRIDE, ShardServer, shard_index_for_node
@@ -129,19 +131,19 @@ class ShardStats:
         }
 
 
-class ShardedObjectView(Mapping):
+class ShardedObjectView(Mapping[int, ObjectRecord]):
     """A live, read-only mapping view over every shard's object table."""
 
     def __init__(self, router: "ShardRouter") -> None:
         self._router = router
 
-    def __getitem__(self, object_id: int):
+    def __getitem__(self, object_id: int) -> ObjectRecord:
         owner = self._router.owner_of(object_id)
         if owner is None:
             raise KeyError(object_id)
         return self._router.shards[owner].tree.objects[object_id]
 
-    def __iter__(self):
+    def __iter__(self) -> Iterator[int]:
         for shard in self._router.shards:
             yield from shard.tree.objects
 
@@ -199,7 +201,7 @@ class ShardedStoreView:
 
 
 class ShardedTreeView:
-    """Duck-types the read-side ``RTree`` surface the client tiers use.
+    """The sharded deployment's :class:`~repro.rtree.tree.TreeView`.
 
     Sessions take a *tree* for its ``size_model`` and ``objects`` table,
     the consistency protocols peek pages through ``store``, and the
@@ -236,7 +238,7 @@ class ShardedTreeView:
         """Fetch a page by id (counts a logical read on the owning shard)."""
         return self.store.get(node_id)
 
-    def object(self, object_id: int):
+    def object(self, object_id: int) -> ObjectRecord:
         """Fetch an object record by id (any shard)."""
         return self.objects[object_id]
 
@@ -254,7 +256,7 @@ class ShardRouter:
         self.stats = ShardStats(len(shards))
         #: Optional partition-result cache (see ``result_cache.py``);
         #: attached with :meth:`attach_result_cache`.
-        self.result_cache = None
+        self.result_cache: Optional[PartitionResultCache] = None
         #: object id -> owning shard index, maintained across updates.
         self._owner: Dict[int, int] = {
             object_id: index
@@ -262,7 +264,7 @@ class ShardRouter:
             for object_id in shard.tree.objects}
         #: Version registry the virtual root reports content changes to
         #: (attached by the sharded updater of dynamic runs).
-        self.registry = None
+        self.registry: Optional[VersionRegistry] = None
         self.virtual_root_id = len(self.shards) * NODE_ID_STRIDE + 1
         self._virtual_node: Optional[Node] = None
         self._virtual_pt: Optional[PartitionTree] = None
@@ -301,7 +303,7 @@ class ShardRouter:
         return [(index, shard) for index, shard in enumerate(self.shards)
                 if not shard.is_empty]
 
-    def attach_result_cache(self, cache) -> None:
+    def attach_result_cache(self, cache: PartitionResultCache) -> None:
         """Consult ``cache`` (a :class:`PartitionResultCache`) per scatter."""
         self.result_cache = cache
         cache.bind(self)
@@ -341,7 +343,7 @@ class ShardRouter:
         return True
 
     # ------------------------------------------------------------------ #
-    # ServerQueryProcessor surface
+    # LocalServerHandle surface
     # ------------------------------------------------------------------ #
     @property
     def root_id(self) -> int:

@@ -19,11 +19,11 @@ from repro.sharding.partitioner import ShardPlan, make_plan
 from repro.sharding.router import ShardRouter, ShardedTreeView
 from repro.sharding.shard import ShardServer, build_shards
 from repro.sharding.storage import load_shards, save_shards
-from repro.sim.config import dataset_records, meta_mismatches
+from repro.sim.config import SimulationConfig, dataset_records, meta_mismatches
 from repro.storage.backend import StorageError
 
 
-def _check_manifest(config, shards: int, partitioner: str,
+def _check_manifest(config: SimulationConfig, shards: int, partitioner: str,
                     manifest: Dict, directory: str) -> None:
     """Reject a shard store that contradicts the requested configuration."""
     problems = []
@@ -85,7 +85,7 @@ class ShardedServerState:
             shard.close()
 
 
-def build_sharded_state(config, shards: int, partitioner: str = "grid",
+def build_sharded_state(config: SimulationConfig, shards: int, partitioner: str = "grid",
                         store_dir: Optional[str] = None,
                         writable: bool = False,
                         durable: bool = False) -> ShardedServerState:

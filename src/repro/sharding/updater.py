@@ -1,9 +1,8 @@
 """Routing dataset updates to their owning shard.
 
 :class:`ShardedUpdater` is the sharded counterpart of
-:class:`~repro.updates.applier.DatasetUpdater` and duck-types the slice of
-its surface the consistency protocols consume (``registry`` / ``tree`` /
-``server`` / ``apply`` / ``summary``), so a dynamic sharded fleet plugs
+:class:`~repro.updates.applier.DatasetUpdater`: both satisfy
+:class:`~repro.updates.applier.Updater`, so a dynamic sharded fleet plugs
 into :func:`repro.updates.protocol.make_protocol` unchanged.
 
 Routing rules (deterministic by construction):
@@ -28,7 +27,10 @@ changes MBR).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.sim.sessions import GroundTruthCache
 
 from repro.updates.applier import DatasetUpdater
 from repro.updates.registry import VersionRegistry
@@ -39,7 +41,8 @@ from repro.sharding.router import ShardRouter
 class ShardedUpdater:
     """Applies one shared update history across the shard set."""
 
-    def __init__(self, router: ShardRouter, ground_truth=None,
+    def __init__(self, router: ShardRouter,
+                 ground_truth: Optional["GroundTruthCache"] = None,
                  registry: Optional[VersionRegistry] = None) -> None:
         self.router = router
         self.registry = registry or VersionRegistry()

@@ -115,7 +115,7 @@ class SimulationConfig:
             return self.join_window_area
         return 4.0 * self.window_area
 
-    def with_overrides(self, **overrides) -> "SimulationConfig":
+    def with_overrides(self, **overrides: object) -> "SimulationConfig":
         """A copy with some fields replaced (convenience for sweeps)."""
         return replace(self, **overrides)
 

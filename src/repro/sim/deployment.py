@@ -23,21 +23,26 @@ from contextlib import ExitStack
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import (
-    TYPE_CHECKING, Any, Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple,
+    TYPE_CHECKING, Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple,
 )
 
 from repro.core.cost_model import QueryCost
+from repro.core.handles import LocalServerHandle, ServerHandle, TreeView
 from repro.obs import instrument as obs
 from repro.obs.status import publish
 from repro.rtree.sizes import SizeModel
+from repro.rtree.tree import PageStore
 from repro.sim.metrics import ClientResult, FleetResult
 from repro.sim.runner import build_shared_state
 from repro.sim.sessions import ClientSession, GroundTruthCache
+from repro.storage.paged import PagedFileBackend
 from repro.workload.trace import TraceRecord
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.fleet import FleetClientSpec, FleetConfig
+    from repro.updates.applier import Updater
     from repro.updates.protocol import ConsistencyProtocol
+    from repro.updates.stream import UpdateEvent
 
 #: Models that speak the server protocol; PAG and SEM answer from the
 #: ground-truth oracle and have neither a consistency story nor snapshots.
@@ -158,27 +163,25 @@ def check_combination(fleet: "FleetConfig", max_workers: Optional[int] = None,
 # the deployment value
 # --------------------------------------------------------------------------- #
 #: What one client is wired to: its server handle and consistency protocol.
-ClientWiring = Tuple[Any, Optional["ConsistencyProtocol"]]
+ClientWiring = Tuple[ServerHandle, Optional["ConsistencyProtocol"]]
 
 
 @dataclass
 class Deployment:
     """An opened server side: everything sessions are built against.
 
-    ``server`` is what answers queries (a
-    :class:`~repro.core.server.ServerQueryProcessor` or a
-    :class:`~repro.sharding.router.ShardRouter`), ``tree`` the client-facing
-    tree view, ``updater`` the applier of the fleet's mutation history
-    (``None`` for a static fleet).  ``dial`` is set by a transport wrapper
-    to hand every client its own remote handle instead of ``server``.
+    ``server`` is what answers queries, ``tree`` the client-facing tree
+    view, ``updater`` the applier of the fleet's mutation history (``None``
+    for a static fleet).  ``dial`` is set by a transport wrapper to hand
+    every client its own remote handle instead of ``server``.
     """
 
     fleet: "FleetConfig"
-    server: Any
-    tree: Any
+    server: LocalServerHandle
+    tree: TreeView
     size_model: SizeModel
     ground_truth: GroundTruthCache
-    updater: Any = None
+    updater: Optional["Updater"] = None
     dial: Optional[Callable[["FleetClientSpec"], "ClientWiring"]] = None
     #: Run after every applied update (remote catalogues go stale).
     update_hooks: List[Callable[[], None]] = field(default_factory=list)
@@ -196,8 +199,9 @@ class Deployment:
             self.fleet.consistency, updater=self.updater,
             size_model=self.size_model, ttl_seconds=self.fleet.ttl_seconds)
 
-    def apply_update(self, event: object) -> None:
+    def apply_update(self, event: "UpdateEvent") -> None:
         """Land one update: the updater applies it, then the hooks run."""
+        assert self.updater is not None, "an update event needs an updater"
         self.updater.apply(event)
         for hook in self.update_hooks:
             hook()
@@ -278,14 +282,13 @@ def open_deployment(fleet: "FleetConfig", store_path: Optional[str] = None,
     return deployment
 
 
-def _wal_facts(store: object) -> Dict[str, object]:
+def _wal_facts(store: PageStore) -> Dict[str, object]:
     """Live write-ahead-log facts of a (possibly non-durable) store."""
-    wal = getattr(store, "wal", None)
+    wal = store.wal if isinstance(store, PagedFileBackend) else None
     if wal is None:
         return {"durable": False}
-    return {"durable": True,
-            "records_written": int(getattr(wal, "records_written", 0)),
-            "bytes_written": int(getattr(wal, "bytes_written", 0))}
+    return {"durable": True, "records_written": wal.records_written,
+            "bytes_written": wal.bytes_written}
 
 
 # --------------------------------------------------------------------------- #
@@ -306,9 +309,8 @@ def replay(deployment: Deployment, sessions: Dict[int, ClientSession],
     for kind, arrival_time, client_id, payload in islice(events, start, stop):
         if kind == "update":
             if obs.ENABLED:
-                with obs.active().span("update",
-                                       kind=getattr(payload, "kind", "?"),
-                                       seq=getattr(payload, "index", -1)):
+                with obs.active().span("update", kind=payload.kind,
+                                       seq=payload.index):
                     deployment.apply_update(payload)
                 obs.active().count("repro_updates_total", 1.0)
             else:

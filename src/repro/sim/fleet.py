@@ -28,8 +28,12 @@ fleet, builds its event list and sessions, and drives the one replay loop.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.updates.applier import Updater
+
+from repro.core.cache import ProactiveCache
 from repro.obs.status import publish
 from repro.sim.config import SimulationConfig
 from repro.sim.deployment import (
@@ -378,7 +382,7 @@ def make_sessions(deployment: Deployment, specs: Sequence[FleetClientSpec],
 
 def make_dynamic_sessions(fleet: FleetConfig, shared: SharedServerState,
                           specs: Sequence[FleetClientSpec],
-                          updater) -> Dict[int, ClientSession]:
+                          updater: Optional["Updater"]) -> Dict[int, ClientSession]:
     """One cold-cache session per spec, wired to the fleet's consistency.
 
     :func:`make_sessions` for callers that built the in-process server
@@ -471,8 +475,8 @@ def finish_fleet(deployment: Deployment, specs: Sequence[FleetClientSpec],
     for client_id, session in sessions.items():
         snapshot = session.cache_snapshot(len(results[client_id].costs))
         results[client_id].final_cache_used_bytes = snapshot.used_bytes
-        cache = getattr(session, "cache", None)
-        if hasattr(cache, "content_digest"):
+        cache = session.cache
+        if isinstance(cache, ProactiveCache):
             results[client_id].final_cache_digest = cache.content_digest()
     result = FleetResult(clients=[results[spec.client_id] for spec in specs])
     deployment.summaries(result)
@@ -482,13 +486,16 @@ def finish_fleet(deployment: Deployment, specs: Sequence[FleetClientSpec],
 def cache_churn(sessions: Dict[int, ClientSession]) -> Dict[str, int]:
     """Replacement-policy churn totals over every session's live cache.
 
-    Read by the status board mid-run; models without a proactive cache
-    (PAG, SEM) simply contribute zeros.
+    Read by the status board mid-run; the PAG and SEM caches only count
+    evictions.
     """
     totals = {"evictions": 0, "rejected_inserts": 0,
               "invalidations": 0, "refreshes": 0}
-    for client_id in sorted(sessions):
-        cache = getattr(sessions[client_id], "cache", None)
-        for key in totals:
-            totals[key] += int(getattr(cache, key, 0) or 0)
+    for session in sessions.values():
+        cache = session.cache
+        totals["evictions"] += cache.evictions
+        if isinstance(cache, ProactiveCache):
+            totals["rejected_inserts"] += cache.rejected_inserts
+            totals["invalidations"] += cache.invalidations
+            totals["refreshes"] += cache.refreshes
     return totals

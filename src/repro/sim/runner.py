@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.mobility import PoissonThinkTime, make_mobility_model
 from repro.rtree.bulk import bulk_load_str
@@ -18,6 +18,8 @@ from repro.sim.sessions import ClientSession, GroundTruthCache, make_session
 from repro.workload.generator import QueryGenerator
 from repro.workload.schedule import KnnRampSchedule
 from repro.workload.trace import QueryTrace, TraceRecord
+
+T = TypeVar("T")
 
 
 @dataclass
@@ -58,7 +60,9 @@ class SimulationEnvironment:
         return self.tree.size_model
 
 
-def map_maybe_parallel(task, argument_lists, max_workers: Optional[int]) -> List:
+def map_maybe_parallel(task: Callable[..., T],
+                       argument_lists: Iterable[Sequence[object]],
+                       max_workers: Optional[int]) -> List[T]:
     """Run ``task(*args)`` for every args tuple, optionally in worker processes.
 
     The single dispatch point shared by :func:`run_models`, the sweeps and
@@ -152,7 +156,9 @@ def build_shared_state(config: SimulationConfig,
 def replay_store_trace(config: SimulationConfig, trace: QueryTrace,
                        store_path: Optional[str] = None,
                        store_buffer_pages: Optional[int] = None,
-                       tree: Optional[RTree] = None):
+                       tree: Optional[RTree] = None
+                       ) -> Tuple[List[Tuple[int, float, float, float, float]],
+                                  int, Dict[str, int]]:
     """Replay ``trace`` through one APRO session; the backend-invariance probe.
 
     The shared kernel of ``repro persist verify`` and the ``storage_paged``

@@ -9,7 +9,7 @@ set ``R`` so that hit rates and response times are directly comparable.
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple, Union
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.updates.protocol import ConsistencyProtocol
@@ -20,6 +20,7 @@ from repro.core.adaptive import AdaptiveDepthController
 from repro.core.cache import ProactiveCache
 from repro.core.client import ClientQueryProcessor
 from repro.core.cost_model import QueryCost, ResponseTimeModel
+from repro.core.handles import ServerHandle
 from repro.core.items import CachedObject, item_key_for_object
 from repro.core.replacement import make_policy
 from repro.core.server import ServerQueryProcessor
@@ -30,7 +31,7 @@ from repro.rtree.entry import ObjectRecord
 from repro.rtree.knn import knn_search
 from repro.rtree.range_search import range_search
 from repro.rtree.sizes import SizeModel
-from repro.rtree.tree import RTree
+from repro.rtree.tree import RTree, TreeView
 from repro.sim.config import SimulationConfig
 from repro.sim.metrics import CacheSnapshot
 from repro.updates.oracle import oracle_join
@@ -41,23 +42,23 @@ from repro.workload.trace import TraceRecord
 # --------------------------------------------------------------------------- #
 # ground truth helpers
 # --------------------------------------------------------------------------- #
-def true_range_results(tree: RTree, query: RangeQuery) -> List[int]:
+def true_range_results(tree: TreeView, query: RangeQuery) -> List[int]:
     """Ids of the true result objects of a range query."""
     return range_search(tree, query.window)
 
 
-def true_knn_results(tree: RTree, query: KNNQuery) -> List[int]:
+def true_knn_results(tree: TreeView, query: KNNQuery) -> List[int]:
     """Ids of the true result objects of a kNN query."""
     return [object_id for object_id, _ in knn_search(tree, query.point, query.k)]
 
 
-def true_join_results(tree: RTree, query: JoinQuery) -> List[int]:
+def true_join_results(tree: TreeView, query: JoinQuery) -> List[int]:
     """Ids of the distinct objects participating in a qualifying join pair."""
     return oracle_join({object_id: tree.objects[object_id]
                         for object_id in range_search(tree, query.window)}, query)
 
 
-def true_results(tree: RTree, query: Query) -> List[int]:
+def true_results(tree: TreeView, query: Query) -> List[int]:
     """Ground-truth result object ids for any supported query."""
     if isinstance(query, RangeQuery):
         return true_range_results(tree, query)
@@ -80,7 +81,7 @@ class GroundTruthCache:
     which session happened to compute a result first.
     """
 
-    def __init__(self, tree: RTree) -> None:
+    def __init__(self, tree: TreeView) -> None:
         self.tree = tree
         self._store: Dict[Query, Tuple[List[int], float]] = {}
 
@@ -108,7 +109,10 @@ class GroundTruthCache:
 class ClientSession(abc.ABC):
     """One mobile client running one caching model."""
 
-    def __init__(self, name: str, tree: RTree, config: SimulationConfig,
+    #: The model's client-side cache (each subclass narrows the type).
+    cache: Union[ProactiveCache, PageCache, SemanticCache]
+
+    def __init__(self, name: str, tree: TreeView, config: SimulationConfig,
                  size_model: Optional[SizeModel] = None,
                  ground_truth: Optional[GroundTruthCache] = None) -> None:
         self.name = name
@@ -160,8 +164,10 @@ class ProactiveSession(ClientSession):
     static behaviour.
     """
 
-    def __init__(self, tree: RTree, config: SimulationConfig,
-                 server: Optional[ServerQueryProcessor] = None,
+    cache: ProactiveCache
+
+    def __init__(self, tree: TreeView, config: SimulationConfig,
+                 server: Optional[ServerHandle] = None,
                  index_form: Optional[str] = None,
                  replacement_policy: Optional[str] = None,
                  name: Optional[str] = None,
@@ -171,7 +177,12 @@ class ProactiveSession(ClientSession):
         default_names = {"full": "FPRO", "compact": "CPRO", "adaptive": "APRO"}
         super().__init__(name or default_names.get(form, "APRO"), tree, config,
                          ground_truth=ground_truth)
-        self.server = server or ServerQueryProcessor(tree, size_model=self.size_model)
+        if server is None:
+            if not isinstance(tree, RTree):
+                raise TypeError("a session over a tree view needs an "
+                                "explicit server handle")
+            server = ServerQueryProcessor(tree, size_model=self.size_model)
+        self.server = server
         if form == "full":
             self.policy = SupportingIndexPolicy.full()
         elif form == "compact":
@@ -356,7 +367,9 @@ class ProactiveSession(ClientSession):
 class PageCachingSession(ClientSession):
     """Page/object caching with LRU replacement and an id-list uplink protocol."""
 
-    def __init__(self, tree: RTree, config: SimulationConfig,
+    cache: PageCache
+
+    def __init__(self, tree: TreeView, config: SimulationConfig,
                  name: str = "PAG",
                  ground_truth: Optional[GroundTruthCache] = None) -> None:
         super().__init__(name, tree, config, ground_truth=ground_truth)
@@ -413,7 +426,9 @@ class PageCachingSession(ClientSession):
 class SemanticCachingSession(ClientSession):
     """Semantic caching for range and kNN queries; joins bypass the cache."""
 
-    def __init__(self, tree: RTree, config: SimulationConfig,
+    cache: SemanticCache
+
+    def __init__(self, tree: TreeView, config: SimulationConfig,
                  replacement: str = "FAR", name: str = "SEM",
                  ground_truth: Optional[GroundTruthCache] = None) -> None:
         super().__init__(name, tree, config, ground_truth=ground_truth)
@@ -512,8 +527,8 @@ class SemanticCachingSession(ClientSession):
 # --------------------------------------------------------------------------- #
 # factory
 # --------------------------------------------------------------------------- #
-def make_session(model: str, tree: RTree, config: SimulationConfig,
-                 server: Optional[ServerQueryProcessor] = None,
+def make_session(model: str, tree: TreeView, config: SimulationConfig,
+                 server: Optional[ServerHandle] = None,
                  replacement_policy: Optional[str] = None,
                  ground_truth: Optional[GroundTruthCache] = None,
                  consistency: Optional["ConsistencyProtocol"] = None) -> ClientSession:

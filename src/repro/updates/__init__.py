@@ -9,7 +9,8 @@ churn and the machinery that keeps proactive client caches honest about it:
   query traffic by the fleet's arrival-time machinery;
 * :mod:`repro.updates.registry` — version stamps for every live node page
   and object record, bumped whenever server-side content changes;
-* :mod:`repro.updates.applier` — :class:`DatasetUpdater`, which applies
+* :mod:`repro.updates.applier` — the :class:`Updater` seam and
+  :class:`DatasetUpdater`, which applies
   update events to the live R-tree (R*-style insert / delete, in memory or
   through the paged backend's copy-on-write overlay), detects exactly which
   pages changed, bumps their versions and invalidates the server's derived
@@ -27,7 +28,7 @@ churn and the machinery that keeps proactive client caches honest about it:
   harness compares every cached answer against.
 """
 
-from repro.updates.applier import DatasetUpdater
+from repro.updates.applier import DatasetUpdater, Updater
 from repro.updates.oracle import oracle_results
 from repro.updates.protocol import (
     CacheSyncReport,
@@ -59,6 +60,7 @@ __all__ = [
     "TTLProtocol",
     "UpdateEvent",
     "UpdateStreamConfig",
+    "Updater",
     "ValidationService",
     "ValidationStamp",
     "ValidationVerdict",

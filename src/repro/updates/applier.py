@@ -29,19 +29,22 @@ from typing import (
     Iterator,
     List,
     Optional,
+    Protocol,
     Set,
     Tuple,
+    runtime_checkable,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.sessions import GroundTruthCache
 
+from repro.core.handles import LocalServerHandle
 from repro.core.server import ServerQueryProcessor
 from repro.obs import instrument as obs
 from repro.rtree.entry import ObjectRecord
 from repro.rtree.node import Node
 from repro.rtree.serialize import encode_node, encode_object
-from repro.rtree.tree import RTree
+from repro.rtree.tree import RTree, TreeView
 from repro.storage.paged import PagedFileBackend
 from repro.storage.wal import Delta, WalRecord
 from repro.updates.registry import VersionRegistry
@@ -55,6 +58,30 @@ def _node_fingerprint(node: Node) -> Tuple:
                    entry.mbr.min_x, entry.mbr.min_y,
                    entry.mbr.max_x, entry.mbr.max_y)
                   for entry in node.entries))
+
+
+@runtime_checkable
+class Updater(Protocol):
+    """Whatever applies a fleet's mutation history to its server side.
+
+    What the consistency protocols, the validation service and the
+    deployment pipeline hold; satisfied structurally by
+    :class:`DatasetUpdater` and the sharded deployment's
+    :class:`~repro.sharding.updater.ShardedUpdater`.
+    """
+
+    @property
+    def registry(self) -> VersionRegistry: ...
+
+    @property
+    def tree(self) -> TreeView: ...
+
+    @property
+    def server(self) -> LocalServerHandle: ...
+
+    def apply(self, event: UpdateEvent) -> bool: ...
+
+    def summary(self) -> Dict[str, int]: ...
 
 
 class DatasetUpdater:

@@ -37,10 +37,11 @@ from typing import Dict, Optional
 
 from repro.core.cache import CacheItemState, ProactiveCache
 from repro.core.items import CachedIndexNode, CachedObject, CacheEntry
-from repro.core.server import ServerQueryProcessor, ServerResponse
+from repro.core.handles import LocalServerHandle
+from repro.core.server import ServerResponse
 from repro.obs import instrument as obs
 from repro.rtree.sizes import SizeModel
-from repro.updates.applier import DatasetUpdater
+from repro.updates.applier import Updater
 from repro.updates.stream import CONSISTENCY_MODES
 from repro.updates.validation import (
     DROP,
@@ -70,7 +71,7 @@ class CacheSyncReport:
         return self.uplink_bytes > 0
 
 
-def full_node_snapshot(server: ServerQueryProcessor,
+def full_node_snapshot(server: LocalServerHandle,
                        node_id: int) -> CachedIndexNode:
     """The full (all-real-entries) cached form of a node's current content.
 
@@ -200,7 +201,7 @@ class VersionedProtocol(ConsistencyProtocol):
 
     name = "versioned"
 
-    def __init__(self, updater: Optional[DatasetUpdater] = None,
+    def __init__(self, updater: Optional[Updater] = None,
                  size_model: Optional[SizeModel] = None,
                  service: Optional[ValidationService] = None) -> None:
         if service is None:
@@ -391,7 +392,7 @@ class VersionedProtocol(ConsistencyProtocol):
         self._object_versions.update(object_versions)
 
 
-def make_protocol(mode: str, updater: Optional[DatasetUpdater] = None,
+def make_protocol(mode: str, updater: Optional[Updater] = None,
                   size_model: Optional[SizeModel] = None,
                   ttl_seconds: float = 120.0,
                   service: Optional[ValidationService] = None,

@@ -7,8 +7,8 @@ refresh it with fresh bytes).  This module names that exchange so the same
 client-side protocol code runs against two service implementations:
 
 * :class:`LocalValidationService` — answers from the in-process
-  :class:`~repro.updates.applier.DatasetUpdater` (or its sharded twin);
-  this is the classic simulated deployment;
+  :class:`~repro.updates.applier.Updater`; this is the classic simulated
+  deployment;
 * ``repro.net.client.NetValidationService`` — ships the same stamps over
   the wire to a :class:`~repro.net.server.ReproServer` and decodes the
   same verdicts, which is what keeps the loopback-networked fleets
@@ -29,6 +29,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.items import CachedIndexNode
 from repro.rtree.entry import ObjectRecord
+from repro.updates.applier import Updater
 
 #: Verdict actions (wire constants — never renumber).
 VALID = 0
@@ -98,15 +99,9 @@ class ValidationService(abc.ABC):
 
 
 class LocalValidationService(ValidationService):
-    """Answer validation requests from the in-process dataset updater.
+    """Answer validation requests from the in-process dataset updater."""
 
-    ``updater`` is duck-typed: a
-    :class:`~repro.updates.applier.DatasetUpdater` or a
-    :class:`~repro.sharding.updater.ShardedUpdater` — anything exposing
-    ``registry``, ``tree`` and ``server``.
-    """
-
-    def __init__(self, updater: object) -> None:
+    def __init__(self, updater: Updater) -> None:
         self.updater = updater
 
     # -- verdict computation ---------------------------------------------- #
@@ -118,8 +113,8 @@ class LocalValidationService(ValidationService):
 
     def _validate_node(self, stamp: ValidationStamp) -> ValidationVerdict:
         from repro.updates.protocol import full_node_snapshot
-        registry = self.updater.registry  # type: ignore[attr-defined]
-        tree = self.updater.tree  # type: ignore[attr-defined]
+        registry = self.updater.registry
+        tree = self.updater.tree
         node_id = stamp.item_id
         current = registry.node_version(node_id)
         if current is None or node_id not in tree.store:
@@ -129,14 +124,13 @@ class LocalValidationService(ValidationService):
         node = tree.store.peek(node_id)
         if not node.entries or node.parent_id != stamp.parent_id:
             return ValidationVerdict(action=DROP)
-        snapshot = full_node_snapshot(
-            self.updater.server, node_id)  # type: ignore[attr-defined]
+        snapshot = full_node_snapshot(self.updater.server, node_id)
         return ValidationVerdict(action=REFRESH, version=current,
                                  node=snapshot, is_leaf=node.is_leaf)
 
     def _validate_object(self, stamp: ValidationStamp) -> ValidationVerdict:
-        registry = self.updater.registry  # type: ignore[attr-defined]
-        tree = self.updater.tree  # type: ignore[attr-defined]
+        registry = self.updater.registry
+        tree = self.updater.tree
         object_id = stamp.item_id
         current = registry.object_version(object_id)
         if current is None:
@@ -167,7 +161,7 @@ class LocalValidationService(ValidationService):
                          object_ids: Sequence[int]
                          ) -> Tuple[Dict[int, int], Dict[int, int]]:
         """Registry lookups; unregistered items are omitted."""
-        registry = self.updater.registry  # type: ignore[attr-defined]
+        registry = self.updater.registry
         node_versions: Dict[int, int] = {}
         for node_id in node_ids:
             version = registry.node_version(node_id)

@@ -160,7 +160,7 @@ _STM01_VIOLATION = '''
 class Tracker:
     __slots__ = ("clock", "hits", "window")
 
-    def state_dict(self):
+    def state_dict(self) -> dict:
         return {"clock": self.clock, "hits": self.hits}
 '''
 
@@ -277,82 +277,6 @@ def test_slt01_out_of_scope_outside_hot_packages():
 
 
 # --------------------------------------------------------------------------- #
-# PRT01 — protocol surfaces
-# --------------------------------------------------------------------------- #
-_PRT01_VIOLATION = '''
-from repro.storage.backend import StorageBackend
-
-class HalfBackend(StorageBackend):
-    def allocate(self, level):
-        return None
-
-    def get(self, node_id):
-        return None
-'''
-
-_PRT01_COMPLIANT = '''
-from repro.storage.backend import StorageBackend
-
-class FullBackend(StorageBackend):
-    def __init__(self):
-        self.reads = 0
-        self.writes = 0
-
-    def allocate(self, level):
-        return None
-
-    def get(self, node_id):
-        return None
-
-    def peek(self, node_id):
-        return None
-
-    def free(self, node_id):
-        return None
-
-    def node_ids(self):
-        return []
-
-    def __contains__(self, node_id):
-        return False
-
-    def __len__(self):
-        return 0
-'''
-
-
-def test_prt01_fires_on_partial_backend():
-    findings = lint_source("src/repro/sim/x.py", _PRT01_VIOLATION,
-                           rules=["PRT01"])
-    assert [f.rule for f in findings] == ["PRT01"]
-    assert "free" in findings[0].message
-
-
-def test_prt01_silent_on_full_backend():
-    assert rules_at("src/repro/sim/x.py", _PRT01_COMPLIANT, ["PRT01"]) == []
-
-
-def test_prt01_checks_duck_typed_router():
-    source = '''
-class ShardRouter:
-    def execute(self, query):
-        return None
-'''
-    findings = lint_source("src/repro/sim/x.py", source, rules=["PRT01"])
-    assert [f.rule for f in findings] == ["PRT01"]
-    assert "root_mbr" in findings[0].message
-
-
-def test_prt01_skips_the_defining_class():
-    source = '''
-class StorageBackend:
-    def allocate(self, level):
-        return None
-'''
-    assert rules_at("src/repro/sim/x.py", source, ["PRT01"]) == []
-
-
-# --------------------------------------------------------------------------- #
 # TYP01 — annotations in strict packages
 # --------------------------------------------------------------------------- #
 def test_typ01_fires_on_unannotated_function():
@@ -380,7 +304,7 @@ def test_typ01_ignores_self_and_cls():
 
 def test_typ01_out_of_scope_outside_strict_packages():
     source = "def scale(value):\n    return value * 2\n"
-    assert rules_at("src/repro/sim/x.py", source, ["TYP01"]) == []
+    assert rules_at("src/repro/experiments/x.py", source, ["TYP01"]) == []
 
 
 # --------------------------------------------------------------------------- #
@@ -487,7 +411,6 @@ def test_obs01_waivable_with_allow_comment():
     ("src/repro/sim/e.py", "v = x == 0.5\n", "FLT01"),
     ("src/repro/sim/f.py", _STM01_VIOLATION, "STM01"),
     ("src/repro/core/g.py", _SLT01_VIOLATION, "SLT01"),
-    ("src/repro/sim/h.py", _PRT01_VIOLATION, "PRT01"),
     ("src/repro/rtree/i.py", "def f(x):\n    return x\n", "TYP01"),
     ("src/repro/storage/j.py", 'h = open("f.bin", "wb")\n', "DUR01"),
     # Every OBS01 path is also a DET02 path: waive the latter to isolate it.

@@ -205,7 +205,6 @@ def _families(seed: int):
                      for _ in range(rng.randint(0, 5))}
     object_versions = {rng.randrange(1 << 32): rng.randrange(1 << 32)
                       for _ in range(rng.randint(0, 5))}
-    page = bytes(rng.randrange(256) for _ in range(rng.randint(0, 64)))
     ledger = _ledger(rng)
     applied = rng.randrange(1 << 40)
 
@@ -253,12 +252,6 @@ def _families(seed: int):
             node_versions, object_versions,
             list(node_versions), list(object_versions)),
          codec.decode_versions_ack, redo_versions_ack),
-        ("node_req", codec.encode_node_request(rng.randrange(1 << 32)),
-         codec.decode_node_request, codec.encode_node_request),
-        ("node_ack", codec.encode_node_ack(page),
-         codec.decode_node_ack, codec.encode_node_ack),
-        ("node_ack_missing", codec.encode_node_ack(None),
-         codec.decode_node_ack, codec.encode_node_ack),
         ("catalog_ack", codec.encode_catalog(root_id, root_mbr),
          codec.decode_catalog_ack,
          lambda decoded: codec.encode_catalog(*decoded)),
@@ -359,9 +352,10 @@ def test_nonpositive_knn_k_is_rejected():
 
 
 def test_bad_presence_flag_is_rejected():
-    payload = codec.encode_node_ack(None)
-    with pytest.raises(FrameError):
-        codec.decode_node_ack(_poisoned(payload, 0, 2))
+    payload = codec.encode_query_request(RangeQuery(window=Rect(0, 0, 1, 1)),
+                                         None, None)
+    with pytest.raises(FrameError):  # the policy-present flag
+        codec.decode_query_request(_poisoned(payload, len(payload) - 1, 2))
 
 
 def test_bad_boolean_flag_is_rejected():

@@ -33,14 +33,31 @@ from repro.net.frames import (
 )
 
 ALL_TYPES = sorted(frames.FRAME_NAMES)
+#: Wire numbers are never reused: 10 and 11 (NODE_REQ / NODE_ACK) are retired.
+RETIRED_TYPES = (10, 11)
 
 
 # --------------------------------------------------------------------------- #
 # encoding and in-memory decoding
 # --------------------------------------------------------------------------- #
-@pytest.mark.parametrize("frame_type", ALL_TYPES)
+def test_live_frame_types_keep_their_numbers():
+    assert ALL_TYPES == [n for n in range(1, 17) if n not in RETIRED_TYPES]
+    assert (frames.VERSIONS_ACK, frames.CATALOG_REQ, frames.ERROR) == (9, 12, 16)
+
+
+@pytest.mark.parametrize("frame_type", range(1, 17))
 @pytest.mark.parametrize("payload", [b"", b"x", b"payload-bytes" * 7])
 def test_every_frame_type_round_trips(frame_type, payload):
+    """Every number ever assigned: live ones round-trip, retired ones are
+    refused by the encoder and the decoder alike."""
+    if frame_type in RETIRED_TYPES:
+        with pytest.raises(ValueError):
+            encode_frame(frame_type, payload)
+        header = struct.pack("<2sBII", frames.MAGIC, frame_type, len(payload),
+                             zlib.crc32(payload))
+        with pytest.raises(FrameError, match="unknown frame type"):
+            decode_frame(header + payload)
+        return
     data = encode_frame(frame_type, payload)
     assert len(data) == HEADER_BYTES + len(payload)
     assert decode_frame(data) == (frame_type, payload)

@@ -1,8 +1,8 @@
 """Server/client integration over a real loopback socket.
 
 Covers the handshake contract (protocol version and size-model pinning),
-the request surface (queries, catalogue, node fetch, BYE ledgers), the
-typed error paths, and the concurrency regression the server's serial
+the request surface (queries, catalogue, BYE ledgers, connection pruning),
+the typed error paths (the retired node-fetch frame among them), and the concurrency regression the server's serial
 dispatcher guarantees: N concurrent sessions produce exactly the
 per-session results, digests and byte totals of a serial replay —
 including under the versioned consistency protocol.
@@ -14,6 +14,8 @@ import dataclasses
 import struct
 import tempfile
 import threading
+import time
+import zlib
 
 import pytest
 
@@ -27,7 +29,6 @@ from repro.net.fleet import make_endpoint
 from repro.net.frames import RemoteError
 from repro.net.server import ReproServer, ServerThread
 from repro.network.channel import WirelessChannel
-from repro.rtree.partition_tree import PartitionTree
 from repro.sim.config import SimulationConfig
 from repro.sim.runner import build_shared_state, generate_trace
 from repro.sim.sessions import make_session
@@ -160,17 +161,33 @@ def test_catalogue_refetch_is_free(served):
         client.close()
 
 
-def test_partition_tree_for_fetches_remote_pages(served):
-    _, shared, _, thread = served
-    client = RemoteSessionClient(make_endpoint(thread), shared.size_model,
-                                 client_name="pt-check")
-    try:
-        tree = client.partition_tree_for(shared.server.root_id)
-        assert isinstance(tree, PartitionTree)
-        with pytest.raises(KeyError):
-            client.partition_tree_for(10 ** 9)
-    finally:
-        client.close()
+def test_closed_connections_are_pruned(served):
+    """A long-lived server holds no state per *past* connection."""
+    base, shared, _, _ = served
+    repro_server = ReproServer(shared.server, shared.size_model)
+    query = next(iter(generate_trace(base))).query
+    with tempfile.TemporaryDirectory(prefix="repro-net-test-") as workdir:
+        thread = ServerThread(repro_server, "uds",
+                              path=f"{workdir}/server.sock")
+        thread.start()
+        try:
+            for cycle in range(5):
+                client = RemoteSessionClient(
+                    make_endpoint(thread), shared.size_model,
+                    client_name=f"cycle-{cycle}")
+                client.execute(query)
+                client.close()
+            deadline = time.monotonic() + 5.0
+            while repro_server._connections and time.monotonic() < deadline:
+                time.sleep(0.01)  # the handler's finally runs after BYE_ACK
+            assert len(repro_server._connections) == 0
+            ledgers = repro_server.connection_ledgers()
+            assert ledgers == repro_server.final_ledgers
+            assert sorted(ledgers) == [f"cycle-{cycle}" for cycle in range(5)]
+            assert all(ledger["queries_served"] == 1
+                       for ledger in ledgers.values())
+        finally:
+            thread.stop()
 
 
 def test_bye_ledger_reconciles_with_the_channel(served):
@@ -229,6 +246,31 @@ def test_non_request_frame_is_a_typed_error(served):
         assert excinfo.value.code == "unexpected-frame"
     finally:
         connection.close()
+
+
+def test_retired_node_request_frame_is_refused_and_the_server_stays_healthy(
+        served):
+    base, shared, _, thread = served
+    connection = Connection(make_endpoint(thread), shared.size_model,
+                            "node-req-check", 5.0)
+    try:
+        # Frame type 10 was NODE_REQ; encode_frame refuses to build it.
+        connection.sock.sendall(struct.pack("<2sBII", frames.MAGIC, 10, 0,
+                                            zlib.crc32(b"")))
+        with pytest.raises(RemoteError) as excinfo:
+            connection.receive()
+        assert excinfo.value.code == "bad-frame"
+        assert "unknown frame type 10" in str(excinfo.value)
+    finally:
+        connection.close()
+    client = RemoteSessionClient(make_endpoint(thread), shared.size_model,
+                                 client_name="after-node-req")
+    try:
+        query = next(iter(generate_trace(base))).query
+        assert client.execute(query).result_object_ids() \
+            == shared.server.execute(query).result_object_ids()
+    finally:
+        client.close()
 
 
 # --------------------------------------------------------------------------- #

@@ -127,7 +127,7 @@ def test_fact_store_resize_reaccounts_grown_facts():
     before = store.used_bytes
     state.payload.shards[0] = (True, 1)
     state.payload.shards[1] = (False, 1)
-    store.resize(state)
+    store.resize(state, state.payload.size_bytes)
     assert store.used_bytes > before
     assert store.used_bytes == state.size_bytes == state.payload.size_bytes
 
