@@ -11,11 +11,16 @@ as victims, and cascading bookkeeping keeps the leaf set correct.
 Per-item metadata matches Section 5.2: size, insertion time (query sequence
 number), hit-query count, parent id and number of cached children.
 
-All aggregate views the replacement policies sit in hot loops on — the leaf
-set, ``used_bytes`` and the index/object byte split — are maintained
-incrementally on every insert/evict instead of being recomputed by scanning
-``items``, and ``evict_subtree`` walks an explicit stack so arbitrarily deep
-snapshot chains cannot exhaust the interpreter's recursion limit.
+All aggregate views the replacement policies and the session sit in hot
+loops on — the leaf set, ``used_bytes``, the index/object byte split, the set
+of cached object ids and an upper bound on the largest resident item — are
+maintained incrementally on every insert/evict instead of being recomputed by
+scanning ``items``, and ``evict_subtree`` walks an explicit stack so
+arbitrarily deep snapshot chains cannot exhaust the interpreter's recursion
+limit.  The cache also announces every item that *becomes* a leaf during the
+current tick in ``new_leaves``; that is all GRD3 needs to keep one victim
+heap per tick (see :mod:`repro.core.replacement.grd`) — hits are not
+announced, so the query walk may record them on the item states directly.
 """
 
 from __future__ import annotations
@@ -105,6 +110,15 @@ class ProactiveCache:
         self._leaf_keys: Dict[str, None] = {}
         self._index_bytes = 0
         self._object_bytes = 0
+        self._object_ids: Set[int] = set()
+        #: An upper bound on the size of the largest resident item: raised
+        #: whenever an item is admitted or grows, never lowered by an
+        #: eviction (GRD3's step (1) tightens it when it scans anyway).
+        self.largest_item_bytes = 0
+        #: Keys that became leaf items since the tick began or the policy
+        #: last drained the list (admitted, restored, or promoted when their
+        #: last cached child went).
+        self.new_leaves: List[str] = []
 
     # ------------------------------------------------------------------ #
     # clock / bookkeeping
@@ -112,6 +126,7 @@ class ProactiveCache:
     def tick(self) -> int:
         """Advance the query clock (call once per issued query)."""
         self.clock += 1
+        self.new_leaves.clear()
         return self.clock
 
     def touch(self, key: str, hits: int = 1) -> None:
@@ -148,9 +163,8 @@ class ProactiveCache:
         return item_key_for_object(object_id) in self.items
 
     def cached_object_ids(self) -> Set[int]:
-        """Ids of all cached objects."""
-        return {state.payload.object_id for state in self.items.values()
-                if not state.is_index_item}
+        """Ids of all cached objects (a copy; maintained incrementally)."""
+        return self._object_ids.copy()
 
     def cached_node_ids(self) -> Set[int]:
         """Ids of all cached node snapshots."""
@@ -187,11 +201,16 @@ class ProactiveCache:
         """Add ``state`` to items, aggregates and the parent/leaf structure."""
         self.items[state.key] = state
         self.used_bytes += state.size_bytes
-        if state.is_index_item:
+        payload = state.payload
+        if isinstance(payload, CachedIndexNode):
             self._index_bytes += state.size_bytes
         else:
             self._object_bytes += state.size_bytes
+            self._object_ids.add(payload.object_id)
+        if state.size_bytes > self.largest_item_bytes:
+            self.largest_item_bytes = state.size_bytes
         self._leaf_keys[state.key] = None
+        self.new_leaves.append(state.key)
         if state.parent_key is not None:
             parent = self.items[state.parent_key]
             parent.cached_children.add(state.key)
@@ -235,6 +254,8 @@ class ProactiveCache:
                 # of at most one node (a few hundred bytes).
                 pass
             existing.size_bytes = new_size
+            if new_size > self.largest_item_bytes:
+                self.largest_item_bytes = new_size
             self.used_bytes += delta
             self._index_bytes += delta
             return True
@@ -290,10 +311,12 @@ class ProactiveCache:
         del self.items[key]
         self._leaf_keys.pop(key, None)
         self.used_bytes -= state.size_bytes
-        if state.is_index_item:
+        payload = state.payload
+        if isinstance(payload, CachedIndexNode):
             self._index_bytes -= state.size_bytes
         else:
             self._object_bytes -= state.size_bytes
+            self._object_ids.discard(payload.object_id)
         self.evictions += 1
         if obs.ENABLED:
             obs.active().count("repro_cache_evictions_total", 1.0)
@@ -303,6 +326,7 @@ class ProactiveCache:
                 parent.cached_children.discard(key)
                 if not parent.cached_children:
                     self._leaf_keys[state.parent_key] = None
+                    self.new_leaves.append(state.parent_key)
 
     def evict_subtree(self, key: str) -> List[str]:
         """Remove an item together with all its cached descendants.
@@ -365,6 +389,8 @@ class ProactiveCache:
             self._make_room(delta, context, protect={key})
         state.payload = payload
         state.size_bytes = size_bytes
+        if size_bytes > self.largest_item_bytes:
+            self.largest_item_bytes = size_bytes
         self.used_bytes += delta
         if state.is_index_item:
             self._index_bytes += delta
@@ -403,9 +429,10 @@ class ProactiveCache:
     # snapshot / restore (warm-restart persistence)
     # ------------------------------------------------------------------ #
     # repro: allow[STM01] size_model is constructor config; used_bytes,
-    # _leaf_keys, _index_bytes and _object_bytes are derived aggregates
-    # rebuilt by _register on load; invalidations/refreshes are consistency
-    # counters deliberately excluded so static-workload digests match.
+    # _leaf_keys, _index_bytes, _object_bytes, _object_ids,
+    # largest_item_bytes and new_leaves are derived aggregates rebuilt by
+    # _register on load; invalidations/refreshes are consistency counters
+    # deliberately excluded so static-workload digests match.
     def state_dict(self) -> dict:
         """The cache's complete state as JSON-serialisable primitives.
 
@@ -540,6 +567,11 @@ class ProactiveCache:
         assert object_total == self._object_bytes, "object_bytes out of sync"
         leaves = {key for key, state in self.items.items() if state.is_leaf_item}
         assert leaves == set(self._leaf_keys), "leaf set out of sync"
+        object_ids = {state.payload.object_id for state in self.items.values()
+                      if isinstance(state.payload, CachedObject)}
+        assert object_ids == self._object_ids, "object-id set out of sync"
+        largest = max((s.size_bytes for s in self.items.values()), default=0)
+        assert largest <= self.largest_item_bytes, "largest-item bound too low"
         for key, state in self.items.items():
             if state.parent_key is not None:
                 assert state.parent_key in self.items, f"{key} is unreachable"

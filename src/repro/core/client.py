@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.core.cache import ProactiveCache
 from repro.core.items import (
+    CachedIndexNode,
     CachedObject,
     CacheEntry,
     FrontierTarget,
@@ -39,6 +41,10 @@ from repro.geometry import Point, Rect
 from repro.obs import instrument as obs
 from repro.obs.instrument import perf_clock
 from repro.workload.queries import JoinQuery, KNNQuery, Query, QueryType, RangeQuery
+
+
+# What a range / kNN walk entry holds (see the two walks).
+_NODE, _ENTRY, _SUPER, _OBJECT = 0, 1, 2, 3
 
 
 @dataclass(slots=True)
@@ -103,123 +109,161 @@ class ClientQueryProcessor:
         return execution
 
     # ------------------------------------------------------------------ #
-    # helpers
-    # ------------------------------------------------------------------ #
-    def _touch_node(self, node_id: int) -> None:
-        self.cache.touch(item_key_for_node(node_id))
-
-    def _touch_object(self, object_id: int) -> None:
-        self.cache.touch(item_key_for_object(object_id))
-
-    # ------------------------------------------------------------------ #
     # range queries
     # ------------------------------------------------------------------ #
     def _execute_range(self, query: RangeQuery) -> ClientExecution:
+        """Algorithm 1 for a window, one pass over the cached cut.
+
+        The per-element work is inlined (window test on hoisted coordinates,
+        one ``cache.items`` lookup per node or object, the hit recorded on
+        the state that lookup found); ``tests/core/client_reference.py``
+        keeps the element-at-a-time walk this reproduces exactly.
+        """
         execution = ClientExecution(query=query)
         window = query.window
         if not self.root_mbr.intersects(window):
             return execution
+        min_x, min_y, max_x, max_y = window.min_x, window.min_y, window.max_x, window.max_y
+        items = self.cache.items
+        clock = self.cache.clock
+        frontier = execution.frontier
+        saved = execution.saved_objects
+        snapshot: CachedIndexNode
+        cached: CachedObject
 
-        stack: List[Tuple[str, object]] = [("node", (self.root_id, self.root_mbr))]
+        # Stack entries are (_NODE, node id, mbr) or (_ENTRY, element, owner id).
+        stack: List[Tuple[int, Any, Any]] = [(_NODE, self.root_id, self.root_mbr)]
+        examined = 0
         while stack:
-            kind, payload = stack.pop()
-            execution.examined_elements += 1
-            if kind == "node":
-                node_id, mbr = payload
-                snapshot = self.cache.get_node(node_id)
-                if snapshot is None:
-                    execution.frontier.append(
-                        (FrontierTarget.for_node(node_id, mbr),))
+            kind, first, second = stack.pop()
+            examined += 1
+            if kind == _NODE:
+                state = items.get(item_key_for_node(first))
+                if state is None:
+                    frontier.append((FrontierTarget.for_node(first, second),))
                     continue
-                self._touch_node(node_id)
-                for element in snapshot.entries():
-                    if element.mbr.intersects(window):
-                        stack.append(("entry", (element, node_id)))
-            else:
-                element, owner = payload
-                if element.is_super:
-                    execution.frontier.append(
-                        (FrontierTarget.for_super(owner, element.code, element.mbr),))
-                elif element.is_node_entry:
-                    stack.append(("node", (element.child_id, element.mbr)))
+                state.hit_queries += 1
+                state.last_access = clock
+                snapshot = state.payload  # type: ignore[assignment]
+                for element in snapshot.elements.values():
+                    mbr = element.mbr
+                    if (mbr.min_x <= max_x and min_x <= mbr.max_x
+                            and mbr.min_y <= max_y and min_y <= mbr.max_y):
+                        stack.append((_ENTRY, element, first))
+            elif first.object_id is not None:
+                state = items.get(item_key_for_object(first.object_id))
+                if state is None:
+                    frontier.append(
+                        (FrontierTarget.for_object(first.object_id, first.mbr,
+                                                   parent_node_id=second),))
                 else:
-                    cached = self.cache.get_object(element.object_id)
-                    if cached is None:
-                        execution.frontier.append(
-                            (FrontierTarget.for_object(element.object_id, element.mbr,
-                                                       parent_node_id=owner),))
-                    else:
-                        self._touch_object(element.object_id)
-                        execution.saved_objects[element.object_id] = cached
+                    state.hit_queries += 1
+                    state.last_access = clock
+                    cached = state.payload  # type: ignore[assignment]
+                    saved[first.object_id] = cached
+            elif first.child_id is not None:
+                stack.append((_NODE, first.child_id, first.mbr))
+            else:
+                frontier.append(
+                    (FrontierTarget.for_super(second, first.code, first.mbr),))
+        execution.examined_elements = examined
         return execution
 
     # ------------------------------------------------------------------ #
     # kNN queries
     # ------------------------------------------------------------------ #
     def _execute_knn(self, query: KNNQuery) -> ClientExecution:
+        """Algorithm 1 for kNN, best-first over the cached cut.
+
+        Inlined like :meth:`_execute_range`.  Priorities are MINDIST computed
+        as ``math.hypot(dx, dy)`` — bit-equal to
+        :meth:`Rect.min_dist_to_point <repro.geometry.Rect.min_dist_to_point>`,
+        which matters because they travel to the server in
+        ``FrontierTarget.priority``.
+        """
         execution = ClientExecution(query=query)
-        point = query.point
+        px, py = query.point.x, query.point.y
         k = query.k
+        items = self.cache.items
+        clock = self.cache.clock
+        hypot = math.hypot
+        push, pop = heapq.heappush, heapq.heappop
+        snapshot: CachedIndexNode
+        cached: CachedObject
 
-        counter = itertools.count()
-        heap: List[Tuple[float, int, str, object]] = []
-
-        def push(kind: str, payload: object, priority: float) -> None:
-            heapq.heappush(heap, (priority, next(counter), kind, payload))
-
-        push("node", (self.root_id, self.root_mbr),
-             self.root_mbr.min_dist_to_point(point))
+        # Heap entries are (priority, tick, kind, first, second) with the
+        # payload (_NODE, node id, mbr), or (_SUPER / _OBJECT, element, owner
+        # id); ``tick`` numbers the pushes, so equal priorities pop in push
+        # order and the payload is never compared.
+        heap: List[Tuple[float, int, int, Any, Any]] = [
+            (self.root_mbr.min_dist_to_point(query.point), 0, _NODE,
+             self.root_id, self.root_mbr)]
+        tick = 1
 
         confirmed: Dict[int, CachedObject] = {}
         pending: List[Tuple[float, FrontierTarget]] = []
         missing_nonleaf = 0
         missing_leaf = 0
+        examined = 0
 
         while heap and len(confirmed) + missing_leaf < k:
-            priority, _, kind, payload = heapq.heappop(heap)
-            execution.examined_elements += 1
-            if kind == "node":
-                node_id, mbr = payload
-                snapshot = self.cache.get_node(node_id)
-                if snapshot is None:
-                    pending.append((priority, FrontierTarget.for_node(node_id, mbr, priority)))
+            priority, _, kind, first, second = pop(heap)
+            examined += 1
+            if kind == _NODE:
+                state = items.get(item_key_for_node(first))
+                if state is None:
+                    pending.append((priority, FrontierTarget.for_node(first, second, priority)))
                     missing_nonleaf += 1
                     continue
-                self._touch_node(node_id)
-                for element in snapshot.entries():
-                    element_priority = element.mbr.min_dist_to_point(point)
-                    if element.is_super:
-                        push("super", (element, node_id), element_priority)
-                    elif element.is_node_entry:
-                        push("node", (element.child_id, element.mbr), element_priority)
+                state.hit_queries += 1
+                state.last_access = clock
+                snapshot = state.payload  # type: ignore[assignment]
+                for element in snapshot.elements.values():
+                    mbr = element.mbr
+                    dx = mbr.min_x - px
+                    if dx < 0.0:
+                        dx = px - mbr.max_x
+                        if dx < 0.0:
+                            dx = 0.0
+                    dy = mbr.min_y - py
+                    if dy < 0.0:
+                        dy = py - mbr.max_y
+                        if dy < 0.0:
+                            dy = 0.0
+                    if element.object_id is not None:
+                        push(heap, (hypot(dx, dy), tick, _OBJECT, element, first))
+                    elif element.child_id is not None:
+                        push(heap, (hypot(dx, dy), tick, _NODE, element.child_id, mbr))
                     else:
-                        push("object", (element, node_id), element_priority)
-            elif kind == "super":
-                element, owner = payload
+                        push(heap, (hypot(dx, dy), tick, _SUPER, element, first))
+                    tick += 1
+            elif kind == _SUPER:
                 pending.append((priority,
-                                FrontierTarget.for_super(owner, element.code,
-                                                         element.mbr, priority)))
+                                FrontierTarget.for_super(second, first.code,
+                                                         first.mbr, priority)))
                 missing_nonleaf += 1
             else:  # object
-                element, owner = payload
-                cached = self.cache.get_object(element.object_id)
-                if cached is not None and missing_nonleaf == 0:
-                    self._touch_object(element.object_id)
-                    confirmed[element.object_id] = cached
+                state = items.get(item_key_for_object(first.object_id))
+                if state is not None and missing_nonleaf == 0:
+                    state.hit_queries += 1
+                    state.last_access = clock
+                    cached = state.payload  # type: ignore[assignment]
+                    confirmed[first.object_id] = cached
                     continue
                 # A cached object popped behind a missing node cannot be
                 # locally confirmed, but its payload needs no re-download:
                 # ship it as a confirmation-only frontier target.
                 pending.append((priority,
-                                FrontierTarget.for_object(element.object_id, element.mbr,
-                                                          parent_node_id=owner,
+                                FrontierTarget.for_object(first.object_id, first.mbr,
+                                                          parent_node_id=second,
                                                           priority=priority,
-                                                          confirm_only=cached is not None)))
-                if cached is None:
+                                                          confirm_only=state is not None)))
+                if state is None:
                     missing_leaf += 1
                 else:
                     execution.blocked_cached_objects += 1
 
+        execution.examined_elements = examined
         execution.saved_objects = confirmed
         if len(confirmed) >= k:
             return execution
@@ -238,22 +282,20 @@ class ClientQueryProcessor:
         # cannot contain closer objects (paper Example 3.1).
         candidates: List[Tuple[float, FrontierTarget]] = list(pending)
         while heap:
-            priority, _, kind, payload = heapq.heappop(heap)
-            if kind == "node":
-                node_id, mbr = payload
-                candidates.append((priority, FrontierTarget.for_node(node_id, mbr, priority)))
-            elif kind == "super":
-                element, owner = payload
+            priority, _, kind, first, second = pop(heap)
+            if kind == _NODE:
+                candidates.append((priority, FrontierTarget.for_node(first, second, priority)))
+            elif kind == _SUPER:
                 candidates.append((priority,
-                                   FrontierTarget.for_super(owner, element.code,
-                                                            element.mbr, priority)))
+                                   FrontierTarget.for_super(second, first.code,
+                                                            first.mbr, priority)))
             else:
-                element, owner = payload
                 candidates.append((priority,
                                    FrontierTarget.for_object(
-                                       element.object_id, element.mbr,
-                                       parent_node_id=owner, priority=priority,
-                                       confirm_only=self.cache.has_object(element.object_id))))
+                                       first.object_id, first.mbr,
+                                       parent_node_id=second, priority=priority,
+                                       confirm_only=item_key_for_object(first.object_id)
+                                       in items)))
         candidates.sort(key=lambda item: item[0])
         needed = k - len(confirmed)
         cutoff = None

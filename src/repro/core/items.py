@@ -85,8 +85,13 @@ class CachedIndexNode:
 
     def size_bytes(self, size_model: SizeModel) -> int:
         """Cache footprint of the snapshot."""
-        return size_model.pointer_bytes + sum(
-            e.size_bytes(size_model) for e in self.elements.values())
+        supers = 0
+        for element in self.elements.values():
+            if element.child_id is None and element.object_id is None:
+                supers += 1
+        return (size_model.pointer_bytes
+                + supers * size_model.super_entry_bytes()
+                + (len(self.elements) - supers) * size_model.entry_bytes)
 
     def merge(self, new_elements: Iterable[CacheEntry]) -> None:
         """Merge another cut of the same node into this snapshot.

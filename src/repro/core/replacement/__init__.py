@@ -9,12 +9,13 @@
   descendants constraint is respected.
 """
 
-from repro.core.replacement.base import EvictionContext, ReplacementPolicy
+from repro.core.replacement.base import EvictableStore, EvictionContext, ReplacementPolicy
 from repro.core.replacement.lru import LRUPolicy, MRUPolicy
 from repro.core.replacement.far import FARPolicy
 from repro.core.replacement.grd import GRD1Policy, GRD2Policy, GRD3Policy
 
 __all__ = [
+    "EvictableStore",
     "EvictionContext",
     "ReplacementPolicy",
     "LRUPolicy",

@@ -5,7 +5,7 @@ from __future__ import annotations
 import abc
 import heapq
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Set
+from typing import TYPE_CHECKING, Dict, List, Optional, Protocol, Set, runtime_checkable
 
 from repro.geometry import Point
 
@@ -22,6 +22,40 @@ class EvictionContext:
     """
 
     client_position: Optional[Point] = None
+
+
+@runtime_checkable
+class EvictableStore(Protocol):
+    """The slice of a cache that GRD3 evicts from.
+
+    :class:`~repro.core.cache.ProactiveCache` (the client's hierarchical
+    cache) and :class:`~repro.sharding.result_cache.FactStore` (the router's
+    flat fact store) both satisfy it structurally — neither inherits from
+    it; ``tests/test_seams.py`` pins that.  Whatever
+    :meth:`GRD3Policy.make_room <repro.core.replacement.grd.GRD3Policy.make_room>`
+    reads or calls on its store is a member here.
+    """
+
+    items: Dict[str, "CacheItemState"]
+    used_bytes: int
+    capacity_bytes: int
+    #: The query clock; it only moves forward, one ``tick`` per query.
+    clock: int
+    #: An upper bound on the largest resident item's ``size_bytes``; the
+    #: store raises it, GRD3's step (1) tightens it when it scans.
+    largest_item_bytes: int
+    #: Keys that became leaf items since the tick began or the policy last
+    #: drained the list.  One list object for the store's lifetime, emptied
+    #: in place on every tick: GRD3 recognises the store by it.
+    new_leaves: List[str]
+
+    def leaf_keys(self) -> List[str]: ...
+
+    def evict(self, key: str) -> None: ...
+
+    def evict_subtree(self, key: str) -> List[str]: ...
+
+    def restore_item(self, state: "CacheItemState") -> None: ...
 
 
 class ReplacementPolicy(abc.ABC):

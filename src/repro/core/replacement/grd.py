@@ -15,15 +15,28 @@ descendants" constraint is a constrained 0/1 knapsack.  The paper derives:
 GRD3 is the production policy; GRD1/GRD2 are retained for the equivalence
 and approximation tests and for the ablation benchmark.
 
-All three run their victim loops on per-call min-heaps instead of rescanning
-every candidate per eviction.  Scores are stable within a ``make_room`` call
-(the clock is frozen and no hits land mid-eviction), so the heaps only need
-two kinds of maintenance: GRD3 pushes a parent when evictions promote it to
-a leaf, and GRD2 re-pushes the victim's ancestors whose subtree EBRS changed
-(stale heap entries are invalidated lazily).  Ties break on the item key in
-every heap, which keeps the victim sequences byte-for-byte identical to the
-naive scans they replace — the equivalence tests assert exactly that.  All
-subtree walks (EBRS sums, protection closures, subtree evictions) are
+All three run their victim loops on lazy min-heaps instead of rescanning
+every candidate per eviction, with ties broken on the item key, which keeps
+the victim sequences byte-for-byte identical to the naive scans they replace
+— the equivalence tests assert exactly that.  GRD1 and GRD2 build a heap per
+``make_room`` call (GRD2 re-pushes the victim's ancestors whose subtree EBRS
+changed and invalidates stale entries lazily).
+
+GRD3's heap lives for one *tick* of one store — every insert of one query's
+response shares it.  Within a tick the clock stands still and hits only land,
+so ``prob(i)`` of an item can only rise: an entry scored earlier carries a
+score no higher than the item's current one and surfaces no later than a
+fresh entry would.  Each entry therefore carries the two integers it was
+scored from (``hit_queries``, ``insert_time``); a popped entry whose stamps
+no longer match its item is re-scored and pushed back, one whose item is gone
+or has cached children again is dropped, and one whose stamps match is the
+true minimum.  Hits need no notification; the only thing the store announces
+is an item that *became* a leaf (admitted, restored, or promoted when its
+last cached child went), through :attr:`EvictableStore.new_leaves`.  The
+heap is keyed on the store's identity (that of its ``new_leaves`` list) and
+its clock: a warm restart hands the old policy object to a rebuilt cache.
+
+All subtree walks (EBRS sums, protection closures, subtree evictions) are
 iterative so tall snapshot chains cannot exhaust the recursion limit.
 """
 
@@ -32,13 +45,13 @@ from __future__ import annotations
 import heapq
 from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Set, Tuple
 
-from repro.core.replacement.base import ReplacementPolicy
+from repro.core.replacement.base import EvictableStore, ReplacementPolicy
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.cache import CacheItemState, ProactiveCache
 
 
-def _protected_closure(cache: "ProactiveCache", protect: Set[str]) -> FrozenSet[str]:
+def _protected_closure(cache: EvictableStore, protect: Set[str]) -> FrozenSet[str]:
     """Keys whose removal would (transitively) remove a protected item.
 
     An item's subtree contains a protected key exactly when the item is that
@@ -99,45 +112,96 @@ def _subtree_sums(cache: "ProactiveCache", clock: int,
     return sums
 
 
+#: One victim-heap entry: ``(prob, key, hit_queries, insert_time)``.  The two
+#: integer stamps are what ``prob`` was computed from, so an entry is current
+#: exactly when they still equal the item's.
+_HeapEntry = Tuple[float, str, int, int]
+
+
 class GRD3Policy(ReplacementPolicy):
     """Definition 5.1: evict leaf items with the lowest access probability."""
 
     name = "GRD3"
 
+    def __init__(self) -> None:
+        # The victim heap of one tick of one store (see the module docstring).
+        # The store is remembered by its ``new_leaves`` list, not by itself:
+        # it owns this policy, and a reference back would leave every
+        # dropped cache to the cycle collector.
+        self._heap: List[_HeapEntry] = []
+        self._heap_leaves: Optional[List[str]] = None
+        self._heap_clock = -1
+
     def score(self, state: "CacheItemState", cache: "ProactiveCache", context: dict) -> float:
         return state.access_probability(cache.clock)
 
-    def make_room(self, cache: "ProactiveCache", bytes_needed: int,
+    def make_room(self, cache: EvictableStore, bytes_needed: int,
                   context: dict, protect: Set[str]) -> bool:
         # Step (1): an item larger than the space that will remain can never
-        # stay; drop such items (with their descendants) outright.
+        # stay; drop such items (with their descendants) outright.  Only a
+        # store that may hold one is scanned.
         limit = cache.capacity_bytes - bytes_needed
-        closure = _protected_closure(cache, protect) if protect else frozenset()
-        oversized = [state.key for state in list(cache.items.values())
-                     if state.size_bytes > limit and state.key not in closure]
-        for key in oversized:
-            if key in cache.items:
-                cache.evict_subtree(key)
-
         items = cache.items
+        if cache.largest_item_bytes > limit:
+            closure = _protected_closure(cache, protect) if protect else frozenset()
+            oversized: List[str] = []
+            largest = 0
+            for state in items.values():
+                if state.size_bytes > limit and state.key not in closure:
+                    oversized.append(state.key)
+                elif state.size_bytes > largest:
+                    largest = state.size_bytes
+            for key in oversized:
+                if key in items:
+                    cache.evict_subtree(key)
+            cache.largest_item_bytes = largest
+
         clock = cache.clock
-        heap = [(state.access_probability(clock), state.key)
-                for state in cache.leaf_items() if state.key not in protect]
-        heapq.heapify(heap)
-        removed: List["CacheItemState"] = []
+        new_leaves = cache.new_leaves
+        heap = self._heap
+        if new_leaves is not self._heap_leaves or clock != self._heap_clock:
+            heap = []
+            for key in cache.leaf_keys():
+                state = items[key]
+                hits, born = state.hit_queries, state.insert_time
+                heap.append((hits / max(1, clock - born + 1), key, hits, born))
+            heapq.heapify(heap)
+            self._heap, self._heap_leaves, self._heap_clock = heap, new_leaves, clock
+            new_leaves.clear()
+
+        last: Optional["CacheItemState"] = None
+        held: List[_HeapEntry] = []
+        fits = True
         while cache.used_bytes > limit:
-            if not heap:
-                return False
-            _, key = heapq.heappop(heap)
-            state = items[key]
-            removed.append(state)
-            parent_key = state.parent_key
-            cache.evict(key)
-            if parent_key is not None and parent_key not in protect:
-                parent = items.get(parent_key)
-                if parent is not None and not parent.cached_children:
+            while new_leaves:
+                key = new_leaves.pop()
+                state = items.get(key)
+                if state is not None and not state.cached_children:
+                    hits, born = state.hit_queries, state.insert_time
                     heapq.heappush(
-                        heap, (parent.access_probability(clock), parent_key))
+                        heap, (hits / max(1, clock - born + 1), key, hits, born))
+            if not heap:
+                fits = False
+                break
+            entry = heapq.heappop(heap)
+            key = entry[1]
+            state = items.get(key)
+            if state is None or state.cached_children:
+                continue
+            if entry[2] != state.hit_queries or entry[3] != state.insert_time:
+                # Hit (or evicted and re-admitted) since it was scored: its
+                # score only rose, so it surfaced no later than it should.
+                # Score it again like a new leaf.
+                new_leaves.append(key)
+            elif key in protect:
+                held.append(entry)
+            else:
+                last = state
+                cache.evict(key)
+        for entry in held:
+            heapq.heappush(heap, entry)
+        if not fits:
+            return False
 
         # Step (6): if the most recently removed item alone is worth more than
         # everything that remains, keep it instead.  This correction only
@@ -145,25 +209,26 @@ class GRD3Policy(ReplacementPolicy):
         # what preserves the 2-approximation bound.  It is applied only when
         # nothing is protected (the common batch-eviction case) and when the
         # swap is strictly beneficial.
-        if removed and not protect:
-            self._reinsert_dominant(cache, removed[-1], limit)
+        if last is not None and not protect:
+            self._reinsert_dominant(cache, last, limit)
         return True
 
-    def _reinsert_dominant(self, cache: "ProactiveCache",
+    def _reinsert_dominant(self, cache: EvictableStore,
                            last: "CacheItemState", limit: int) -> None:
         """The step-(6) swap: clear the cache down to ``last``'s parent chain.
 
         Runs on the incremental leaf set as a cascading worklist — no
         ``leaf_items()`` rebuild per eviction round — and re-admits ``last``
-        through :meth:`ProactiveCache.restore_item` so the leaf set and byte
-        aggregates stay consistent and the item remains reachable from its
-        (never-evicted) parent.
+        through ``restore_item`` so the leaf set and byte aggregates stay
+        consistent and the item remains reachable from its (never-evicted)
+        parent.
         """
         clock = cache.clock
         remaining_benefit = sum(
-            state.access_probability(clock) * state.size_bytes
+            state.hit_queries / max(1, clock - state.insert_time + 1) * state.size_bytes
             for state in cache.items.values())
-        last_benefit = last.access_probability(clock) * last.size_bytes
+        last_benefit = (last.hit_queries / max(1, clock - last.insert_time + 1)
+                        * last.size_bytes)
         parent_key = last.parent_key
         can_reinsert = parent_key is None or parent_key in cache.items
         if not (last_benefit > remaining_benefit

@@ -22,8 +22,9 @@ per connection and never enter the cost model.
 from __future__ import annotations
 
 import socket
+from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.server import ServerResponse
 from repro.core.remainder import RemainderQuery
@@ -213,6 +214,10 @@ class ClientPool:
         self._idle.clear()
 
 
+#: How many round-trip latencies a :class:`RemoteSessionClient` keeps.
+MAX_LATENCIES = 65_536
+
+
 class RemoteSessionClient:
     """The sessions' server handle, speaking the wire protocol.
 
@@ -238,10 +243,12 @@ class RemoteSessionClient:
         self._catalog_dirty = False
         #: Transport-level retries that re-sent an unacknowledged query.
         self.retries = 0
-        #: Wall-clock round-trip of every executed query, in ms.  Real
-        #: socket latency: non-deterministic, surfaced in the net report's
-        #: latency block and the status server, never in fingerprints.
-        self.latencies: List[float] = []
+        #: Wall-clock round-trip of the most recent ``MAX_LATENCIES`` executed
+        #: queries, in ms (bounded: a long-lived client must not grow with
+        #: every round trip).  Real socket latency: non-deterministic,
+        #: surfaced in the net report's latency block and the status server,
+        #: never in fingerprints.
+        self.latencies: Deque[float] = deque(maxlen=MAX_LATENCIES)
 
     # -- catalogue -------------------------------------------------------- #
     @property

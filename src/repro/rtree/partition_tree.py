@@ -73,6 +73,9 @@ class PartitionTree:
         #: kept here so that it dies with the tree: dropping a mutated
         #: node's partition tree is all the invalidation a derived form needs.
         self.derived: Dict[str, Any] = {}
+        #: ``_expand_codes`` answers, filled as they are asked for; like
+        #: ``derived`` the memo dies with the tree.
+        self._expanded_codes: Dict[Tuple[str, int], List[str]] = {}
 
     def _build(self, code: str, entries: List[Entry]) -> None:
         self.subsets[code] = entries
@@ -203,15 +206,23 @@ class PartitionTree:
                 for descendant in self._expand_codes(code, levels)]
 
     def _expand_codes(self, code: str, levels: int) -> List[str]:
+        """Codes of the ``levels``-deep descendants of ``code`` (memoised:
+        callers only iterate the returned list)."""
+        memoised = self._expanded_codes.get((code, levels))
+        if memoised is not None:
+            return memoised
+        self.subsets[code]  # preserve the KeyError contract for unknown codes
+        leaf_codes = self._leaf_codes
         results: List[str] = []
         frontier = [(code, 0)]
         while frontier:
             current, depth = frontier.pop()
-            if self.is_leaf_code(current) or depth >= levels:
+            if current in leaf_codes or depth >= levels:
                 results.append(current)
             else:
                 frontier.append((current + "0", depth + 1))
                 frontier.append((current + "1", depth + 1))
+        self._expanded_codes[(code, levels)] = results
         return results
 
     def d_level_form(self, expanded_codes: Set[str], d: int) -> List[Tuple[str, PartitionElement]]:
@@ -231,11 +242,13 @@ class PartitionTree:
         only needs to (re)describe the part of the node below that element.
         :meth:`element_at` turns each code into its element.
         """
+        self.subsets[base_code]  # preserve the KeyError contract for unknown codes
+        leaf_codes = self._leaf_codes
         cut: List[str] = []
         stack = [base_code]
         while stack:
             code = stack.pop()
-            if self.is_leaf_code(code) or code not in expanded_codes:
+            if code in leaf_codes or code not in expanded_codes:
                 cut.append(code)
             else:
                 stack.append(code + "0")

@@ -32,12 +32,12 @@ stores:
   last-mutation stamp, so any update batch touching a shard atomically
   invalidates that shard's facts.  kNN / pair-count facts depend on every
   shard at once and are stamped against the *global* last mutation.
-* **GRD eviction** — facts live in a byte-budgeted store that duck-types
-  the ``ProactiveCache`` surface consumed by
-  :class:`~repro.core.replacement.grd.GRD3Policy`, with one flat
-  :class:`~repro.core.cache.CacheItemState` per variant.  Eviction ranks
-  victims by the paper's ``prob(i)`` access probability, so rarely reused
-  variants make room for hot ones.
+* **GRD eviction** — facts live in a byte-budgeted store that satisfies
+  :class:`~repro.core.replacement.base.EvictableStore`, the slice of a
+  cache :class:`~repro.core.replacement.grd.GRD3Policy` evicts from, with
+  one flat :class:`~repro.core.cache.CacheItemState` per variant.  Eviction
+  ranks victims by the paper's ``prob(i)`` access probability, so rarely
+  reused variants make room for hot ones.
 
 Safety (why skipping never changes results):
 
@@ -126,8 +126,9 @@ Fact = Union[HitSetFact, GlobalFact]
 class FactStore:
     """Byte-budgeted flat store driven by the paper's GRD3 eviction.
 
-    Duck-types the slice of the ``ProactiveCache`` surface
-    :meth:`~repro.core.replacement.grd.GRD3Policy.make_room` consumes.
+    Satisfies :class:`~repro.core.replacement.base.EvictableStore`, the
+    protocol :meth:`~repro.core.replacement.grd.GRD3Policy.make_room`
+    is written against (``tests/test_seams.py`` checks it).
     Every entry is a root-level leaf (``parent_key=None``, no cached
     children), so the constrained eviction degenerates to ranking variants
     by ``prob(i)`` — exactly the PartitionCache eviction story expressed
@@ -142,12 +143,11 @@ class FactStore:
         self.used_bytes = 0
         self.clock = 0
         self.evictions = 0
+        self.largest_item_bytes = 0
+        self.new_leaves: List[str] = []
         self._policy = GRD3Policy()
 
-    # -- the ProactiveCache surface GRD3 consumes -------------------------- #
-    def leaf_items(self) -> List[CacheItemState]:
-        return list(self.items.values())
-
+    # -- the EvictableStore surface ---------------------------------------- #
     def leaf_keys(self) -> List[str]:
         return list(self.items.keys())
 
@@ -156,17 +156,26 @@ class FactStore:
         self.used_bytes -= state.size_bytes
         self.evictions += 1
 
-    def evict_subtree(self, key: str) -> None:
+    def evict_subtree(self, key: str) -> List[str]:
         # Flat store: every entry is its own whole subtree.
         self.evict(key)
+        return [key]
 
     def restore_item(self, state: CacheItemState) -> None:
+        self._register(state)
+
+    def _register(self, state: CacheItemState) -> None:
+        """Add ``state`` to the items, the aggregates and the new-leaf list."""
         self.items[state.key] = state
         self.used_bytes += state.size_bytes
+        if state.size_bytes > self.largest_item_bytes:
+            self.largest_item_bytes = state.size_bytes
+        self.new_leaves.append(state.key)
 
     # -- fact-store operations --------------------------------------------- #
     def tick(self) -> int:
         self.clock += 1
+        self.new_leaves.clear()
         return self.clock
 
     def lookup(self, key: str) -> Optional[CacheItemState]:
@@ -187,8 +196,7 @@ class FactStore:
         state = CacheItemState(key=key, payload=payload, size_bytes=size,
                                insert_time=self.clock, parent_key=None)
         state.last_access = self.clock
-        self.items[key] = state
-        self.used_bytes += size
+        self._register(state)
         return state
 
     def resize(self, state: CacheItemState, new_size: int) -> None:
@@ -197,6 +205,8 @@ class FactStore:
             return
         self.used_bytes += new_size - state.size_bytes
         state.size_bytes = new_size
+        if new_size > self.largest_item_bytes:
+            self.largest_item_bytes = new_size
         if self.used_bytes > self.capacity_bytes:
             self._policy.make_room(self, 0, {}, {state.key})
 

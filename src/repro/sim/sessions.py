@@ -21,7 +21,7 @@ from repro.core.cache import ProactiveCache
 from repro.core.client import ClientQueryProcessor
 from repro.core.cost_model import QueryCost, ResponseTimeModel
 from repro.core.handles import ServerHandle
-from repro.core.items import CachedObject, item_key_for_object
+from repro.core.items import CachedIndexNode, CachedObject, item_key_for_object
 from repro.core.replacement import make_policy
 from repro.core.server import ServerQueryProcessor
 from repro.core.supporting_index import IndexForm, SupportingIndexPolicy
@@ -251,7 +251,6 @@ class ProactiveSession(ClientSession):
             insert_start = perf_clock()
             context = {"client_position": record.position}
             for snapshot in response.index_snapshots:
-                from repro.core.items import CachedIndexNode
                 node = CachedIndexNode(node_id=snapshot.node_id, level=snapshot.level,
                                        elements={e.code: e for e in snapshot.elements})
                 self.cache.insert_node_snapshot(node, snapshot.parent_id, context)

@@ -134,6 +134,43 @@ def test_evict_subtree_removes_descendants():
     assert cache.used_bytes == 0
 
 
+def test_object_id_set_largest_item_bound_and_new_leaves_are_maintained():
+    cache = make_cache()
+    cache.tick()
+    cache.insert_node_snapshot(node_snapshot(1, level=1), parent_node_id=None)
+    cache.insert_node_snapshot(node_snapshot(2, level=0), parent_node_id=1)
+    cache.insert_object(cached_object(9, size=700), parent_node_id=2)
+    cache.insert_object(cached_object(8, size=300), parent_node_id=2)
+    assert cache.cached_object_ids() == {8, 9}
+    assert cache.cached_object_ids() is not cache.cached_object_ids()   # a copy
+    assert cache.largest_item_bytes == 700
+    assert cache.new_leaves == [item_key_for_node(1), item_key_for_node(2),
+                                item_key_for_object(9), item_key_for_object(8)]
+    cache.tick()
+    assert cache.new_leaves == []
+    cache.evict(item_key_for_object(9))
+    assert cache.cached_object_ids() == {8}
+    assert cache.largest_item_bytes == 700        # an upper bound: evictions keep it
+    cache.evict(item_key_for_object(8))
+    assert cache.new_leaves == [item_key_for_node(2)]   # promoted: its last child went
+    # Growth raises the bound: a merged snapshot, a refreshed payload.
+    cache.insert_node_snapshot(node_snapshot(2, level=0, entries=40), parent_node_id=1)
+    grown = cache.items[item_key_for_node(2)].size_bytes
+    assert cache.largest_item_bytes == grown > 700
+    cache.insert_object(cached_object(5), parent_node_id=2)
+    cache.refresh_item(item_key_for_object(5), cached_object(5, size=grown + 1), grown + 1)
+    assert cache.largest_item_bytes == grown + 1
+    cache.validate()
+    # validate() notices either aggregate drifting.
+    cache._object_ids.add(77)
+    with pytest.raises(AssertionError, match="object-id set"):
+        cache.validate()
+    cache._object_ids.discard(77)
+    cache.largest_item_bytes = grown
+    with pytest.raises(AssertionError, match="largest-item bound"):
+        cache.validate()
+
+
 def test_insert_rejected_when_item_larger_than_cache():
     cache = make_cache(capacity=100, policy=LRUPolicy())
     assert not cache.insert_node_snapshot(node_snapshot(1, level=0, entries=10),

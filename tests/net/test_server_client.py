@@ -20,20 +20,27 @@ import zlib
 import pytest
 
 from repro.net import codec, frames
+import repro.net.client as net_client
+from repro.core.server import ServerResponse
+from repro.geometry import Point, Rect
 from repro.net.client import (
+    MAX_LATENCIES,
     Connection,
+    Endpoint,
     NetValidationService,
     RemoteSessionClient,
 )
-from repro.net.fleet import make_endpoint
+from repro.net.fleet import latency_summary, make_endpoint
 from repro.net.frames import RemoteError
 from repro.net.server import ReproServer, ServerThread
 from repro.network.channel import WirelessChannel
+from repro.rtree.sizes import SizeModel
 from repro.sim.config import SimulationConfig
 from repro.sim.runner import build_shared_state, generate_trace
 from repro.sim.sessions import make_session
 from repro.updates import DatasetUpdater, make_protocol
 from repro.updates.validation import LocalValidationService
+from repro.workload.queries import KNNQuery
 
 
 @pytest.fixture(scope="module")
@@ -188,6 +195,42 @@ def test_closed_connections_are_pruned(served):
                        for ledger in ledgers.values())
         finally:
             thread.stop()
+
+
+def test_round_trip_latencies_are_bounded_to_the_newest(monkeypatch):
+    """A long-lived client keeps the most recent MAX_LATENCIES round trips.
+
+    No socket: ``request`` is stubbed with one canned RESPONSE payload and
+    the clock with one whose n-th round trip lasts exactly n ms, so the
+    survivors are recognisable.
+    """
+    assert MAX_LATENCIES == 65_536
+    client = RemoteSessionClient(Endpoint("uds", path="/nonexistent.sock"),
+                                 SizeModel())
+    assert client.latencies.maxlen == MAX_LATENCIES
+    payload = codec.encode_response(ServerResponse(), 1, Rect.unit())
+    monkeypatch.setattr(client, "request",
+                        lambda frame_type, request, reply: payload)
+    trips = iter(range(1, 10 ** 9))
+    reads = []
+
+    def clock():
+        # Two reads per round trip: 0 at its start, n ms later at its end.
+        reads.append(0.0 if len(reads) % 2 == 0 else next(trips) / 1000.0)
+        return reads[-1]
+
+    monkeypatch.setattr(net_client, "perf_clock", clock)
+    query = KNNQuery(point=Point(0.5, 0.5), k=1)
+    total = MAX_LATENCIES + 1_000
+    for _ in range(total):
+        client.execute(query)
+
+    assert len(client.latencies) == MAX_LATENCIES
+    assert client.latencies[0] == pytest.approx(1_001.0)
+    assert client.latencies[-1] == pytest.approx(float(total))
+    summary = latency_summary(client.latencies)
+    assert summary["queries"] == MAX_LATENCIES
+    assert summary["mean_ms"] == pytest.approx((1_001 + total) / 2, abs=0.01)
 
 
 def test_bye_ledger_reconciles_with_the_channel(served):

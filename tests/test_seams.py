@@ -2,7 +2,8 @@
 
 The seams between the tiers are ``typing.Protocol`` classes
 (:mod:`repro.core.handles`, :class:`repro.rtree.tree.TreeView`,
-:class:`repro.updates.applier.Updater`); implementers do not inherit from
+:class:`repro.updates.applier.Updater`,
+:class:`repro.core.replacement.base.EvictableStore`); implementers do not inherit from
 them, so nothing but mypy and this file notices one drifting off its seam.
 ``isinstance`` against a ``runtime_checkable`` protocol checks member
 *presence* on the instance — signatures are mypy's half of the gate.
@@ -14,16 +15,19 @@ import tempfile
 
 import pytest
 
+from repro.core.cache import ProactiveCache
 from repro.core.handles import (
     LocalServerHandle,
     ServerHandle,
     TreeView,
     VersionPin,
 )
+from repro.core.replacement import EvictableStore, GRD3Policy
 from repro.net.client import RemoteSessionClient
 from repro.net.fleet import make_endpoint
 from repro.net.server import ReproServer, ServerThread
 from repro.sharding import ShardedUpdater, build_sharded_state
+from repro.sharding.result_cache import FactStore
 from repro.sim.config import SimulationConfig
 from repro.sim.runner import build_shared_state
 from repro.storage import StorageBackend
@@ -84,6 +88,15 @@ def test_both_updaters_are_updaters_and_pin_their_servers(deployments):
         assert updater.server.registry is updater.registry
     assert isinstance(VersionRegistry(), VersionPin)
     assert not isinstance(shared.server, Updater)
+
+
+def test_both_grd3_stores_are_evictable_stores():
+    """The client's cache and the router's fact store: GRD3 serves both."""
+    for store in (ProactiveCache(1_000, replacement_policy=GRD3Policy()),
+                  FactStore(1_000)):
+        assert isinstance(store, EvictableStore), type(store).__name__
+        assert EvictableStore not in type(store).__mro__
+    assert not isinstance(GRD3Policy(), EvictableStore)
 
 
 def test_no_implementer_inherits_from_its_protocol(deployments):
