@@ -146,6 +146,54 @@ class TreeView(Protocol):
     def object(self, object_id: int) -> ObjectRecord: ...
 
 
+def subtree_keys(entries: Sequence[Entry], mbr: Rect,
+                 leaf_parent: bool) -> List[Tuple[float, float, float]]:
+    """R* ChooseSubtree's key of every entry for inserting ``mbr``.
+
+    ``(overlap enlargement, area enlargement, area)`` in entry order; the
+    overlap term — by how much growing the entry to cover ``mbr`` grows its
+    overlap with its siblings — is computed only for the parents of leaves
+    (``leaf_parent``) and is ``0.0`` higher up, where the choice is by area
+    enlargement alone.  The leaf-parent case is quadratic in the
+    fanout and runs once per insert, so the arithmetic is inlined on hoisted
+    coordinates: no :class:`Rect` is built and no method called per sibling
+    pair.  Every float equals what ``Rect.union`` / ``intersection_area`` /
+    ``enlargement`` / ``area`` give (same operations, same accumulation
+    order; ``tests/rtree/test_choose_subtree_differential.py``).
+    """
+    boxes = [(e.mbr.min_x, e.mbr.min_y, e.mbr.max_x, e.mbr.max_y)
+             for e in entries]
+    mx0, my0, mx1, my1 = mbr.min_x, mbr.min_y, mbr.max_x, mbr.max_y
+    keys = []
+    for x0, y0, x1, y1 in boxes:
+        # The entry grown to cover mbr (min / max keep their first argument
+        # on a tie, as Rect.union does).
+        ux0 = mx0 if mx0 < x0 else x0
+        uy0 = my0 if my0 < y0 else y0
+        ux1 = mx1 if mx1 > x1 else x1
+        uy1 = my1 if my1 > y1 else y1
+        overlap_delta = 0.0
+        if leaf_parent:
+            # A sibling disjoint from the grown box is disjoint from the
+            # entry too and would add 0.0 - 0.0; the entry itself adds
+            # grown - base = +0.0, so neither needs a test of its own.
+            for ox0, oy0, ox1, oy1 in boxes:
+                if ox0 > ux1 or ux0 > ox1 or oy0 > uy1 or uy0 > oy1:
+                    continue
+                grown = (((ox1 if ox1 < ux1 else ux1)
+                          - (ox0 if ox0 > ux0 else ux0))
+                         * ((oy1 if oy1 < uy1 else uy1)
+                            - (oy0 if oy0 > uy0 else uy0)))
+                base = (((ox1 if ox1 < x1 else x1) - (ox0 if ox0 > x0 else x0))
+                        * ((oy1 if oy1 < y1 else y1) - (oy0 if oy0 > y0 else y0))
+                        if x0 <= ox1 and ox0 <= x1 and y0 <= oy1 and oy0 <= y1
+                        else 0.0)
+                overlap_delta += grown - base
+        area = (x1 - x0) * (y1 - y0)
+        keys.append((overlap_delta, (ux1 - ux0) * (uy1 - uy0) - area, area))
+    return keys
+
+
 class RTree:
     """A dynamic R*-tree over :class:`ObjectRecord` data.
 
@@ -324,27 +372,9 @@ class RTree:
 
     def _pick_child(self, node: Node, mbr: Rect) -> Entry:
         """R* ChooseSubtree: minimize overlap enlargement at the leaf level,
-        area enlargement otherwise."""
-        child_level = node.level - 1
-        if child_level == 0:
-            best = None
-            best_key = None
-            for entry in node.entries:
-                enlarged = entry.mbr.union(mbr)
-                overlap_delta = 0.0
-                for other in node.entries:
-                    if other is entry:
-                        continue
-                    overlap_delta += (enlarged.intersection_area(other.mbr)
-                                      - entry.mbr.intersection_area(other.mbr))
-                key = (overlap_delta, entry.mbr.enlargement(mbr), entry.mbr.area())
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best = entry
-            return best
-        best = min(node.entries,
-                   key=lambda e: (e.mbr.enlargement(mbr), e.mbr.area()))
-        return best
+        area enlargement otherwise; ties go to the first entry."""
+        keys = subtree_keys(node.entries, mbr, leaf_parent=node.level == 1)
+        return node.entries[keys.index(min(keys))]
 
     def _handle_overflow(self, node: Node) -> None:
         if node.fanout <= self.max_entries:

@@ -15,10 +15,11 @@ class SimulationConfig:
     """All knobs of one simulation run.
 
     The defaults of :meth:`paper` follow Table 6.1 of the paper; the
-    :meth:`scaled` variants keep the same relationships between movement,
-    query extent and cache size but shrink the dataset and query count so a
-    pure-Python run finishes in seconds.  See DESIGN.md for the scaling
-    rationale.
+    :meth:`scaled` variants shrink the dataset and query count so a
+    pure-Python run finishes in seconds.  They keep the cache *fraction*
+    but widen the query extent (``window_area`` 2e-3 against Table 6.1's
+    1e-6), so one result is a far larger share of the cache than in the
+    paper.
     """
 
     # Dataset.

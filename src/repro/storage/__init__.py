@@ -13,7 +13,7 @@ The paper's cost model counts page accesses; this package makes those pages
   an LRU page buffer; writable stores commit through the WAL and ``pack``
   folds the log back into a fresh checkpoint;
 * :mod:`repro.storage.wal` — the append-only write-ahead log: CRC-framed
-  commit records, fsync'd commit markers, and torn-tail-safe recovery;
+  commit records, one fsync per record, and torn-tail-safe recovery;
 * :mod:`repro.storage.atomic` — crash-safe whole-file replacement (temp +
   fsync + rename), the required write path for every non-WAL artefact;
 * :mod:`repro.storage.faults` — fault injection: crashing/garbling file

@@ -318,7 +318,8 @@ class PagedFileBackend(StorageBackend):
         self.wal = writer
 
     def commit_record(self, record: WalRecord) -> None:
-        """Durably append one commit record (one fsync'd WAL frame)."""
+        """Durably append one commit record: one WAL frame, one fsync,
+        counted only once the fsync returned."""
         if self.wal is None:
             raise StorageError(f"{self.path}: no write-ahead log attached; "
                                f"open the store with writable=True")

@@ -12,24 +12,30 @@ paged store needs:
   page-id allocation cursor, and the :class:`~repro.updates.registry.
   VersionRegistry` dataset version the batch committed — everything replay
   needs to reconstruct the exact in-memory state.
-* **Torn-write-safe framing.**  Each record is length-prefixed and
-  CRC32-checksummed, and is only *committed* once its 8-byte commit marker
-  is on disk; the writer fsyncs the payload before the marker and the
-  marker before returning.  A crash at any byte boundary therefore leaves
-  either a fully committed record or a recognisably incomplete tail.
+* **Torn-write-safe framing, one fsync per record.**  Each record is
+  length-prefixed, CRC32-checksummed and closed by an 8-byte commit marker;
+  the writer writes header, payload and marker, then flushes and fsyncs
+  *once*, and only then counts and acknowledges the record.  Until that
+  fsync returns the kernel may write the frame's blocks back in any order,
+  so a crash leaves either a fully committed record or a final frame that
+  is short, or full-length with a payload or marker that does not check.
 * **Recovery = replay + truncate.**  :func:`scan_wal` walks the log,
   returning every committed record and classifying the tail: ``clean``
-  (ends exactly on a commit marker), ``torn`` (an unfinished record that
-  runs into end-of-file — the signature of a crash mid-commit; recovery
-  truncates it), or ``corrupt`` (checksum or marker failure with further
-  data behind it — not a crash artefact, so recovery refuses unless
-  forced).
+  (ends exactly on a commit marker), ``torn`` (an unfinished record: one
+  that runs into end-of-file, or a *final* frame — nothing behind it —
+  whose checksum or marker fails; the signature of a crash mid-commit,
+  recovery truncates it), or ``corrupt`` (checksum or marker failure with
+  even one byte behind it — not a crash artefact, so recovery refuses
+  unless forced).  The cost of the single fsync: bit rot confined to the
+  *newest* record is dropped as a torn tail instead of refused (the trade
+  SQLite's and PostgreSQL's logs make); rot anywhere earlier is detected
+  as before.
 
 Byte layout::
 
     file   := magic "RPROWAL1\\n" <I store_crc> record*
     record := <Q payload_len> <I crc32(payload)> payload marker
-    marker := "RWCOMMIT"                               # 8 bytes, fsync'd
+    marker := "RWCOMMIT"                               # 8 bytes
     payload:= <Q version> <q root_id> <i height> <q next_page_id>
               <I n_pages> <I n_objects> page* object*
     page   := <q node_id> <B op> [<I len> bytes]       # op 1 = freed
@@ -204,9 +210,12 @@ def scan_wal(path: str) -> WalScan:
     Never modifies the file.  A missing or empty log scans as clean and
     empty.  Classification of a bad tail: anything that simply runs out of
     bytes (short header, short payload, short or absent commit marker) is
-    ``torn`` — exactly what a crash mid-append produces; a checksum or
-    marker mismatch on a *complete* frame is ``corrupt`` — crashes cannot
-    fabricate those, so recovery demands an explicit force.
+    ``torn``, and so is a checksum or marker mismatch on the *final* frame
+    (``frame_end == len(data)``) — a crash before the record's one fsync
+    returned can leave its blocks written back out of order.  The same
+    mismatch with anything behind the frame is ``corrupt``: an append only
+    starts after the previous record's fsync, so crashes cannot fabricate
+    it and recovery demands an explicit force.
     """
     if not os.path.exists(path):
         return WalScan(records=[], committed_length=0, file_length=0,
@@ -247,12 +256,13 @@ def scan_wal(path: str) -> WalScan:
         frame_end = marker_start + len(COMMIT_MARKER)
         if frame_end > len(data):
             return bad_tail(TAIL_TORN, "record runs past end of file")
+        unsynced = TAIL_TORN if frame_end == len(data) else TAIL_CORRUPT
         payload = data[payload_start:marker_start]
         if zlib.crc32(payload) != crc:
-            return bad_tail(TAIL_CORRUPT, "payload checksum mismatch")
+            return bad_tail(unsynced, "payload checksum mismatch")
         marker = data[marker_start:frame_end]
         if marker != COMMIT_MARKER:
-            return bad_tail(TAIL_CORRUPT, f"bad commit marker {marker!r}")
+            return bad_tail(unsynced, f"bad commit marker {marker!r}")
         try:
             records.append(decode_record(payload))
         except ValueError as error:
@@ -319,12 +329,15 @@ def repair_wal(path: str, force: bool = False) -> WalScan:
 class WalWriter:
     """Appends commit records with the fsync discipline recovery relies on.
 
-    The payload (with its length prefix and CRC) is flushed and fsync'd
-    *before* the commit marker is written, and the marker is fsync'd before
-    :meth:`append` returns — so a record whose marker is readable is
-    guaranteed complete on disk.  ``opener`` exists for the fault-injection
-    harness (:mod:`repro.storage.faults`), which substitutes a file wrapper
-    that dies mid-write.
+    Header, payload and commit marker are written, then flushed and fsync'd
+    *once*; :meth:`append` counts and acknowledges the record only after
+    that fsync returned, so an acknowledged record is complete on disk and
+    only the final, unacknowledged frame can ever be damaged by a crash.
+    An append that raises part-way poisons the writer — nothing may be
+    written behind a partial frame — until the store is recovered.
+    ``opener`` exists for the fault-injection harness
+    (:mod:`repro.storage.faults`), which substitutes a file wrapper that
+    dies mid-write.
     """
 
     def __init__(self, path: str, store_crc: int,
@@ -344,38 +357,56 @@ class WalWriter:
         # Append-only handle: the WAL is the one artefact that grows in
         # place; its torn-tail recovery replaces rename-atomicity.
         self._handle: Optional[IO[bytes]] = open_file(path, "ab")
+        self._refusal = "WAL writer is closed"
         self.records_written = 0
         self.bytes_written = 0
 
+    def _open_handle(self) -> IO[bytes]:
+        if self._handle is None:
+            raise StorageError(f"{self.path}: {self._refusal}")
+        return self._handle
+
     def tell(self) -> int:
         """Current end-of-log byte offset."""
-        if self._handle is None:
-            raise StorageError(f"{self.path}: WAL writer is closed")
-        return self._handle.tell()
+        return self._open_handle().tell()
 
     def append(self, record: WalRecord) -> int:
-        """Durably append one commit record; returns the new log length."""
-        handle = self._handle
-        if handle is None:
-            raise StorageError(f"{self.path}: WAL writer is closed")
+        """Durably append one commit record; returns the new log length.
+
+        One fsync per record, and no acknowledgement before it: the counters
+        move and the call returns only once the whole frame is on disk.  Any
+        exception on the way leaves an unacknowledged, possibly partial
+        frame at the tail (recovery keeps it if whole, truncates it if not)
+        and closes the writer for good.
+        """
+        handle = self._open_handle()
         payload = encode_record(record)
-        handle.write(_RECORD_HEADER.pack(len(payload), zlib.crc32(payload)))
-        handle.write(payload)
-        handle.flush()
-        os.fsync(handle.fileno())
-        handle.write(COMMIT_MARKER)
-        handle.flush()
-        os.fsync(handle.fileno())
+        try:
+            handle.write(_RECORD_HEADER.pack(len(payload), zlib.crc32(payload)))
+            handle.write(payload)
+            handle.write(COMMIT_MARKER)
+            handle.flush()
+            os.fsync(handle.fileno())
+            end = handle.tell()
+        except BaseException:
+            self._refusal = ("an append failed part-way and may have left a "
+                             "partial record; recover the store before "
+                             "writing to it again")
+            try:
+                self.close()
+            except OSError:
+                pass  # the buffered rest failed again; the handle is gone
+            raise
         frame = _RECORD_HEADER.size + len(payload) + len(COMMIT_MARKER)
         self.records_written += 1
         self.bytes_written += frame
         if obs.ENABLED:
             obs.active().event("wal.append", record_bytes=frame,
                                version=record.version)
-        return handle.tell()
+        return end
 
     def close(self) -> None:
         """Close the log handle; further appends raise."""
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
+        handle, self._handle = self._handle, None
+        if handle is not None:
+            handle.close()

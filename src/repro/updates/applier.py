@@ -143,8 +143,10 @@ class DatasetUpdater:
         :meth:`~repro.updates.registry.VersionRegistry.begin_batch` /
         ``commit_batch`` (readers pinning a version mid-batch raise), and —
         when the tree's store carries a write-ahead log — lands on disk as
-        exactly one fsync'd commit record, so a crash either persists the
-        batch completely or not at all.
+        exactly one commit record, fsync'd once before this call returns, so
+        a crash either persists the batch completely or not at all.  If the
+        append fails the exception propagates and the log refuses further
+        commits until the store is recovered.
         """
         touched: Set[int] = set()
         freed: Set[int] = set()

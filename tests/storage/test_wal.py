@@ -140,36 +140,44 @@ def test_writer_refuses_foreign_log(tmp_path):
         WalWriter(log, store_crc=2)
 
 
-def test_scan_classifies_torn_vs_corrupt(tmp_path):
-    log = str(tmp_path / "log.wal")
+def _three_record_log(tmp_path, name="log.wal"):
+    """A clean log of versions 1..3: ``(path, bytes, clean scan)``."""
+    log = str(tmp_path / name)
     writer = WalWriter(log, store_crc=9)
-    writer.append(_sample_record(version=1))
-    writer.append(_sample_record(version=2))
+    for version in (1, 2, 3):
+        writer.append(_sample_record(version=version))
     writer.close()
-    clean = scan_wal(log)
-    full = os.path.getsize(log)
+    with open(log, "rb") as handle:
+        data = handle.read()
+    return log, data, scan_wal(log)
+
+
+def _write(path, data):
+    with open(path, "wb") as handle:
+        handle.write(data)
+    return path
+
+
+def test_scan_classifies_torn_vs_corrupt(tmp_path):
+    log, data, clean = _three_record_log(tmp_path)
+    full = len(data)
 
     # Every proper prefix that is not a record boundary scans as torn
     # with exactly the already-committed records intact.
-    with open(log, "rb") as handle:
-        data = handle.read()
     for cut in (full - 1, full - len(COMMIT_MARKER),
                 clean.record_ends[0] + 3, HEADER_SIZE + 1):
-        torn_log = str(tmp_path / "torn.wal")
-        with open(torn_log, "wb") as handle:
-            handle.write(data[:cut])
-        scan = scan_wal(torn_log)
+        scan = scan_wal(_write(str(tmp_path / "torn.wal"), data[:cut]))
         assert scan.tail_state == "torn", cut
         expected = sum(1 for end in clean.record_ends if end <= cut)
         assert len(scan.records) == expected
         assert scan.committed_length == ([HEADER_SIZE]
                                          + clean.record_ends)[expected]
 
-    # In-place damage on a complete frame is corrupt, not torn.
-    bad_log = str(tmp_path / "bad.wal")
-    with open(bad_log, "wb") as handle:
-        handle.write(data)
+    # In-place damage on a frame with a committed record behind it is
+    # corrupt, not torn: that frame's fsync had returned before the next
+    # append began, so no crash can have produced it.
     from repro.storage.faults import corrupt_byte
+    bad_log = _write(str(tmp_path / "bad.wal"), data)
     corrupt_byte(bad_log, clean.record_ends[0] + 30)
     scan = scan_wal(bad_log)
     assert scan.tail_state == "corrupt"
@@ -183,6 +191,104 @@ def test_scan_classifies_torn_vs_corrupt(tmp_path):
     assert scan_wal(str(tmp_path / "short.wal")).tail_state == "corrupt"
 
 
+def test_scan_classifies_final_frame_damage_as_torn(tmp_path):
+    """The twin: the same byte damage in the *final* frame is a torn tail."""
+    from repro.storage.faults import corrupt_byte
+    log, data, clean = _three_record_log(tmp_path)
+    corrupt_byte(log, clean.record_ends[1] + 30)
+    scan = scan_wal(log)
+    assert scan.tail_state == "torn"
+    assert "checksum" in scan.tail_error
+    assert scan.records == clean.records[:2]
+    assert scan.committed_length == clean.record_ends[1]
+    # One byte behind the very same frame and it is corrupt again.
+    with open(log, "ab") as handle:
+        handle.write(b"\x00")
+    assert scan_wal(log).tail_state == "corrupt"
+
+
+_RECORD_HEADER_BYTES = 12  # <Q payload_len> <I crc32>
+
+
+def _final_frame(data, clean):
+    """``(payload_start, marker_start)`` of the last record of a clean log."""
+    start = clean.record_ends[-2]
+    return start + _RECORD_HEADER_BYTES, len(data) - len(COMMIT_MARKER)
+
+
+@pytest.mark.parametrize("damage", ["zeroed_payload_block", "garbled_payload",
+                                    "garbled_marker"])
+def test_what_one_fsync_can_leave_is_a_torn_tail(tmp_path, damage):
+    """Full-length final frames a crash before the single fsync can leave.
+
+    With the payload and the marker in one fsync the kernel may have
+    written the marker's block back and not the payload's, or the other
+    way round; two fsyncs could leave neither file.
+    """
+    log, data, clean = _three_record_log(tmp_path)
+    payload_start, marker_start = _final_frame(data, clean)
+    damaged = bytearray(data)
+    if damage == "zeroed_payload_block":
+        damaged[payload_start:marker_start] = bytes(marker_start - payload_start)
+    elif damage == "garbled_payload":
+        damaged[payload_start + 5] ^= 0x10
+    else:
+        damaged[marker_start + 3] ^= 0x10
+    assert len(damaged) == len(data)
+    _write(log, bytes(damaged))
+
+    scan = scan_wal(log)
+    assert scan.tail_state == "torn"
+    assert scan.records == clean.records[:2]
+    assert scan.committed_version == 2
+    repaired = repair_wal(log)  # no force needed
+    assert repaired.records == clean.records[:2]
+    assert os.path.getsize(log) == clean.record_ends[1]
+    assert scan_wal(log).tail_state == "clean"
+
+
+def test_zeroed_final_header_stays_corrupt(tmp_path):
+    """The one exotic crash file that must *not* become torn.
+
+    A zeroed record header reads as an empty frame (length 0, and the CRC32
+    of nothing is 0) whose marker is wrong and which has the real payload's
+    bytes behind it — refused, the safe direction, as before the one-fsync
+    rule.
+    """
+    log, data, clean = _three_record_log(tmp_path)
+    start = clean.record_ends[-2]
+    _write(log, data[:start] + bytes(_RECORD_HEADER_BYTES)
+           + data[start + _RECORD_HEADER_BYTES:])
+    scan = scan_wal(log)
+    assert scan.tail_state == "corrupt"
+    assert "marker" in scan.tail_error
+    assert scan.records == clean.records[:2]
+    with pytest.raises(StorageError, match="force"):
+        repair_wal(log)
+
+
+def test_append_fsyncs_once_and_counts_nothing_when_it_raises(tmp_path, monkeypatch):
+    log = str(tmp_path / "log.wal")
+    writer = WalWriter(log, store_crc=3)
+    real_fsync, synced = os.fsync, []
+    monkeypatch.setattr(os, "fsync", lambda fd: (synced.append(fd), real_fsync(fd))[1])
+    for version in (1, 2, 3):
+        before = len(synced)
+        end = writer.append(_sample_record(version=version))
+        assert len(synced) == before + 1
+        assert writer.records_written == version
+        assert writer.bytes_written == end - HEADER_SIZE
+
+    def failing_fsync(fd):
+        raise OSError(5, "Input/output error")
+
+    counted = (writer.records_written, writer.bytes_written)
+    monkeypatch.setattr(os, "fsync", failing_fsync)
+    with pytest.raises(OSError):
+        writer.append(_sample_record(version=4))
+    assert (writer.records_written, writer.bytes_written) == counted
+
+
 def test_scan_missing_and_empty_logs_are_clean(tmp_path):
     missing = scan_wal(str(tmp_path / "nope.wal"))
     assert (missing.tail_state, missing.records) == ("clean", [])
@@ -194,17 +300,20 @@ def test_scan_missing_and_empty_logs_are_clean(tmp_path):
 def test_repair_wal_truncates_torn_requires_force_for_corrupt(tmp_path):
     log = str(tmp_path / "log.wal")
     writer = WalWriter(log, store_crc=4)
-    writer.append(_sample_record(version=1))
+    first_end = writer.append(_sample_record(version=1))
+    writer.append(_sample_record(version=2))
     writer.close()
     committed = os.path.getsize(log)
     with open(log, "ab") as handle:
         handle.write(b"\x01\x02\x03")
     scan = repair_wal(log)
     assert os.path.getsize(log) == committed
-    assert len(scan.records) == 1
+    assert len(scan.records) == 2
 
     from repro.storage.faults import corrupt_byte
-    corrupt_byte(log, committed - 2)  # inside the commit marker
+    # Inside the first record's commit marker: version 2 sits behind it and
+    # would be lost, so the truncation has to be forced.
+    corrupt_byte(log, first_end - 2)
     with pytest.raises(StorageError, match="force"):
         repair_wal(log)
     repair_wal(log, force=True)
@@ -216,6 +325,28 @@ def test_repair_wal_truncates_torn_requires_force_for_corrupt(tmp_path):
         repair_wal(log)
     repair_wal(log, force=True)
     assert not os.path.exists(log)
+
+
+def test_repair_wal_drops_a_damaged_final_marker_without_force(tmp_path):
+    """The twin: the same marker damage in the final frame is a torn tail."""
+    from repro.storage.faults import corrupt_byte
+    log = str(tmp_path / "log.wal")
+    writer = WalWriter(log, store_crc=4)
+    first = _sample_record(version=1)
+    first_end = writer.append(first)
+    last_end = writer.append(_sample_record(version=2))
+    writer.close()
+    corrupt_byte(log, last_end - 2)  # inside the final commit marker
+    assert scan_wal(log).tail_state == "torn"
+    scan = repair_wal(log)
+    assert scan.records == [first] and scan.committed_version == 1
+    assert os.path.getsize(log) == first_end
+    assert scan_wal(log).tail_state == "clean"
+    # The repaired log takes appends again.
+    writer = WalWriter(log, store_crc=4)
+    writer.append(_sample_record(version=2))
+    writer.close()
+    assert [r.version for r in scan_wal(log).records] == [1, 2]
 
 
 def test_truncate_to_guards_the_header(tmp_path):
@@ -337,10 +468,39 @@ def test_pack_refuses_corrupt_wal(tmp_path):
     from repro.storage.faults import corrupt_byte
     path, live, updater = _durable_store(tmp_path)
     updater.apply_batch(_events(5))
+    updater.apply_batch(_events(5, start_index=5, id_base=2000, seed=78))
     live.store.close()
+    # Inside the first record, with the second committed behind it.
     corrupt_byte(wal_path(path), HEADER_SIZE + 20)
     with pytest.raises(StorageError, match="corrupt"):
         pack(path)
+    with pytest.raises(StorageError, match="corrupt"):
+        load_tree(path, recover=True)
+
+
+def test_pack_folds_up_to_a_damaged_final_record(tmp_path):
+    """The twin: damage in the final record is a torn tail pack recovers past."""
+    from repro.storage.faults import corrupt_byte
+    path, live, updater = _durable_store(tmp_path)
+    updater.apply_batch(_events(5))
+    expected_state = _object_state(live)
+    version = updater.registry.dataset_version
+    updater.apply_batch(_events(5, start_index=5, id_base=2000, seed=78))
+    live.store.close()
+    log = wal_path(path)
+    corrupt_byte(log, scan_wal(log).record_ends[0] + 20)
+    assert wal_summary(path)["tail_state"] == "torn"
+
+    info = pack(path)
+    assert info["records_folded"] == 1
+    assert info["committed_version"] == version
+    assert not os.path.exists(log)
+    packed = load_tree(path)
+    try:
+        assert _object_state(packed) == expected_state
+        assert_tree_valid(packed)
+    finally:
+        packed.store.close()
 
 
 def test_wal_summary_reports_torn_tails_without_mutating(tmp_path):

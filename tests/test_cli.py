@@ -320,6 +320,27 @@ def test_persist_recover_corrupt_tail_needs_force(tmp_path, capsys):
     assert "(forced)" in capsys.readouterr().out
 
 
+def test_persist_recover_damaged_final_record_needs_no_force(tmp_path, capsys):
+    """The twin: the same damage in the newest record is a torn tail."""
+    from repro.storage.faults import corrupt_byte
+    from repro.storage.wal import scan_wal, wal_path
+
+    store = _durable_store(tmp_path, capsys)
+    log = wal_path(store)
+    ends = scan_wal(log).record_ends
+    corrupt_byte(log, ends[-2] + 25)
+
+    assert main(["persist", "verify", store] + TINY) == 0
+    output = capsys.readouterr().out
+    assert output.startswith("RECOVERABLE") and "torn tail" in output
+    assert main(["persist", "recover", store]) == 0
+    output = capsys.readouterr().out
+    assert "truncated" in output and "(forced)" not in output
+    assert len(scan_wal(log).records) == len(ends) - 1
+    assert main(["persist", "verify", store] + TINY) == 0
+    assert capsys.readouterr().out.startswith("OK")
+
+
 def test_persist_recover_nothing_to_do(tmp_path, capsys):
     store = str(tmp_path / "server.rpro")
     assert main(["persist", "save-tree", "--out", store] + TINY) == 0
