@@ -30,7 +30,7 @@ def default_config(query_count: int = 400) -> SimulationConfig:
     smaller, so the same *ratio* of cache size to per-query result size is
     obtained with a 2% fraction; using the raw 0.1% would leave room for less
     than one query's results and the experiment would only measure eviction
-    thrash (see DESIGN.md, "Modelling decisions").
+    thrash.
     """
     return SimulationConfig.scaled(query_count=query_count).with_overrides(
         mobility_model="RAN",

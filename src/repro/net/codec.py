@@ -7,23 +7,37 @@ values are identical to the originals), absent optional ids encoded behind
 a presence flag, and element order preserved everywhere — a decoded
 response re-encodes to the identical byte string.
 
-Codecs decode through :class:`~repro.net.frames.PayloadReader`, so a
-truncated or trailing-garbage payload raises
-:class:`~repro.net.frames.FrameError` rather than an uncaught
-``struct.error`` — the fuzz battery leans on this.
+Every decoder walks its payload with an integer offset and reads each
+fixed-width run (a delivery head, a snapshot element head, a frontier
+target head, ...) with one precompiled ``struct.Struct.unpack_from``; every
+encoder packs the same runs with one ``pack`` each.  A message therefore
+costs per run, not per field.
+
+A decoder raises nothing but :class:`~repro.net.frames.FrameError`.  A
+truncated run (``struct.error``), a missing flag byte or an unknown enum
+index (``IndexError``) and any value a constructor refuses (``ValueError``:
+a degenerate ``Rect``, a non-positive kNN ``k``, a negative join threshold
+or policy depth, garbled UTF-8) are converted once, at the decoder's
+boundary (:func:`_decodes`).  What does not raise by itself is checked
+explicitly: a string running past the payload's end (a short slice is no
+error), a flag byte other than 0 / 1, an implausible count (before its
+loop) and trailing bytes.  The fuzz battery and the differential suite
+against the old field-by-field codec lean on this.
 """
 
 from __future__ import annotations
 
+import functools
 import struct
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterable, List, Optional, Sequence, Tuple,
+                    TypeVar)
 
 from repro.core.items import CachedIndexNode, CacheEntry, FrontierTarget, TargetKind
 from repro.core.remainder import FrontierItem, RemainderQuery
 from repro.core.server import IndexNodeSnapshot, ObjectDelivery, ServerResponse
 from repro.core.supporting_index import IndexForm, SupportingIndexPolicy
 from repro.geometry import Point, Rect
-from repro.net.frames import FrameError, PayloadReader
+from repro.net.frames import FrameError
 from repro.rtree.entry import ObjectRecord
 from repro.rtree.sizes import SizeModel
 from repro.updates.validation import (
@@ -38,14 +52,41 @@ from repro.workload.queries import JoinQuery, KNNQuery, Query, RangeQuery
 #: Wire protocol revision; bumped on any incompatible frame/payload change.
 PROTOCOL_VERSION = 1
 
-_U8 = struct.Struct("<B")
 _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
-_I32 = struct.Struct("<i")
 _I64 = struct.Struct("<q")
 _F64 = struct.Struct("<d")
-_RECT = struct.Struct("<4d")
-_POINT = struct.Struct("<2d")
+_CATALOG = struct.Struct("<q4d")
+#: Root catalogue + a count: the head of RESPONSE and SYNC_ACK.
+_CATALOG_COUNT = struct.Struct("<q4dI")
+#: Delivery head: object id, payload size, MBR, parent presence flag.
+_DELIVERY = struct.Struct("<qq4dB")  # 49 bytes
+_ID_FLAG = struct.Struct("<qB")
+#: Snapshot head: node id, level, parent presence flag.
+_SNAPSHOT = struct.Struct("<qiB")  # 13 bytes
+_ID_COUNT = struct.Struct("<qI")
+#: Element head: kind, MBR, code length (the code and an i64 ref follow).
+_ELEMENT = struct.Struct("<B4dH")  # 35 bytes
+#: Frontier-target head: kind, MBR, priority, node-id presence flag.
+_TARGET = struct.Struct("<B4ddB")  # 42 bytes
+#: RESPONSE tail: accessed nodes, examined elements, server CPU seconds.
+_TAIL = struct.Struct("<qqd")
+_RANGE = struct.Struct("<B4d")
+_KNN = struct.Struct("<B2dq")
+_JOIN = struct.Struct("<B5d")
+_FLAG_COUNT = struct.Struct("<BI")
+_POLICY = struct.Struct("<BBii")
+_MODEL = struct.Struct("<5I")
+#: SYNC stamp head: is-node flag, item id, cached version, parent flag.
+_STAMP = struct.Struct("<BqIB")
+_REFRESH = struct.Struct("<BI")
+_CACHED_NODE = struct.Struct("<BqiI")
+_RECORD = struct.Struct("<qq4d")
+_VERSION = struct.Struct("<qI")
+
+_FLAG = (b"\x00", b"\x01")
+_MAX_COUNT = 1 << 24
+_BAD_FLAG = "bad presence or boolean flag"
 
 _QUERY_RANGE = 0
 _QUERY_KNN = 1
@@ -59,10 +100,40 @@ _ENTRY_OBJECT = 2
 
 _FORMS = (IndexForm.FULL, IndexForm.COMPACT, IndexForm.ADAPTIVE)
 
+_Decoded = TypeVar("_Decoded")
+
 
 # --------------------------------------------------------------------------- #
-# primitive helpers
+# shared pieces
 # --------------------------------------------------------------------------- #
+def _decodes(frame: str) -> Callable[[Callable[[bytes], _Decoded]],
+                                     Callable[[bytes], _Decoded]]:
+    """Make a decoder's low-level failures one typed ``FrameError``."""
+    def wrap(decode: Callable[[bytes], _Decoded]
+             ) -> Callable[[bytes], _Decoded]:
+        @functools.wraps(decode)
+        def checked(payload: bytes) -> _Decoded:
+            try:
+                return decode(payload)
+            except (struct.error, IndexError, ValueError) as error:
+                raise FrameError(f"malformed {frame} payload: "
+                                 f"{error}") from error
+        return checked
+    return wrap
+
+
+def _expect_end(payload: bytes, offset: int) -> None:
+    if offset != len(payload):
+        raise FrameError(f"{len(payload) - offset} trailing bytes after the "
+                         "final payload field")
+
+
+def _count(count: int, what: str) -> int:
+    if count > _MAX_COUNT:
+        raise FrameError(f"implausible {what} count {count}")
+    return count
+
+
 def _pack_str(text: str) -> bytes:
     data = text.encode("utf-8")
     if len(data) > 0xFFFF:
@@ -71,328 +142,302 @@ def _pack_str(text: str) -> bytes:
     return _U16.pack(len(data)) + data
 
 
-def _read_str(reader: PayloadReader) -> str:
-    (length,) = reader.unpack(_U16)
-    data = reader.read_bytes(int(length))
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as error:
-        raise FrameError(f"garbled string field: {error}") from error
+def _string(payload: bytes, offset: int) -> Tuple[str, int]:
+    """A u16-length-prefixed UTF-8 string at ``offset``, and its end."""
+    (length,) = _U16.unpack_from(payload, offset)
+    start = offset + 2
+    end = start + length
+    if end > len(payload):
+        raise FrameError(f"truncated string: needs {length} bytes")
+    return payload[start:end].decode("utf-8"), end
 
 
-def _pack_opt_id(value: Optional[int]) -> bytes:
-    if value is None:
-        return _U8.pack(0)
-    return _U8.pack(1) + _I64.pack(value)
+def _pack_elements(parts: List[bytes], elements: Iterable[CacheEntry]) -> None:
+    """Append a run of cached-node elements (real or super entries)."""
+    append = parts.append
+    pack_head = _ELEMENT.pack
+    pack_ref = _I64.pack
+    for entry in elements:
+        mbr = entry.mbr
+        code = entry.code.encode("utf-8")
+        if entry.object_id is not None:
+            kind, ref = _ENTRY_OBJECT, entry.object_id
+        elif entry.child_id is not None:
+            kind, ref = _ENTRY_CHILD, entry.child_id
+        else:
+            kind, ref = _ENTRY_SUPER, 0
+        append(pack_head(kind, mbr.min_x, mbr.min_y, mbr.max_x, mbr.max_y,
+                         len(code)))
+        append(code)
+        append(pack_ref(ref))
 
 
-def _read_opt_id(reader: PayloadReader) -> Optional[int]:
-    (present,) = reader.unpack(_U8)
-    if present == 0:
-        return None
-    if present != 1:
-        raise FrameError(f"bad presence flag {present}")
-    (value,) = reader.unpack(_I64)
-    return int(value)
-
-
-def _pack_rect(rect: Rect) -> bytes:
-    return _RECT.pack(rect.min_x, rect.min_y, rect.max_x, rect.max_y)
-
-
-def _read_rect(reader: PayloadReader) -> Rect:
-    min_x, min_y, max_x, max_y = reader.unpack(_RECT)
-    return Rect(float(min_x), float(min_y), float(max_x), float(max_y))
-
-
-def _read_bool(reader: PayloadReader) -> bool:
-    (value,) = reader.unpack(_U8)
-    if value not in (0, 1):
-        raise FrameError(f"bad boolean flag {value}")
-    return bool(value)
-
-
-def _read_count(reader: PayloadReader, what: str) -> int:
-    (count,) = reader.unpack(_U32)
-    if count > 1 << 24:
-        raise FrameError(f"implausible {what} count {count}")
-    return int(count)
-
-
-# --------------------------------------------------------------------------- #
-# queries
-# --------------------------------------------------------------------------- #
-def encode_query(query: Query) -> bytes:
-    """Serialise one query (range / kNN / join)."""
-    if isinstance(query, RangeQuery):
-        return _U8.pack(_QUERY_RANGE) + _pack_rect(query.window)
-    if isinstance(query, KNNQuery):
-        return (_U8.pack(_QUERY_KNN)
-                + _POINT.pack(query.point.x, query.point.y)
-                + _I64.pack(query.k))
-    if isinstance(query, JoinQuery):
-        return (_U8.pack(_QUERY_JOIN) + _pack_rect(query.window)
-                + _F64.pack(query.threshold))
-    raise TypeError(f"unsupported query type {type(query)!r}")
-
-
-def read_query(reader: PayloadReader) -> Query:
-    """Decode one query."""
-    (kind,) = reader.unpack(_U8)
-    if kind == _QUERY_RANGE:
-        return RangeQuery(window=_read_rect(reader))
-    if kind == _QUERY_KNN:
-        x, y = reader.unpack(_POINT)
-        (k,) = reader.unpack(_I64)
-        if k <= 0:
-            raise FrameError(f"bad kNN k {k}")
-        return KNNQuery(point=Point(float(x), float(y)), k=int(k))
-    if kind == _QUERY_JOIN:
-        window = _read_rect(reader)
-        (threshold,) = reader.unpack(_F64)
-        if threshold < 0:
-            raise FrameError(f"bad join threshold {threshold}")
-        return JoinQuery(window=window, threshold=float(threshold))
-    raise FrameError(f"unknown query kind {kind}")
+def _elements(payload: bytes, offset: int,
+              count: int) -> Tuple[List[CacheEntry], int]:
+    """Decode ``count`` cached-node elements at ``offset``, and their end."""
+    _count(count, "element")
+    unpack_head = _ELEMENT.unpack_from
+    unpack_ref = _I64.unpack_from
+    size = len(payload)
+    elements: List[CacheEntry] = []
+    append = elements.append
+    for _ in range(count):
+        kind, x0, y0, x1, y1, length = unpack_head(payload, offset)
+        start = offset + 35
+        offset = start + length
+        if offset > size:
+            raise FrameError(f"truncated element code: needs {length} bytes")
+        code = payload[start:offset].decode("utf-8")
+        (ref,) = unpack_ref(payload, offset)
+        offset += 8
+        if kind == _ENTRY_OBJECT:
+            append(CacheEntry(Rect(x0, y0, x1, y1), code, None, ref))
+        elif kind == _ENTRY_CHILD:
+            append(CacheEntry(Rect(x0, y0, x1, y1), code, ref))
+        elif kind == _ENTRY_SUPER:
+            append(CacheEntry(Rect(x0, y0, x1, y1), code))
+        else:
+            raise FrameError(f"unknown cache entry kind {kind}")
+    return elements, offset
 
 
 # --------------------------------------------------------------------------- #
-# frontier / remainder
+# QUERY: query + optional remainder (the frontier) + optional policy
 # --------------------------------------------------------------------------- #
-def encode_target(target: FrontierTarget) -> bytes:
-    """Serialise one frontier target."""
-    parts = [_U8.pack(_TARGET_KINDS.index(target.kind)),
-             _pack_rect(target.mbr),
-             _F64.pack(target.priority),
-             _pack_opt_id(target.node_id),
-             _pack_opt_id(target.object_id),
-             _pack_str(target.code),
-             _pack_opt_id(target.parent_node_id),
-             _U8.pack(1 if target.confirm_only else 0)]
-    return b"".join(parts)
-
-
-def read_target(reader: PayloadReader) -> FrontierTarget:
-    """Decode one frontier target."""
-    (kind_index,) = reader.unpack(_U8)
-    if kind_index >= len(_TARGET_KINDS):
-        raise FrameError(f"unknown frontier target kind {kind_index}")
-    mbr = _read_rect(reader)
-    (priority,) = reader.unpack(_F64)
-    node_id = _read_opt_id(reader)
-    object_id = _read_opt_id(reader)
-    code = _read_str(reader)
-    parent_node_id = _read_opt_id(reader)
-    confirm_only = _read_bool(reader)
-    return FrontierTarget(kind=_TARGET_KINDS[kind_index], mbr=mbr,
-                          priority=float(priority), node_id=node_id,
-                          object_id=object_id, code=code,
-                          parent_node_id=parent_node_id,
-                          confirm_only=confirm_only)
-
-
-def encode_remainder(remainder: RemainderQuery) -> bytes:
-    """Serialise one remainder query (without its embedded query)."""
-    parts = [_U32.pack(len(remainder.frontier))]
-    for item in remainder.frontier:
-        parts.append(_U8.pack(len(item)))
-        for target in item:
-            parts.append(encode_target(target))
-    if remainder.k_remaining is None:
-        parts.append(_U8.pack(0))
-    else:
-        parts.append(_U8.pack(1) + _I64.pack(remainder.k_remaining))
-    if remainder.reported_fmr is None:
-        parts.append(_U8.pack(0))
-    else:
-        parts.append(_U8.pack(1) + _F64.pack(remainder.reported_fmr))
-    return b"".join(parts)
-
-
-def read_remainder(reader: PayloadReader, query: Query) -> RemainderQuery:
-    """Decode one remainder query around its already-decoded query."""
-    item_count = _read_count(reader, "frontier item")
-    frontier: List[FrontierItem] = []
-    for _ in range(item_count):
-        (width,) = reader.unpack(_U8)
-        if width not in (1, 2):
-            raise FrameError(f"bad frontier item width {width}")
-        frontier.append(tuple(read_target(reader) for _ in range(width)))
-    k_remaining: Optional[int] = None
-    if _read_bool(reader):
-        (k_value,) = reader.unpack(_I64)
-        k_remaining = int(k_value)
-    reported_fmr: Optional[float] = None
-    if _read_bool(reader):
-        (fmr,) = reader.unpack(_F64)
-        reported_fmr = float(fmr)
-    return RemainderQuery(query=query, frontier=frontier,
-                          k_remaining=k_remaining, reported_fmr=reported_fmr)
-
-
-def encode_policy(policy: SupportingIndexPolicy) -> bytes:
-    """Serialise the supporting-index policy shipped with a query."""
-    return (_U8.pack(_FORMS.index(policy.form)) + _I32.pack(policy.depth)
-            + _I32.pack(policy.max_depth))
-
-
-def read_policy(reader: PayloadReader) -> SupportingIndexPolicy:
-    """Decode a supporting-index policy."""
-    (form_index,) = reader.unpack(_U8)
-    if form_index >= len(_FORMS):
-        raise FrameError(f"unknown index form {form_index}")
-    depth, max_depth = reader.unpack(struct.Struct("<ii"))
-    if depth < 0:
-        raise FrameError(f"bad policy depth {depth}")
-    return SupportingIndexPolicy(form=_FORMS[form_index], depth=int(depth),
-                                 max_depth=int(max_depth))
+def _pack_target(parts: List[bytes], target: FrontierTarget) -> None:
+    mbr = target.mbr
+    node_id, object_id = target.node_id, target.object_id
+    parent = target.parent_node_id
+    code = target.code.encode("utf-8")
+    parts.append(_TARGET.pack(_TARGET_KINDS.index(target.kind), mbr.min_x,
+                              mbr.min_y, mbr.max_x, mbr.max_y,
+                              target.priority, node_id is not None))
+    if node_id is not None:
+        parts.append(_I64.pack(node_id))
+    parts.append(_FLAG[0] if object_id is None
+                 else _FLAG[1] + _I64.pack(object_id))
+    parts.append(_U16.pack(len(code)))
+    parts.append(code)
+    parts.append(_FLAG[0] if parent is None
+                 else _FLAG[1] + _I64.pack(parent))
+    parts.append(_FLAG[target.confirm_only])
 
 
 def encode_query_request(query: Query,
                          remainder: Optional[RemainderQuery],
                          policy: Optional[SupportingIndexPolicy]) -> bytes:
     """The QUERY frame payload: query + optional remainder + policy."""
-    parts = [encode_query(query)]
+    if isinstance(query, RangeQuery):
+        window = query.window
+        parts = [_RANGE.pack(_QUERY_RANGE, window.min_x, window.min_y,
+                             window.max_x, window.max_y)]
+    elif isinstance(query, KNNQuery):
+        parts = [_KNN.pack(_QUERY_KNN, query.point.x, query.point.y,
+                           query.k)]
+    elif isinstance(query, JoinQuery):
+        window = query.window
+        parts = [_JOIN.pack(_QUERY_JOIN, window.min_x, window.min_y,
+                            window.max_x, window.max_y, query.threshold)]
+    else:
+        raise TypeError(f"unsupported query type {type(query)!r}")
     if remainder is None:
-        parts.append(_U8.pack(0))
+        parts.append(_FLAG[0])
     else:
-        parts.append(_U8.pack(1) + encode_remainder(remainder))
+        parts.append(_FLAG_COUNT.pack(1, len(remainder.frontier)))
+        for item in remainder.frontier:
+            parts.append(bytes((len(item),)))
+            for target in item:
+                _pack_target(parts, target)
+        k_remaining, fmr = remainder.k_remaining, remainder.reported_fmr
+        parts.append(_FLAG[0] if k_remaining is None
+                     else _FLAG[1] + _I64.pack(k_remaining))
+        parts.append(_FLAG[0] if fmr is None else _FLAG[1] + _F64.pack(fmr))
     if policy is None:
-        parts.append(_U8.pack(0))
+        parts.append(_FLAG[0])
     else:
-        parts.append(_U8.pack(1) + encode_policy(policy))
+        parts.append(_POLICY.pack(1, _FORMS.index(policy.form), policy.depth,
+                                  policy.max_depth))
     return b"".join(parts)
 
 
+def _frontier(payload: bytes, offset: int,
+              count: int) -> Tuple[List[FrontierItem], int]:
+    """Decode ``count`` frontier items at ``offset``, and their end."""
+    _count(count, "frontier item")
+    unpack_head = _TARGET.unpack_from
+    unpack_id = _I64.unpack_from
+    size = len(payload)
+    frontier: List[FrontierItem] = []
+    for _ in range(count):
+        width = payload[offset]
+        offset += 1
+        if width != 1 and width != 2:
+            raise FrameError(f"bad frontier item width {width}")
+        item = []
+        for _ in range(width):
+            kind, x0, y0, x1, y1, priority, flags = unpack_head(payload,
+                                                                offset)
+            offset += 42
+            node_id = unpack_id(payload, offset)[0] if flags else None
+            offset += 8 * flags
+            has = payload[offset]
+            object_id = unpack_id(payload, offset + 1)[0] if has else None
+            offset += 1 + 8 * has
+            flags |= has
+            (length,) = _U16.unpack_from(payload, offset)
+            start = offset + 2
+            offset = start + length
+            if offset > size:
+                raise FrameError(f"truncated target code: needs {length} "
+                                 "bytes")
+            code = payload[start:offset].decode("utf-8")
+            has = payload[offset]
+            parent = unpack_id(payload, offset + 1)[0] if has else None
+            offset += 1 + 8 * has
+            confirm = payload[offset]
+            offset += 1
+            if flags | has | confirm > 1:
+                raise FrameError(_BAD_FLAG)
+            item.append(FrontierTarget(_TARGET_KINDS[kind],
+                                       Rect(x0, y0, x1, y1), priority,
+                                       node_id, object_id, code, parent,
+                                       confirm == 1))
+        frontier.append(tuple(item))
+    return frontier, offset
+
+
+@_decodes("QUERY")
 def decode_query_request(payload: bytes) -> Tuple[
         Query, Optional[RemainderQuery], Optional[SupportingIndexPolicy]]:
     """Decode a QUERY frame payload."""
-    reader = PayloadReader(payload)
-    query = read_query(reader)
-    remainder = read_remainder(reader, query) if _read_bool(reader) else None
-    policy = read_policy(reader) if _read_bool(reader) else None
-    reader.expect_end()
+    kind = payload[0]
+    query: Query
+    if kind == _QUERY_RANGE:
+        _, x0, y0, x1, y1 = _RANGE.unpack_from(payload)
+        query, offset = RangeQuery(Rect(x0, y0, x1, y1)), _RANGE.size
+    elif kind == _QUERY_KNN:
+        _, x, y, k = _KNN.unpack_from(payload)
+        query, offset = KNNQuery(Point(x, y), k), _KNN.size
+    elif kind == _QUERY_JOIN:
+        _, x0, y0, x1, y1, threshold = _JOIN.unpack_from(payload)
+        query, offset = JoinQuery(Rect(x0, y0, x1, y1), threshold), _JOIN.size
+    else:
+        raise FrameError(f"unknown query kind {kind}")
+    remainder: Optional[RemainderQuery] = None
+    has = payload[offset]
+    if has == 1:
+        (count,) = _U32.unpack_from(payload, offset + 1)
+        frontier, offset = _frontier(payload, offset + 5, count)
+        has = payload[offset]
+        k_remaining = _I64.unpack_from(payload, offset + 1)[0] if has else None
+        offset += 1 + 8 * has
+        flag = payload[offset]
+        fmr = _F64.unpack_from(payload, offset + 1)[0] if flag else None
+        if has | flag > 1:
+            raise FrameError(_BAD_FLAG)
+        offset += 1 + 8 * flag
+        remainder = RemainderQuery(query, frontier, k_remaining, fmr)
+    elif has:
+        raise FrameError(_BAD_FLAG)
+    else:
+        offset += 1
+    policy: Optional[SupportingIndexPolicy] = None
+    has = payload[offset]
+    if has == 1:
+        _, form, depth, max_depth = _POLICY.unpack_from(payload, offset)
+        policy = SupportingIndexPolicy(_FORMS[form], depth, max_depth)
+        offset += _POLICY.size
+    elif has:
+        raise FrameError(_BAD_FLAG)
+    else:
+        offset += 1
+    _expect_end(payload, offset)
     return query, remainder, policy
 
 
 # --------------------------------------------------------------------------- #
-# cache entries / node snapshots / responses
+# RESPONSE: catalogue + deliveries + node snapshots + tail
 # --------------------------------------------------------------------------- #
-def encode_cache_entry(entry: CacheEntry) -> bytes:
-    """Serialise one cached-node element (real or super entry)."""
-    if entry.object_id is not None:
-        kind, ref = _ENTRY_OBJECT, entry.object_id
-    elif entry.child_id is not None:
-        kind, ref = _ENTRY_CHILD, entry.child_id
-    else:
-        kind, ref = _ENTRY_SUPER, 0
-    return (_U8.pack(kind) + _pack_rect(entry.mbr) + _pack_str(entry.code)
-            + _I64.pack(ref))
-
-
-def read_cache_entry(reader: PayloadReader) -> CacheEntry:
-    """Decode one cached-node element."""
-    (kind,) = reader.unpack(_U8)
-    mbr = _read_rect(reader)
-    code = _read_str(reader)
-    (ref,) = reader.unpack(_I64)
-    if kind == _ENTRY_SUPER:
-        return CacheEntry(mbr=mbr, code=code)
-    if kind == _ENTRY_CHILD:
-        return CacheEntry(mbr=mbr, code=code, child_id=int(ref))
-    if kind == _ENTRY_OBJECT:
-        return CacheEntry(mbr=mbr, code=code, object_id=int(ref))
-    raise FrameError(f"unknown cache entry kind {kind}")
-
-
-def encode_object_record(record: ObjectRecord) -> bytes:
-    """Serialise one object record (id, payload size, MBR)."""
-    return (_I64.pack(record.object_id) + _I64.pack(record.size_bytes)
-            + _pack_rect(record.mbr))
-
-
-def read_object_record(reader: PayloadReader) -> ObjectRecord:
-    """Decode one object record."""
-    (object_id,) = reader.unpack(_I64)
-    (size_bytes,) = reader.unpack(_I64)
-    mbr = _read_rect(reader)
-    return ObjectRecord(object_id=int(object_id), mbr=mbr,
-                        size_bytes=int(size_bytes))
-
-
-def encode_snapshot(snapshot: IndexNodeSnapshot) -> bytes:
-    """Serialise one shipped index-node snapshot (element order preserved)."""
-    parts = [_I64.pack(snapshot.node_id), _I32.pack(snapshot.level),
-             _pack_opt_id(snapshot.parent_id),
-             _U32.pack(len(snapshot.elements))]
-    parts.extend(encode_cache_entry(element) for element in snapshot.elements)
-    return b"".join(parts)
-
-
-def read_snapshot(reader: PayloadReader) -> IndexNodeSnapshot:
-    """Decode one index-node snapshot."""
-    (node_id,) = reader.unpack(_I64)
-    (level,) = reader.unpack(_I32)
-    parent_id = _read_opt_id(reader)
-    element_count = _read_count(reader, "snapshot element")
-    elements = [read_cache_entry(reader) for _ in range(element_count)]
-    return IndexNodeSnapshot(node_id=int(node_id), level=int(level),
-                             parent_id=parent_id, elements=elements)
-
-
 def encode_catalog(root_id: int, root_mbr: Rect) -> bytes:
     """The root-catalogue payload piggybacked on acks."""
-    return _I64.pack(root_id) + _pack_rect(root_mbr)
-
-
-def read_catalog(reader: PayloadReader) -> Tuple[int, Rect]:
-    """Decode a root-catalogue payload."""
-    (root_id,) = reader.unpack(_I64)
-    return int(root_id), _read_rect(reader)
+    return _CATALOG.pack(root_id, root_mbr.min_x, root_mbr.min_y,
+                         root_mbr.max_x, root_mbr.max_y)
 
 
 def encode_response(response: ServerResponse, root_id: int,
                     root_mbr: Rect) -> bytes:
     """The RESPONSE frame payload: the full response + catalogue piggyback."""
-    parts = [encode_catalog(root_id, root_mbr),
-             _U32.pack(len(response.deliveries))]
-    for delivery in response.deliveries:
-        parts.append(encode_object_record(delivery.record))
-        parts.append(_pack_opt_id(delivery.parent_node_id))
-        parts.append(_U8.pack(1 if delivery.confirm_only else 0))
-    parts.append(_U32.pack(len(response.index_snapshots)))
-    parts.extend(encode_snapshot(snapshot)
-                 for snapshot in response.index_snapshots)
-    parts.append(_I64.pack(response.accessed_node_count))
-    parts.append(_I64.pack(response.examined_elements))
-    parts.append(_F64.pack(response.cpu_seconds))
+    deliveries = response.deliveries
+    parts = [_CATALOG_COUNT.pack(root_id, root_mbr.min_x, root_mbr.min_y,
+                                 root_mbr.max_x, root_mbr.max_y,
+                                 len(deliveries))]
+    append = parts.append
+    for delivery in deliveries:
+        record = delivery.record
+        mbr = record.mbr
+        parent = delivery.parent_node_id
+        append(_DELIVERY.pack(record.object_id, record.size_bytes, mbr.min_x,
+                              mbr.min_y, mbr.max_x, mbr.max_y,
+                              parent is not None))
+        append(_FLAG[delivery.confirm_only] if parent is None
+               else _ID_FLAG.pack(parent, delivery.confirm_only))
+    snapshots = response.index_snapshots
+    append(_U32.pack(len(snapshots)))
+    for snapshot in snapshots:
+        parent = snapshot.parent_id
+        count = len(snapshot.elements)
+        append(_SNAPSHOT.pack(snapshot.node_id, snapshot.level,
+                              parent is not None))
+        append(_U32.pack(count) if parent is None
+               else _ID_COUNT.pack(parent, count))
+        _pack_elements(parts, snapshot.elements)
+    append(_TAIL.pack(response.accessed_node_count,
+                      response.examined_elements, response.cpu_seconds))
     return b"".join(parts)
 
 
+@_decodes("RESPONSE")
 def decode_response(payload: bytes) -> Tuple[ServerResponse, int, Rect]:
     """Decode a RESPONSE frame payload → (response, root_id, root_mbr)."""
-    reader = PayloadReader(payload)
-    root_id, root_mbr = read_catalog(reader)
-    delivery_count = _read_count(reader, "delivery")
+    root_id, x0, y0, x1, y1, count = _CATALOG_COUNT.unpack_from(payload)
+    root_mbr = Rect(x0, y0, x1, y1)
+    offset = _CATALOG_COUNT.size
+    unpack_delivery = _DELIVERY.unpack_from
     deliveries: List[ObjectDelivery] = []
-    for _ in range(delivery_count):
-        record = read_object_record(reader)
-        parent_node_id = _read_opt_id(reader)
-        confirm_only = _read_bool(reader)
-        deliveries.append(ObjectDelivery(record=record,
-                                         parent_node_id=parent_node_id,
-                                         confirm_only=confirm_only))
-    snapshot_count = _read_count(reader, "snapshot")
-    snapshots = [read_snapshot(reader) for _ in range(snapshot_count)]
-    (accessed,) = reader.unpack(_I64)
-    (examined,) = reader.unpack(_I64)
-    (cpu_seconds,) = reader.unpack(_F64)
-    reader.expect_end()
-    response = ServerResponse(deliveries=deliveries, index_snapshots=snapshots,
-                              accessed_node_count=int(accessed),
-                              examined_elements=int(examined),
-                              cpu_seconds=float(cpu_seconds))
-    return response, root_id, root_mbr
+    append = deliveries.append
+    for _ in range(_count(count, "delivery")):
+        object_id, size, x0, y0, x1, y1, has = unpack_delivery(payload,
+                                                               offset)
+        if has:
+            parent, confirm = _ID_FLAG.unpack_from(payload, offset + 49)
+            offset += 58
+        else:
+            parent, confirm = None, payload[offset + 49]
+            offset += 50
+        if has | confirm > 1:
+            raise FrameError(_BAD_FLAG)
+        append(ObjectDelivery(ObjectRecord(object_id, Rect(x0, y0, x1, y1),
+                                           size), parent, confirm == 1))
+    (count,) = _U32.unpack_from(payload, offset)
+    offset += 4
+    snapshots: List[IndexNodeSnapshot] = []
+    for _ in range(_count(count, "snapshot")):
+        node_id, level, has = _SNAPSHOT.unpack_from(payload, offset)
+        if has == 1:
+            parent, element_count = _ID_COUNT.unpack_from(payload, offset + 13)
+            offset += 25
+        elif has:
+            raise FrameError(_BAD_FLAG)
+        else:
+            parent = None
+            (element_count,) = _U32.unpack_from(payload, offset + 13)
+            offset += 17
+        elements, offset = _elements(payload, offset, element_count)
+        snapshots.append(IndexNodeSnapshot(node_id, level, parent, elements))
+    accessed, examined, cpu_seconds = _TAIL.unpack_from(payload, offset)
+    _expect_end(payload, offset + _TAIL.size)
+    return (ServerResponse(deliveries, snapshots, accessed, examined,
+                           cpu_seconds), root_id, root_mbr)
 
 
 # --------------------------------------------------------------------------- #
@@ -406,21 +451,17 @@ def encode_hello(client_name: str, size_model: SizeModel) -> bytes:
     constants and the server rejects a mismatch with a typed error.
     """
     return (_U16.pack(PROTOCOL_VERSION) + _pack_str(client_name)
-            + struct.pack("<5I", size_model.page_bytes,
-                          size_model.coordinate_bytes,
-                          size_model.pointer_bytes,
-                          size_model.query_header_bytes,
-                          size_model.object_id_bytes))
+            + _MODEL.pack(*size_model_tuple(size_model)))
 
 
+@_decodes("HELLO")
 def decode_hello(payload: bytes) -> Tuple[int, str, Tuple[int, ...]]:
     """Decode a HELLO payload → (version, client name, size-model tuple)."""
-    reader = PayloadReader(payload)
-    (version,) = reader.unpack(_U16)
-    name = _read_str(reader)
-    model = tuple(int(value) for value in reader.unpack(struct.Struct("<5I")))
-    reader.expect_end()
-    return int(version), name, model
+    (version,) = _U16.unpack_from(payload)
+    name, offset = _string(payload, 2)
+    model = _MODEL.unpack_from(payload, offset)
+    _expect_end(payload, offset + _MODEL.size)
+    return version, name, model
 
 
 def size_model_tuple(size_model: SizeModel) -> Tuple[int, ...]:
@@ -433,25 +474,26 @@ def size_model_tuple(size_model: SizeModel) -> Tuple[int, ...]:
 def encode_hello_ack(root_id: int, root_mbr: Rect,
                      has_validation: bool) -> bytes:
     """The HELLO_ACK payload: catalogue + whether SYNC is answerable."""
-    return (encode_catalog(root_id, root_mbr)
-            + _U8.pack(1 if has_validation else 0))
+    return encode_catalog(root_id, root_mbr) + _FLAG[bool(has_validation)]
 
 
+@_decodes("HELLO_ACK")
 def decode_hello_ack(payload: bytes) -> Tuple[int, Rect, bool]:
     """Decode a HELLO_ACK payload."""
-    reader = PayloadReader(payload)
-    root_id, root_mbr = read_catalog(reader)
-    has_validation = _read_bool(reader)
-    reader.expect_end()
-    return root_id, root_mbr, has_validation
+    root_id, x0, y0, x1, y1 = _CATALOG.unpack_from(payload)
+    has_validation = payload[_CATALOG.size]
+    if has_validation > 1:
+        raise FrameError(_BAD_FLAG)
+    _expect_end(payload, _CATALOG.size + 1)
+    return root_id, Rect(x0, y0, x1, y1), has_validation == 1
 
 
+@_decodes("CATALOG_ACK")
 def decode_catalog_ack(payload: bytes) -> Tuple[int, Rect]:
     """Decode a CATALOG_ACK payload."""
-    reader = PayloadReader(payload)
-    root_id, root_mbr = read_catalog(reader)
-    reader.expect_end()
-    return root_id, root_mbr
+    root_id, x0, y0, x1, y1 = _CATALOG.unpack_from(payload)
+    _expect_end(payload, _CATALOG.size)
+    return root_id, Rect(x0, y0, x1, y1)
 
 
 def encode_error(code: str, message: str) -> bytes:
@@ -459,12 +501,12 @@ def encode_error(code: str, message: str) -> bytes:
     return _pack_str(code) + _pack_str(message)
 
 
+@_decodes("ERROR")
 def decode_error(payload: bytes) -> Tuple[str, str]:
     """Decode an ERROR payload."""
-    reader = PayloadReader(payload)
-    code = _read_str(reader)
-    message = _read_str(reader)
-    reader.expect_end()
+    code, offset = _string(payload, 0)
+    message, offset = _string(payload, offset)
+    _expect_end(payload, offset)
     return code, message
 
 
@@ -475,102 +517,102 @@ def encode_sync_request(stamps: Sequence[ValidationStamp]) -> bytes:
     """The SYNC payload: one stamp per cached item."""
     parts = [_U32.pack(len(stamps))]
     for stamp in stamps:
-        parts.append(_U8.pack(1 if stamp.is_node else 0))
-        parts.append(_I64.pack(stamp.item_id))
-        parts.append(_U32.pack(stamp.cached_version))
-        parts.append(_pack_opt_id(stamp.parent_id))
+        parent = stamp.parent_id
+        parts.append(_STAMP.pack(stamp.is_node, stamp.item_id,
+                                 stamp.cached_version, parent is not None))
+        if parent is not None:
+            parts.append(_I64.pack(parent))
     return b"".join(parts)
 
 
+@_decodes("SYNC")
 def decode_sync_request(payload: bytes) -> List[ValidationStamp]:
     """Decode a SYNC payload."""
-    reader = PayloadReader(payload)
-    stamp_count = _read_count(reader, "stamp")
+    (count,) = _U32.unpack_from(payload)
+    offset = 4
     stamps: List[ValidationStamp] = []
-    for _ in range(stamp_count):
-        is_node = _read_bool(reader)
-        (item_id,) = reader.unpack(_I64)
-        (version,) = reader.unpack(_U32)
-        parent_id = _read_opt_id(reader)
-        stamps.append(ValidationStamp(is_node=is_node, item_id=int(item_id),
-                                      cached_version=int(version),
-                                      parent_id=parent_id))
-    reader.expect_end()
+    for _ in range(_count(count, "stamp")):
+        is_node, item_id, version, has = _STAMP.unpack_from(payload, offset)
+        offset += _STAMP.size
+        parent = _I64.unpack_from(payload, offset)[0] if has else None
+        offset += 8 * has
+        if is_node | has > 1:
+            raise FrameError(_BAD_FLAG)
+        stamps.append(ValidationStamp(is_node == 1, item_id, version, parent))
+    _expect_end(payload, offset)
     return stamps
-
-
-def _encode_cached_node(node: CachedIndexNode) -> bytes:
-    parts = [_I64.pack(node.node_id), _I32.pack(node.level),
-             _U32.pack(len(node.elements))]
-    # Insertion order of the elements dict is the partition-tree build
-    # order; preserving it keeps refreshed snapshots digest-identical.
-    parts.extend(encode_cache_entry(element)
-                 for element in node.elements.values())
-    return b"".join(parts)
-
-
-def _read_cached_node(reader: PayloadReader) -> CachedIndexNode:
-    (node_id,) = reader.unpack(_I64)
-    (level,) = reader.unpack(_I32)
-    element_count = _read_count(reader, "cached-node element")
-    elements: Dict[str, CacheEntry] = {}
-    for _ in range(element_count):
-        entry = read_cache_entry(reader)
-        elements[entry.code] = entry
-    return CachedIndexNode(node_id=int(node_id), level=int(level),
-                           elements=elements)
 
 
 def encode_sync_ack(verdicts: Sequence[ValidationVerdict], root_id: int,
                     root_mbr: Rect) -> bytes:
     """The SYNC_ACK payload: catalogue piggyback + one verdict per stamp."""
-    parts = [encode_catalog(root_id, root_mbr), _U32.pack(len(verdicts))]
+    parts = [_CATALOG_COUNT.pack(root_id, root_mbr.min_x, root_mbr.min_y,
+                                 root_mbr.max_x, root_mbr.max_y,
+                                 len(verdicts))]
     for verdict in verdicts:
-        parts.append(_U8.pack(verdict.action))
+        parts.append(bytes((verdict.action,)))
         if verdict.action != REFRESH:
             continue
-        if verdict.node is not None:
-            parts.append(_U8.pack(1))
-            parts.append(_U32.pack(verdict.version))
-            parts.append(_U8.pack(1 if verdict.is_leaf else 0))
-            parts.append(_encode_cached_node(verdict.node))
+        node = verdict.node
+        if node is not None:
+            # Insertion order of the elements dict is the partition-tree
+            # build order; preserving it keeps refreshed snapshots
+            # digest-identical.
+            parts.append(_REFRESH.pack(1, verdict.version))
+            parts.append(_CACHED_NODE.pack(verdict.is_leaf, node.node_id,
+                                           node.level, len(node.elements)))
+            _pack_elements(parts, node.elements.values())
         elif verdict.record is not None:
-            parts.append(_U8.pack(0))
-            parts.append(_U32.pack(verdict.version))
-            parts.append(encode_object_record(verdict.record))
+            record = verdict.record
+            mbr = record.mbr
+            parts.append(_REFRESH.pack(0, verdict.version))
+            parts.append(_RECORD.pack(record.object_id, record.size_bytes,
+                                      mbr.min_x, mbr.min_y, mbr.max_x,
+                                      mbr.max_y))
         else:
             raise ValueError("a REFRESH verdict needs a node or a record")
     return b"".join(parts)
 
 
+@_decodes("SYNC_ACK")
 def decode_sync_ack(payload: bytes
                     ) -> Tuple[List[ValidationVerdict], int, Rect]:
     """Decode a SYNC_ACK payload → (verdicts, root_id, root_mbr)."""
-    reader = PayloadReader(payload)
-    root_id, root_mbr = read_catalog(reader)
-    verdict_count = _read_count(reader, "verdict")
+    root_id, x0, y0, x1, y1, count = _CATALOG_COUNT.unpack_from(payload)
+    root_mbr = Rect(x0, y0, x1, y1)
+    offset = _CATALOG_COUNT.size
     verdicts: List[ValidationVerdict] = []
-    for _ in range(verdict_count):
-        (action,) = reader.unpack(_U8)
-        if action in (VALID, DROP):
-            verdicts.append(ValidationVerdict(action=int(action)))
+    for _ in range(_count(count, "verdict")):
+        action = payload[offset]
+        offset += 1
+        if action == VALID or action == DROP:
+            verdicts.append(ValidationVerdict(action))
             continue
         if action != REFRESH:
             raise FrameError(f"unknown verdict action {action}")
-        is_node = _read_bool(reader)
-        (version,) = reader.unpack(_U32)
-        if is_node:
-            is_leaf = _read_bool(reader)
-            node = _read_cached_node(reader)
-            verdicts.append(ValidationVerdict(action=REFRESH,
-                                              version=int(version),
-                                              node=node, is_leaf=is_leaf))
-        else:
-            record = read_object_record(reader)
-            verdicts.append(ValidationVerdict(action=REFRESH,
-                                              version=int(version),
+        is_node, version = _REFRESH.unpack_from(payload, offset)
+        offset += _REFRESH.size
+        if is_node == 1:
+            is_leaf, node_id, level, element_count = _CACHED_NODE.unpack_from(
+                payload, offset)
+            if is_leaf > 1:
+                raise FrameError(_BAD_FLAG)
+            elements, offset = _elements(payload, offset + _CACHED_NODE.size,
+                                         element_count)
+            node = CachedIndexNode(node_id, level, {element.code: element
+                                                    for element in elements})
+            verdicts.append(ValidationVerdict(REFRESH, version, node=node,
+                                              is_leaf=is_leaf == 1))
+        elif is_node == 0:
+            object_id, size, x0, y0, x1, y1 = _RECORD.unpack_from(payload,
+                                                                  offset)
+            offset += _RECORD.size
+            record = ObjectRecord(object_id, Rect(x0, y0, x1, y1), size)
+            verdicts.append(ValidationVerdict(REFRESH, version,
                                               record=record))
-    reader.expect_end()
+        else:
+            raise FrameError(_BAD_FLAG)
+    _expect_end(payload, offset)
     return verdicts, root_id, root_mbr
 
 
@@ -585,32 +627,34 @@ def encode_sync_done(applied_downlink_bytes: int) -> bytes:
     return _I64.pack(applied_downlink_bytes)
 
 
+@_decodes("SYNC_DONE")
 def decode_sync_done(payload: bytes) -> int:
     """Decode a SYNC_DONE payload."""
-    reader = PayloadReader(payload)
-    (applied,) = reader.unpack(_I64)
-    reader.expect_end()
+    (applied,) = _I64.unpack_from(payload)
+    _expect_end(payload, _I64.size)
     return int(applied)
 
 
 def encode_versions_request(node_ids: Sequence[int],
                             object_ids: Sequence[int]) -> bytes:
     """The VERSIONS payload: ids whose current stamps the client wants."""
-    parts = [_U32.pack(len(node_ids))]
-    parts.extend(_I64.pack(node_id) for node_id in node_ids)
-    parts.append(_U32.pack(len(object_ids)))
-    parts.extend(_I64.pack(object_id) for object_id in object_ids)
-    return b"".join(parts)
+    return (struct.pack(f"<I{len(node_ids)}q", len(node_ids), *node_ids)
+            + struct.pack(f"<I{len(object_ids)}q", len(object_ids),
+                          *object_ids))
 
 
+def _ids(payload: bytes, offset: int) -> Tuple[List[int], int]:
+    (count,) = _U32.unpack_from(payload, offset)
+    ids = struct.unpack_from(f"<{_count(count, 'id')}q", payload, offset + 4)
+    return list(ids), offset + 4 + 8 * count
+
+
+@_decodes("VERSIONS")
 def decode_versions_request(payload: bytes) -> Tuple[List[int], List[int]]:
     """Decode a VERSIONS payload."""
-    reader = PayloadReader(payload)
-    node_count = _read_count(reader, "node id")
-    node_ids = [int(reader.unpack(_I64)[0]) for _ in range(node_count)]
-    object_count = _read_count(reader, "object id")
-    object_ids = [int(reader.unpack(_I64)[0]) for _ in range(object_count)]
-    reader.expect_end()
+    node_ids, offset = _ids(payload, 0)
+    object_ids, offset = _ids(payload, offset)
+    _expect_end(payload, offset)
     return node_ids, object_ids
 
 
@@ -619,8 +663,8 @@ def _encode_version_map(versions: Dict[int, int],
     present = [(item_id, versions[item_id]) for item_id in order
                if item_id in versions]
     parts = [_U32.pack(len(present))]
-    for item_id, version in present:
-        parts.append(_I64.pack(item_id) + _U32.pack(version))
+    parts.extend(_VERSION.pack(item_id, version)
+                 for item_id, version in present)
     return b"".join(parts)
 
 
@@ -633,23 +677,23 @@ def encode_versions_ack(node_versions: Dict[int, int],
             + _encode_version_map(object_versions, object_order))
 
 
-def _read_version_map(reader: PayloadReader) -> Dict[int, int]:
-    count = _read_count(reader, "version stamp")
-    versions: Dict[int, int] = {}
-    for _ in range(count):
-        (item_id,) = reader.unpack(_I64)
-        (version,) = reader.unpack(_U32)
-        versions[int(item_id)] = int(version)
-    return versions
+def _version_map(payload: bytes, offset: int) -> Tuple[Dict[int, int], int]:
+    (count,) = _U32.unpack_from(payload, offset)
+    start = offset + 4
+    end = start + _VERSION.size * _count(count, "version stamp")
+    if end > len(payload):
+        raise FrameError(f"truncated payload: {count} version stamps")
+    return {item_id: version for item_id, version
+            in _VERSION.iter_unpack(payload[start:end])}, end
 
 
+@_decodes("VERSIONS_ACK")
 def decode_versions_ack(payload: bytes
                         ) -> Tuple[Dict[int, int], Dict[int, int]]:
     """Decode a VERSIONS_ACK payload."""
-    reader = PayloadReader(payload)
-    node_versions = _read_version_map(reader)
-    object_versions = _read_version_map(reader)
-    reader.expect_end()
+    node_versions, offset = _version_map(payload, 0)
+    object_versions, offset = _version_map(payload, offset)
+    _expect_end(payload, offset)
     return node_versions, object_versions
 
 
@@ -670,10 +714,9 @@ def encode_bye_ack(ledger: Dict[str, int]) -> bytes:
                           for field in LEDGER_FIELDS))
 
 
+@_decodes("BYE_ACK")
 def decode_bye_ack(payload: bytes) -> Dict[str, int]:
     """Decode a BYE_ACK payload."""
-    reader = PayloadReader(payload)
-    values = reader.unpack(_LEDGER)
-    reader.expect_end()
-    return {field: int(value)
-            for field, value in zip(LEDGER_FIELDS, values)}
+    values = _LEDGER.unpack_from(payload)
+    _expect_end(payload, _LEDGER.size)
+    return dict(zip(LEDGER_FIELDS, values))

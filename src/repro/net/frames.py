@@ -13,10 +13,9 @@ frame — the peer died mid-write) from a *garbled* one (bytes arrived but
 fail the magic / CRC check) and surfaces each as its own typed error.
 
 The module is transport-agnostic: :func:`read_frame_async` serves the
-asyncio server, :func:`read_frame_socket` the synchronous client, and
-:class:`PayloadReader` gives the payload codecs bounds-checked access so a
-truncated payload is rejected (``FrameError``) instead of crashing in
-``struct``.
+asyncio server and :func:`read_frame_socket` the synchronous client.  What
+is inside a payload is :mod:`repro.net.codec`'s business; its decoders
+raise the same :class:`FrameError` for a malformed one.
 """
 
 from __future__ import annotations
@@ -217,46 +216,3 @@ def write_frame_socket(sock: socket.socket, frame_type: int,
         raise ConnectionLost(f"connection lost: {error}") from error
     return len(data)
 
-
-class PayloadReader:
-    """Bounds-checked sequential access to one frame payload.
-
-    The payload codecs read through this so a truncated or oversized
-    payload surfaces as a :class:`FrameError` — the same taxonomy as a
-    failed CRC — rather than an uncaught ``struct.error``.
-    """
-
-    __slots__ = ("_data", "_offset")
-
-    def __init__(self, data: bytes) -> None:
-        self._data = data
-        self._offset = 0
-
-    @property
-    def remaining(self) -> int:
-        """Bytes not yet consumed."""
-        return len(self._data) - self._offset
-
-    def unpack(self, codec: struct.Struct) -> Tuple[object, ...]:
-        """Read one fixed-width struct record."""
-        if self.remaining < codec.size:
-            raise FrameError(f"truncated payload: needed {codec.size} "
-                             f"bytes, {self.remaining} left")
-        values = codec.unpack_from(self._data, self._offset)
-        self._offset += codec.size
-        return values
-
-    def read_bytes(self, count: int) -> bytes:
-        """Read a raw byte run (length-prefixed strings)."""
-        if count < 0 or self.remaining < count:
-            raise FrameError(f"truncated payload: needed {count} bytes, "
-                             f"{self.remaining} left")
-        chunk = self._data[self._offset:self._offset + count]
-        self._offset += count
-        return chunk
-
-    def expect_end(self) -> None:
-        """Reject trailing garbage after the last decoded field."""
-        if self.remaining:
-            raise FrameError(f"{self.remaining} trailing bytes after the "
-                             "final payload field")

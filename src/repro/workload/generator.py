@@ -41,8 +41,10 @@ class QueryGenerator:
     * ``k_max`` — kNN parameter drawn uniformly from ``1..k_max`` (``Kmax``)
       unless a k-schedule overrides it;
     * ``join_distance`` — the distance self-join threshold (``Distjoin``);
-    * ``join_window_area`` — neighbourhood restriction of the join (see
-      DESIGN.md for the interpretation).
+    * ``join_window_area`` — area of the square neighbourhood window,
+      centred on the client, that a join's pairs must intersect (defaults
+      to four range windows; see :mod:`repro.workload.queries` for why the
+      join is restricted at all).
     """
 
     def __init__(self, window_area: float = 1e-6, k_max: int = 5,

@@ -9,7 +9,8 @@ Three query types from the paper are supported:
   other").  The paper describes the join as a distance self-join over the
   dataset issued by a client asking about its proximity area; restricting the
   pairs to a neighbourhood window keeps the result set commensurate with the
-  paper's per-query byte counts (see DESIGN.md).
+  paper's per-query byte counts — an unrestricted self-join returns a
+  sizeable fraction of the dataset on every query.
 """
 
 from __future__ import annotations

@@ -27,7 +27,7 @@ from repro.core.server import IndexNodeSnapshot, ObjectDelivery, ServerResponse
 from repro.core.supporting_index import IndexForm, SupportingIndexPolicy
 from repro.geometry import Point, Rect
 from repro.net import codec, frames
-from repro.net.frames import FrameError, PayloadReader
+from repro.net.frames import FrameError
 from repro.rtree.entry import ObjectRecord
 from repro.rtree.sizes import SizeModel
 from repro.storage.faults import corrupt_byte
@@ -345,10 +345,15 @@ def test_unknown_query_kind_is_rejected():
 
 
 def test_nonpositive_knn_k_is_rejected():
-    reader = PayloadReader(codec.encode_query(
-        KNNQuery(point=Point(0.5, 0.5), k=3))[:-8] + (0).to_bytes(8, "little"))
-    with pytest.raises(FrameError):
-        codec.read_query(reader)
+    payload = codec.encode_query_request(KNNQuery(point=Point(0.5, 0.5), k=3),
+                                         None, None)
+    # k is the i64 right after the kind byte and the two coordinates.
+    assert payload[17:25] == (3).to_bytes(8, "little")
+    for k in (0, -1):
+        with pytest.raises(FrameError):
+            codec.decode_query_request(
+                payload[:17] + k.to_bytes(8, "little", signed=True)
+                + payload[25:])
 
 
 def test_bad_presence_flag_is_rejected():
@@ -388,6 +393,28 @@ def test_bad_frontier_width_is_rejected():
     assert payload[width_offset] == 1
     with pytest.raises(FrameError):
         codec.decode_query_request(_poisoned(payload, width_offset, 3))
+
+
+def test_frontier_item_of_three_whole_targets_is_rejected():
+    """Width 3 is refused even when three well-formed targets follow it."""
+    rng = random.Random(2)
+    query = RangeQuery(window=Rect(0, 0, 1, 1))
+    target = _target(rng)
+    remainder = RemainderQuery(query=query, frontier=[(target,) * 3])
+    payload = codec.encode_query_request(query, remainder, None)
+    assert payload[33 + 1 + 4] == 3
+    with pytest.raises(FrameError, match="width 3"):
+        codec.decode_query_request(payload)
+
+
+def test_degenerate_rectangle_is_a_frame_error():
+    """A value ``Rect`` refuses (min_x > max_x) is a typed payload error."""
+    payload = codec.encode_query_request(RangeQuery(window=Rect(0, 0, 1, 1)),
+                                         None, None)
+    swapped = payload[:1] + payload[17:25] + payload[9:17] + payload[1:9] \
+        + payload[25:]
+    with pytest.raises(FrameError, match="degenerate rectangle"):
+        codec.decode_query_request(swapped)
 
 
 def test_garbled_utf8_string_is_rejected():

@@ -24,7 +24,6 @@ from repro.net.frames import (
     FrameError,
     HEADER_BYTES,
     MAX_PAYLOAD_BYTES,
-    PayloadReader,
     decode_frame,
     encode_frame,
     read_frame_socket,
@@ -225,39 +224,3 @@ def test_async_crc_mismatch_is_garbled():
     with pytest.raises(FrameError):
         _read_fed(bytes(data))
 
-
-# --------------------------------------------------------------------------- #
-# PayloadReader: bounds-checked payload access
-# --------------------------------------------------------------------------- #
-def test_payload_reader_tracks_remaining():
-    reader = PayloadReader(b"\x01\x02\x03\x04")
-    assert reader.remaining == 4
-    assert reader.read_bytes(3) == b"\x01\x02\x03"
-    assert reader.remaining == 1
-
-
-def test_payload_reader_truncated_unpack_is_frame_error():
-    reader = PayloadReader(b"\x01\x02")
-    with pytest.raises(FrameError):
-        reader.unpack(struct.Struct("<I"))
-
-
-def test_payload_reader_truncated_bytes_is_frame_error():
-    reader = PayloadReader(b"ab")
-    with pytest.raises(FrameError):
-        reader.read_bytes(3)
-
-
-def test_payload_reader_negative_read_is_frame_error():
-    reader = PayloadReader(b"abcd")
-    with pytest.raises(FrameError):
-        reader.read_bytes(-1)
-
-
-def test_payload_reader_trailing_bytes_are_frame_error():
-    reader = PayloadReader(b"\x01\x02")
-    reader.read_bytes(1)
-    with pytest.raises(FrameError):
-        reader.expect_end()
-    reader.read_bytes(1)
-    reader.expect_end()  # fully consumed: fine

@@ -31,7 +31,7 @@ from repro.net.client import (
     RemoteSessionClient,
 )
 from repro.net.fleet import latency_summary, make_endpoint
-from repro.net.frames import RemoteError
+from repro.net.frames import FrameError, RemoteError
 from repro.net.server import ReproServer, ServerThread
 from repro.network.channel import WirelessChannel
 from repro.rtree.sizes import SizeModel
@@ -40,7 +40,7 @@ from repro.sim.runner import build_shared_state, generate_trace
 from repro.sim.sessions import make_session
 from repro.updates import DatasetUpdater, make_protocol
 from repro.updates.validation import LocalValidationService
-from repro.workload.queries import KNNQuery
+from repro.workload.queries import KNNQuery, RangeQuery
 
 
 @pytest.fixture(scope="module")
@@ -314,6 +314,77 @@ def test_retired_node_request_frame_is_refused_and_the_server_stays_healthy(
             == shared.server.execute(query).result_object_ids()
     finally:
         client.close()
+
+
+def test_degenerate_window_is_refused_and_the_server_stays_healthy(served):
+    """A CRC-valid QUERY whose window has min_x > max_x is a bad query.
+
+    The value fails ``Rect``'s own check while decoding; the server answers
+    that peer with ``bad-query`` and its serial dispatcher keeps serving.
+    """
+    base, shared, _, thread = served
+    payload = codec.encode_query_request(
+        RangeQuery(window=Rect(0.2, 0.2, 0.4, 0.4)), None, None)
+    # Swap min_x (bytes 1-8) and max_x (bytes 17-24) after the kind byte.
+    poisoned = (payload[:1] + payload[17:25] + payload[9:17] + payload[1:9]
+                + payload[25:])
+    connection = Connection(make_endpoint(thread), shared.size_model,
+                            "degenerate-check", 5.0)
+    try:
+        with pytest.raises(RemoteError) as excinfo:
+            connection.exchange(frames.QUERY, poisoned)
+        assert excinfo.value.code == "bad-query"
+        assert "degenerate rectangle" in str(excinfo.value)
+    finally:
+        connection.close()
+    client = RemoteSessionClient(make_endpoint(thread), shared.size_model,
+                                 client_name="after-degenerate")
+    try:
+        query = next(iter(generate_trace(base))).query
+        remote, local = client.execute(query), shared.server.execute(query)
+        assert dataclasses.replace(remote, cpu_seconds=0.0) \
+            == dataclasses.replace(local, cpu_seconds=0.0)
+    finally:
+        client.close()
+
+
+class _CannedPool:
+    """A pool whose every connection answers with one canned payload."""
+
+    def __init__(self, answer):
+        self.answer = answer
+        self.dialled = 0
+
+    def get(self):
+        self.dialled += 1
+        return self
+
+    def expect(self, frame_type, payload, reply):
+        return self.answer
+
+    def release(self, connection):
+        pass
+
+    def discard(self, connection):
+        pass
+
+
+def test_a_degenerate_response_is_a_frame_error_and_is_not_retried():
+    """The client decodes the same way: a refused value is a FrameError.
+
+    The frame arrived whole, so nothing is retried and nothing is billed.
+    """
+    good = codec.encode_response(ServerResponse(), 1, Rect(0.0, 0.0, 1.0, 1.0))
+    # Swap the catalogue MBR's min_x (bytes 8-15) and max_x (24-31).
+    bad = good[:8] + good[24:32] + good[16:24] + good[8:16] + good[32:]
+    pool = _CannedPool(bad)
+    channel = WirelessChannel()
+    client = RemoteSessionClient(Endpoint("uds", path="/nonexistent.sock"),
+                                 SizeModel(), channel=channel, pool=pool)
+    with pytest.raises(FrameError, match="degenerate rectangle"):
+        client.execute(KNNQuery(point=Point(0.5, 0.5), k=1))
+    assert (pool.dialled, client.retries, len(client.latencies)) == (1, 0, 0)
+    assert (channel.uplink_bytes_total, channel.downlink_bytes_total) == (0, 0)
 
 
 # --------------------------------------------------------------------------- #

@@ -37,6 +37,9 @@ FAILING = {
     "persist recover": ["persist", "recover", "missing.rpro"],
     "persist pack": ["persist", "pack", "missing.rpro"],
     "lint": ["lint", "nodir/missing.py"],
+    # --paper-scale fixes the dataset and the trace: a flag it would
+    # override is refused, not silently dropped.
+    "params --paper-scale": ["params", "--paper-scale", "--queries", "10"],
 }
 
 
