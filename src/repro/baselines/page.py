@@ -11,7 +11,7 @@ exactly the trade-off Figure 6 of the paper shows.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Optional, Set
 
 from repro.core.items import CachedObject
 from repro.rtree.entry import ObjectRecord
@@ -68,12 +68,3 @@ class PageCache:
             object_id=record.object_id, mbr=record.mbr, size_bytes=record.size_bytes)
         self.used_bytes += record.size_bytes
         return True
-
-    def insert_many(self, records: Iterable[ObjectRecord]) -> None:
-        """Insert several objects."""
-        for record in records:
-            self.insert(record)
-
-    def cached_bytes_of(self, object_ids: Iterable[int]) -> int:
-        """Total cached bytes among ``object_ids``."""
-        return sum(self._objects[oid].size_bytes for oid in object_ids if oid in self._objects)

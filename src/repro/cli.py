@@ -86,29 +86,33 @@ def config_from_args(args: argparse.Namespace) -> SimulationConfig:
     """
     given = {name: getattr(args, name) for name in _SCALED_DEFAULTS
              if getattr(args, name) is not None}
-    if getattr(args, "paper_scale", False):
-        if given:
-            flags = ", ".join(f"--{name}" for name in given)
-            raise SystemExit(f"repro {args.command}: error: --paper-scale "
-                             f"uses Table 6.1's dataset and trace; drop {flags}")
-        base = SimulationConfig.paper()
-        return base.with_overrides(mobility_model=args.mobility,
-                                   cache_fraction=args.cache,
-                                   replacement_policy=args.replacement)
-    values = {**_SCALED_DEFAULTS, **given}
-    return SimulationConfig.scaled(query_count=values["queries"],
-                                   object_count=values["objects"],
-                                   seed=values["seed"]).with_overrides(
-        dataset_name=values["dataset"],
-        mobility_model=args.mobility,
-        cache_fraction=args.cache,
-        replacement_policy=args.replacement)
+    overrides = dict(mobility_model=args.mobility, cache_fraction=args.cache,
+                     replacement_policy=args.replacement)
+    try:
+        if getattr(args, "paper_scale", False):
+            if given:
+                flags = ", ".join(f"--{name}" for name in given)
+                raise ValueError(f"--paper-scale uses Table 6.1's dataset "
+                                 f"and trace; drop {flags}")
+            return SimulationConfig.paper().with_overrides(**overrides)
+        values = {**_SCALED_DEFAULTS, **given}
+        return SimulationConfig.scaled(query_count=values["queries"],
+                                       object_count=values["objects"],
+                                       seed=values["seed"]).with_overrides(
+            dataset_name=values["dataset"], **overrides)
+    except ValueError as error:
+        raise SystemExit(f"repro {args.command}: error: {error}")
 
 
 def _run_compare(args: argparse.Namespace) -> str:
     from repro.storage import StorageError
     config = config_from_args(args)
     models = tuple(model.strip().upper() for model in args.models.split(","))
+    unknown = [model for model in models if model not in _MODELS]
+    if unknown:
+        raise SystemExit(f"repro compare: error: unknown caching model(s) "
+                         f"{', '.join(unknown)}; expected one of "
+                         f"{', '.join(_MODELS)}")
     try:
         results = run_comparison(config, models=models, store_path=args.store)
     except (OSError, StorageError) as error:
@@ -121,7 +125,7 @@ def _run_compare(args: argparse.Namespace) -> str:
                               f"|C|={config.cache_fraction:.1%}, {config.mobility_model})")
 
 
-_GROUP_MODELS = ("PAG", "SEM", "APRO", "FPRO", "CPRO")
+_MODELS = ("PAG", "SEM", "APRO", "FPRO", "CPRO")
 _GROUP_MOBILITY = ("RAN", "DIR")
 
 
@@ -151,9 +155,9 @@ def parse_group_spec(text: str) -> ClientGroupSpec:
     if spec.mobility_model not in _GROUP_MOBILITY:
         raise argparse.ArgumentTypeError(
             f"bad group spec {text!r}: mobility must be one of {_GROUP_MOBILITY}")
-    if spec.model not in _GROUP_MODELS:
+    if spec.model not in _MODELS:
         raise argparse.ArgumentTypeError(
-            f"bad group spec {text!r}: model must be one of {_GROUP_MODELS}")
+            f"bad group spec {text!r}: model must be one of {_MODELS}")
     return spec
 
 
@@ -204,11 +208,12 @@ def _run_fleet(args: argparse.Namespace) -> str:
             report += _update_summary_line(result.update_summary)
         return report
 
-    base = SimulationConfig.scaled(query_count=args.queries, object_count=args.objects,
-                                   seed=args.seed).with_overrides(
-        dataset_name=args.dataset, cache_fraction=args.cache,
-        replacement_policy=args.replacement)
     try:
+        base = SimulationConfig.scaled(query_count=args.queries,
+                                       object_count=args.objects,
+                                       seed=args.seed).with_overrides(
+            dataset_name=args.dataset, cache_fraction=args.cache,
+            replacement_policy=args.replacement)
         if args.group:
             fleet = FleetConfig.make(base, args.group, fleet_seed=args.fleet_seed)
         else:
@@ -344,21 +349,32 @@ def _run_fleet(args: argparse.Namespace) -> str:
 
 
 def _run_serve(args: argparse.Namespace) -> str:
-    """Run a standalone wire-protocol server until interrupted."""
+    """Run a standalone wire-protocol server until SIGINT or SIGTERM."""
     import asyncio
+    import signal
 
     from repro.net.server import ReproServer
     from repro.sim.runner import build_shared_state
 
-    base = SimulationConfig.scaled(query_count=args.queries,
-                                   object_count=args.objects,
-                                   seed=args.seed).with_overrides(
-        dataset_name=args.dataset)
+    try:
+        base = SimulationConfig.scaled(query_count=args.queries,
+                                       object_count=args.objects,
+                                       seed=args.seed).with_overrides(
+            dataset_name=args.dataset)
+    except ValueError as error:
+        raise SystemExit(f"repro serve: error: {error}")
     if args.transport == "uds" and not args.path:
         raise SystemExit("repro serve: error: --transport uds requires "
                          "--path")
 
     async def main() -> None:
+        # Either signal ends the wait below, and the finally clause closes
+        # the listeners and the store.  SIGINT gets a handler explicitly: a
+        # server started as a background job inherits it ignored.
+        stop = asyncio.Event()
+        loop = asyncio.get_running_loop()
+        for signum in (signal.SIGINT, signal.SIGTERM):
+            loop.add_signal_handler(signum, stop.set)
         shared = build_shared_state(base)
         server = ReproServer(shared.server, shared.size_model)
         status = None
@@ -394,7 +410,7 @@ def _run_serve(args: argparse.Namespace) -> str:
                 shost, sport = await status.start()
                 print(f"live ops: http://{shost}:{sport}/ "
                       f"(/status, /metrics)", flush=True)
-            await asyncio.Event().wait()
+            await stop.wait()
         finally:
             if status is not None:
                 from repro.obs.instrument import deactivate as _deactivate
@@ -421,19 +437,19 @@ def _run_trace(args: argparse.Namespace) -> str:
     from repro.obs.instrument import activated
     from repro.obs.trace import Recorder, render_flame, spans_to_jsonl
 
-    base = SimulationConfig.scaled(query_count=args.queries,
-                                   object_count=args.objects,
-                                   seed=args.seed).with_overrides(
-        dataset_name=args.dataset)
-    fleet = default_fleet(args.clients, base=base)
-    if args.shards is not None:
-        fleet = dataclasses.replace(fleet, shards=args.shards,
-                                    partitioner=args.partitioner)
-    if args.update_rate:
-        fleet = dataclasses.replace(fleet, update_rate=args.update_rate,
-                                    consistency="versioned")
     recorder = Recorder(timing=args.timing)
     try:
+        base = SimulationConfig.scaled(query_count=args.queries,
+                                       object_count=args.objects,
+                                       seed=args.seed).with_overrides(
+            dataset_name=args.dataset)
+        fleet = default_fleet(args.clients, base=base)
+        if args.shards is not None:
+            fleet = dataclasses.replace(fleet, shards=args.shards,
+                                        partitioner=args.partitioner)
+        if args.update_rate:
+            fleet = dataclasses.replace(fleet, update_rate=args.update_rate,
+                                        consistency="versioned")
         with activated(recorder):
             run_fleet(fleet)
     except (OSError, ValueError) as error:

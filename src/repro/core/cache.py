@@ -26,7 +26,7 @@ announced, so the query walk may record them on the item states directly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Union
+from typing import Dict, List, Optional, Set, Union
 
 from repro.core.items import (
     CachedIndexNode,
@@ -165,11 +165,6 @@ class ProactiveCache:
     def cached_object_ids(self) -> Set[int]:
         """Ids of all cached objects (a copy; maintained incrementally)."""
         return self._object_ids.copy()
-
-    def cached_node_ids(self) -> Set[int]:
-        """Ids of all cached node snapshots."""
-        return {state.payload.node_id for state in self.items.values()
-                if state.is_index_item}
 
     def leaf_keys(self) -> List[str]:
         """Keys of all currently evictable items (maintained incrementally)."""

@@ -75,14 +75,6 @@ class CachedIndexNode:
         """All cached elements of the node."""
         return list(self.elements.values())
 
-    def real_entries(self) -> List[CacheEntry]:
-        """Only the real (expandable / object) entries."""
-        return [e for e in self.elements.values() if not e.is_super]
-
-    def super_entries(self) -> List[CacheEntry]:
-        """Only the super entries."""
-        return [e for e in self.elements.values() if e.is_super]
-
     def size_bytes(self, size_model: SizeModel) -> int:
         """Cache footprint of the snapshot."""
         supers = 0

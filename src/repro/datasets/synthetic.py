@@ -23,10 +23,6 @@ class DatasetSpec:
     zipf_theta: float = 0.8
 
 
-def _sizes(spec: DatasetSpec, rng: random.Random) -> ZipfSizeGenerator:
-    return ZipfSizeGenerator(mean_bytes=spec.mean_object_bytes, theta=spec.zipf_theta, rng=rng)
-
-
 def generate_ne_like(object_count: int, seed: int = 7, cluster_count: int = 40,
                      mean_object_bytes: int = 10_240, zipf_theta: float = 0.8) -> List[ObjectRecord]:
     """Generate an NE-like dataset: small rectangles in Gaussian urban clusters.

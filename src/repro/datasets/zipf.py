@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from typing import List, Optional
+from typing import Optional
 
 
 class ZipfSizeGenerator:
@@ -43,7 +43,3 @@ class ZipfSizeGenerator:
         rank = self.rng.choices(range(self.rank_count), weights=self._probabilities, k=1)[0]
         size = int(round(self._raw_sizes[rank] * self._scale))
         return max(self.min_bytes, size)
-
-    def sample_many(self, count: int) -> List[int]:
-        """Draw ``count`` object sizes."""
-        return [self.sample() for _ in range(count)]

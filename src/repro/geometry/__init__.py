@@ -9,22 +9,10 @@ MBR plus a pointer".
 
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
-from repro.geometry.distance import (
-    euclidean,
-    min_dist_point_rect,
-    min_max_dist_point_rect,
-    min_dist_rect_rect,
-    circle_contains_circle,
-    circle_contains_rect,
-)
+from repro.geometry.distance import circle_contains_circle
 
 __all__ = [
     "Point",
     "Rect",
-    "euclidean",
-    "min_dist_point_rect",
-    "min_max_dist_point_rect",
-    "min_dist_rect_rect",
     "circle_contains_circle",
-    "circle_contains_rect",
 ]

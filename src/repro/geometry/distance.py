@@ -1,62 +1,8 @@
-"""Distance helpers shared by the kNN search, joins and semantic caching."""
+"""Circle containment for the semantic kNN cache."""
 
 from __future__ import annotations
 
-import math
-
 from repro.geometry.point import Point
-from repro.geometry.rect import Rect
-
-
-def euclidean(a: Point, b: Point) -> float:
-    """Euclidean distance between two points."""
-    return a.distance_to(b)
-
-
-def min_dist_point_rect(point: Point, rect: Rect) -> float:
-    """MINDIST between a point and a rectangle (Roussopoulos et al.)."""
-    return rect.min_dist_to_point(point)
-
-
-def min_dist_sq_point_rect(point: Point, rect: Rect) -> float:
-    """Squared MINDIST between a point and a rectangle (no square root).
-
-    Reference form of the squared kernels the hot loops inline; see
-    :meth:`Rect.min_dist_sq_to_point`.
-    """
-    return rect.min_dist_sq_to_point(point)
-
-
-def min_dist_sq_rect_rect(a: Rect, b: Rect) -> float:
-    """Squared minimum distance between two rectangles (0 when overlapping).
-
-    Reference form of the squared kernels the join loops inline; see
-    :meth:`Rect.min_dist_sq_to_rect`.
-    """
-    return a.min_dist_sq_to_rect(b)
-
-
-def min_max_dist_point_rect(point: Point, rect: Rect) -> float:
-    """MINMAXDIST between a point and a rectangle.
-
-    The smallest upper bound on the distance from ``point`` to the closest
-    object that is guaranteed to exist inside ``rect``.  Used only as an
-    optional pruning aid; best-first search does not require it but some
-    tests exercise the classical inequality MINDIST <= NN-dist <= MINMAXDIST.
-    """
-    rm_x = rect.min_x if point.x <= (rect.min_x + rect.max_x) / 2 else rect.max_x
-    rm_y = rect.min_y if point.y <= (rect.min_y + rect.max_y) / 2 else rect.max_y
-    r_big_x = rect.max_x if abs(point.x - rect.min_x) >= abs(point.x - rect.max_x) else rect.min_x
-    r_big_y = rect.max_y if abs(point.y - rect.min_y) >= abs(point.y - rect.max_y) else rect.min_y
-
-    d1 = (point.x - rm_x) ** 2 + (point.y - r_big_y) ** 2
-    d2 = (point.y - rm_y) ** 2 + (point.x - r_big_x) ** 2
-    return math.sqrt(min(d1, d2))
-
-
-def min_dist_rect_rect(a: Rect, b: Rect) -> float:
-    """Minimum distance between two rectangles (0 when overlapping)."""
-    return a.min_dist_to_rect(b)
 
 
 def circle_contains_circle(center_outer: Point, radius_outer: float,
@@ -68,19 +14,3 @@ def circle_contains_circle(center_outer: Point, radius_outer: float,
     k'-th-distance circle is contained in the cached circle.
     """
     return center_outer.distance_to(center_inner) + radius_inner <= radius_outer + 1e-12
-
-
-def circle_contains_rect(center: Point, radius: float, rect: Rect) -> bool:
-    """True when every corner of ``rect`` is within ``radius`` of ``center``."""
-    corners = (
-        Point(rect.min_x, rect.min_y),
-        Point(rect.min_x, rect.max_y),
-        Point(rect.max_x, rect.min_y),
-        Point(rect.max_x, rect.max_y),
-    )
-    return all(center.distance_to(c) <= radius + 1e-12 for c in corners)
-
-
-def rect_intersects_circle(rect: Rect, center: Point, radius: float) -> bool:
-    """True when the rectangle intersects the disc of ``radius`` at ``center``."""
-    return rect.min_dist_to_point(center) <= radius + 1e-12

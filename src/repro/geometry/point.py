@@ -24,10 +24,6 @@ class Point:
         """Euclidean distance to ``other``."""
         return math.hypot(self.x - other.x, self.y - other.y)
 
-    def translated(self, dx: float, dy: float) -> "Point":
-        """Return a new point shifted by ``(dx, dy)``."""
-        return Point(self.x + dx, self.y + dy)
-
     def clamped(self, lo: float = 0.0, hi: float = 1.0) -> "Point":
         """Return a copy clamped into the square ``[lo, hi] x [lo, hi]``."""
         return Point(min(max(self.x, lo), hi), min(max(self.y, lo), hi))
@@ -43,8 +39,3 @@ class Point:
     def __iter__(self) -> Iterator[float]:
         yield self.x
         yield self.y
-
-    @staticmethod
-    def origin() -> "Point":
-        """The point ``(0, 0)``."""
-        return Point(0.0, 0.0)

@@ -35,11 +35,6 @@ class Rect:
     # constructors
     # ------------------------------------------------------------------ #
     @staticmethod
-    def from_point(point: Point) -> "Rect":
-        """A zero-area rectangle at ``point``."""
-        return Rect(point.x, point.y, point.x, point.y)
-
-    @staticmethod
     def from_center(center: Point, width: float, height: float) -> "Rect":
         """A rectangle of the given dimensions centred at ``center``."""
         half_w, half_h = width / 2.0, height / 2.0

@@ -29,6 +29,8 @@ deployment where they are plain attribute reads.
 from __future__ import annotations
 
 import asyncio
+import contextlib
+import os
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.handles import ServerHandle
@@ -93,6 +95,8 @@ class ReproServer:
         self._queue: Optional[asyncio.Queue] = None
         self._dispatcher: Optional[asyncio.Task] = None
         self._listeners: List[asyncio.AbstractServer] = []
+        #: UNIX socket files this server bound; close() removes them.
+        self._socket_paths: List[str] = []
         #: Final ledgers of connections that completed a BYE handshake,
         #: keyed by client name (reconciliation tests read these).
         self.final_ledgers: Dict[str, Dict[str, int]] = {}
@@ -142,14 +146,19 @@ class ReproServer:
         await self.start()
         listener = await asyncio.start_unix_server(self._handle, path=path)
         self._listeners.append(listener)
+        self._socket_paths.append(path)
         return path
 
     async def close(self) -> None:
-        """Stop listening and cancel the dispatcher."""
+        """Stop listening, remove bound socket files, cancel the dispatcher."""
         for listener in self._listeners:
             listener.close()
             await listener.wait_closed()
         self._listeners.clear()
+        for path in self._socket_paths:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(path)
+        self._socket_paths.clear()
         if self._dispatcher is not None:
             self._dispatcher.cancel()
             try:

@@ -1,6 +1,5 @@
-"""Wireless-channel model and per-query traffic accounting."""
+"""Wireless-channel model and its byte accounting."""
 
 from repro.network.channel import WirelessChannel
-from repro.network.messages import TrafficLog
 
-__all__ = ["WirelessChannel", "TrafficLog"]
+__all__ = ["WirelessChannel"]

@@ -20,8 +20,8 @@ class WirelessChannel:
 
     bandwidth_bps: float = 384_000.0
     fixed_rtt_seconds: float = 0.0
-    # Exact int byte counters — same unit as TrafficLog entries, so channel
-    # and log totals for the same message stream are equal with ==.
+    # Exact int byte counters, so totals compare with == against the cost
+    # model's byte sums.
     uplink_bytes_total: int = 0
     downlink_bytes_total: int = 0
 

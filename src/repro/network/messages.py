@@ -1,9 +1,6 @@
-"""Per-query traffic logging."""
+"""Byte-count normalisation for the channel's ledger."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
-from typing import List, Tuple
 
 
 def as_int_bytes(num_bytes) -> int:
@@ -20,41 +17,3 @@ def as_int_bytes(num_bytes) -> int:
         raise ValueError(f"byte count must be non-negative, got {num_bytes!r}")
     return value
 
-
-@dataclass
-class TrafficLog:
-    """Chronological record of every message a simulated client exchanged.
-
-    Each entry is ``(query_index, direction, bytes)`` where direction is
-    ``"up"`` or ``"down"`` and bytes is an exact int — the same unit the
-    :class:`~repro.network.channel.WirelessChannel` counters accumulate, so
-    the totals of a log and of the channel it mirrors are comparable with
-    ``==``, not ``pytest.approx``.  Mostly useful for debugging and for the
-    traffic breakdown printed by some benchmarks.
-    """
-
-    entries: List[Tuple[int, str, int]] = field(default_factory=list)
-
-    def log_uplink(self, query_index: int, num_bytes: int) -> None:
-        """Record an uplink message."""
-        self.entries.append((query_index, "up", as_int_bytes(num_bytes)))
-
-    def log_downlink(self, query_index: int, num_bytes: int) -> None:
-        """Record a downlink message."""
-        self.entries.append((query_index, "down", as_int_bytes(num_bytes)))
-
-    def uplink_bytes(self) -> int:
-        """Total uplink bytes logged."""
-        return sum(size for _, direction, size in self.entries if direction == "up")
-
-    def downlink_bytes(self) -> int:
-        """Total downlink bytes logged."""
-        return sum(size for _, direction, size in self.entries if direction == "down")
-
-    def bytes_for_query(self, query_index: int) -> Tuple[int, int]:
-        """``(uplink, downlink)`` bytes for one query."""
-        up = sum(size for idx, direction, size in self.entries
-                 if idx == query_index and direction == "up")
-        down = sum(size for idx, direction, size in self.entries
-                   if idx == query_index and direction == "down")
-        return up, down

@@ -44,10 +44,6 @@ class StatusBoard:
         """Install (or replace) the provider behind ``section``."""
         self._providers[section] = provider
 
-    def unregister(self, section: str) -> None:
-        """Drop ``section``; unknown names are a no-op."""
-        self._providers.pop(section, None)
-
     def status(self) -> Dict[str, object]:
         """Evaluate every provider; failures become ``error`` sub-objects."""
         sections: Dict[str, object] = {}

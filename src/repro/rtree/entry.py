@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.geometry import Point, Rect
+from repro.geometry import Rect
 
 
 @dataclass(frozen=True, slots=True)
@@ -20,11 +20,6 @@ class ObjectRecord:
     object_id: int
     mbr: Rect
     size_bytes: int
-
-    @property
-    def centroid(self) -> Point:
-        """Centroid of the object's MBR."""
-        return self.mbr.center()
 
 
 @dataclass(frozen=True, slots=True)

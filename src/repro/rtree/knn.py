@@ -88,16 +88,3 @@ def knn_search(tree: TreeView, query_point: Point, k: int,
                 push(heap, (entry_dist_sq, next_tiebreak(), entry.child_id, None))
     return results
 
-
-def nearest_neighbor(tree: TreeView, query_point: Point) -> Optional[Tuple[int, float]]:
-    """The single nearest neighbour, or ``None`` for an empty tree."""
-    found = knn_search(tree, query_point, 1)
-    return found[0] if found else None
-
-
-def knn_distance(tree: TreeView, query_point: Point, k: int) -> float:
-    """Distance to the k-th nearest neighbour (``inf`` if fewer than k objects)."""
-    found = knn_search(tree, query_point, k)
-    if len(found) < k:
-        return float("inf")
-    return found[-1][1]

@@ -16,7 +16,7 @@ compact form, ``d = height`` is the full form).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Dict, Iterable, List, Set, Tuple, Union
 
 from repro.geometry import Rect
 from repro.rtree.entry import Entry
@@ -135,16 +135,6 @@ class PartitionTree:
         if self.is_leaf_code(code):
             return self.entry_at(code)
         return SuperEntry(self.node_id, code, self.mbrs[code])
-
-    def root_elements(self) -> List[PartitionElement]:
-        """Starting elements for a partition-tree traversal of this node."""
-        if self.is_leaf_code(""):
-            return [self.entry_at("")]
-        return self.children("")
-
-    def entries_under(self, code: str) -> List[Entry]:
-        """All real entries in the subset designated by ``code``."""
-        return list(self.subsets[code])
 
     def internal_node_count(self) -> int:
         """Number of internal partition-tree nodes (``N - 1`` for N entries)."""

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Set
+from typing import List, Optional, Set
 
 from repro.geometry import Rect
 from repro.rtree.tree import TreeView
@@ -50,14 +50,3 @@ def range_search(tree: TreeView, window: Rect,
             else:
                 push(entry.child_id)
     return results
-
-
-def range_count(tree: TreeView, window: Rect) -> int:
-    """Number of objects intersecting ``window`` (convenience wrapper)."""
-    return len(range_search(tree, window))
-
-
-def range_search_filtered(tree: TreeView, window: Rect,
-                          predicate: Callable[[int], bool]) -> List[int]:
-    """Range search keeping only object ids accepted by ``predicate``."""
-    return [object_id for object_id in range_search(tree, window) if predicate(object_id)]

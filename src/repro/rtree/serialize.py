@@ -44,11 +44,6 @@ _KIND_CHILD = 0
 _KIND_OBJECT = 1
 
 
-def encoded_node_size(entry_count: int) -> int:
-    """Encoded byte size of a node with ``entry_count`` entries."""
-    return _NODE_HEADER.size + entry_count * _NODE_ENTRY.size
-
-
 def encoded_object_size() -> int:
     """Encoded byte size of one object record (fixed width)."""
     return _OBJECT_RECORD.size

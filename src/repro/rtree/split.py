@@ -1,17 +1,13 @@
-"""Node-splitting heuristics.
+"""Node splitting: the R*-tree split (Beckmann et al. 1990).
 
-Two splitters are provided:
-
-* :func:`rstar_split` — the R*-tree split (Beckmann et al. 1990): choose the
-  split axis by minimum margin sum, then the split index by minimum overlap
-  (ties broken by minimum total area).  This is used both by the dynamic
-  insertion path of :class:`~repro.rtree.tree.RTree` and — crucially for the
-  paper — by :class:`~repro.rtree.partition_tree.PartitionTree`, which
-  recursively applies the same heuristic to build the binary partition tree
-  of every node ("The partitioning uses the R-tree node splitting algorithm
-  to assure minimal overlap", Section 4.2).
-* :func:`quadratic_split` — Guttman's quadratic split, kept as a baseline and
-  for tests comparing tree quality.
+:func:`rstar_split` chooses the split axis by minimum margin sum, then the
+split index by minimum overlap (ties broken by minimum total area).  It is
+used both by the dynamic insertion path of :class:`~repro.rtree.tree.RTree`
+and — crucially for the paper — by
+:class:`~repro.rtree.partition_tree.PartitionTree`, which recursively applies
+the same heuristic to build the binary partition tree of every node ("The
+partitioning uses the R-tree node splitting algorithm to assure minimal
+overlap", Section 4.2).
 """
 
 from __future__ import annotations
@@ -22,14 +18,6 @@ from repro.geometry import Rect
 from repro.rtree.entry import Entry
 
 _Bounds = Tuple[float, float, float, float]
-
-
-def _group_mbr(entries: Sequence[Entry]) -> Rect:
-    return Rect.bounding(entry.mbr for entry in entries)
-
-
-def _margin(entries: Sequence[Entry]) -> float:
-    return _group_mbr(entries).margin() if entries else 0.0
 
 
 def _prefix_bounds(mbrs: Sequence[Rect]) -> List[_Bounds]:
@@ -160,54 +148,3 @@ def rstar_split(entries: Sequence[Entry], min_fill: int) -> Tuple[List[Entry], L
                 best_at = split_at
     return list(best_ordering[:best_at]), list(best_ordering[best_at:])
 
-
-def quadratic_split(entries: Sequence[Entry], min_fill: int) -> Tuple[List[Entry], List[Entry]]:
-    """Guttman's quadratic split (baseline splitter)."""
-    entries = list(entries)
-    total = len(entries)
-    if total < 2:
-        raise ValueError("cannot split fewer than two entries")
-    min_fill = max(1, min(min_fill, total - 1))
-
-    # Pick seeds: the pair wasting the most area.
-    worst_waste = -1.0
-    seed_a, seed_b = 0, 1
-    for i in range(total):
-        for j in range(i + 1, total):
-            waste = (entries[i].mbr.union(entries[j].mbr).area()
-                     - entries[i].mbr.area() - entries[j].mbr.area())
-            if waste > worst_waste:
-                worst_waste = waste
-                seed_a, seed_b = i, j
-
-    left = [entries[seed_a]]
-    right = [entries[seed_b]]
-    remaining = [e for k, e in enumerate(entries) if k not in (seed_a, seed_b)]
-
-    while remaining:
-        # If one group must absorb everything to reach min_fill, do so.
-        if len(left) + len(remaining) == min_fill:
-            left.extend(remaining)
-            break
-        if len(right) + len(remaining) == min_fill:
-            right.extend(remaining)
-            break
-
-        left_mbr, right_mbr = _group_mbr(left), _group_mbr(right)
-        best_index = 0
-        best_diff = -1.0
-        for index, entry in enumerate(remaining):
-            d_left = left_mbr.enlargement(entry.mbr)
-            d_right = right_mbr.enlargement(entry.mbr)
-            diff = abs(d_left - d_right)
-            if diff > best_diff:
-                best_diff = diff
-                best_index = index
-        entry = remaining.pop(best_index)
-        d_left = left_mbr.enlargement(entry.mbr)
-        d_right = right_mbr.enlargement(entry.mbr)
-        if d_left < d_right or (d_left == d_right and len(left) <= len(right)):
-            left.append(entry)
-        else:
-            right.append(entry)
-    return left, right

@@ -17,11 +17,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from typing import (
-    Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Protocol, Sequence, Tuple,
+    Dict, Iterable, Iterator, List, Mapping, Optional, Protocol, Sequence, Tuple,
     runtime_checkable,
 )
 
-from repro.geometry import Point, Rect
+from repro.geometry import Rect
 from repro.rtree.entry import Entry, ObjectRecord
 from repro.rtree.node import Node
 from repro.rtree.sizes import SizeModel
@@ -197,6 +197,11 @@ def subtree_keys(entries: Sequence[Entry], mbr: Rect,
 class RTree:
     """A dynamic R*-tree over :class:`ObjectRecord` data.
 
+    Overflow handling is R*'s and has no switches: within one insertion,
+    the first overflow at each non-root level reinserts the 30 % of entries
+    farthest from the node centre; every other overflow splits the node
+    with :func:`~repro.rtree.split.rstar_split`.
+
     Parameters
     ----------
     size_model:
@@ -205,11 +210,6 @@ class RTree:
     max_entries / min_entries:
         Optional explicit fanout bounds; by default they are derived from
         the size model (min = 40 % of max, the R* recommendation).
-    splitter:
-        Entry-split function; defaults to the R* split.
-    forced_reinsert:
-        Whether the first overflow at each level performs the R* forced
-        reinsertion of the 30 % most distant entries before splitting.
     store:
         Optional empty :class:`~repro.storage.backend.StorageBackend` to
         build the tree on; defaults to a fresh in-memory :class:`PageStore`.
@@ -219,15 +219,12 @@ class RTree:
     def _configure(self,
                    size_model: Optional[SizeModel],
                    max_entries: Optional[int],
-                   min_entries: Optional[int],
-                   splitter: Callable[[Sequence[Entry], int],
-                                      Tuple[List[Entry], List[Entry]]],
-                   forced_reinsert: bool) -> None:
+                   min_entries: Optional[int]) -> None:
         """Normalise and validate the shared tree parameters.
 
         The single source of the fanout-bound derivation, used by both
         :meth:`__init__` and :meth:`from_storage` so built and loaded trees
-        can never disagree on the bounds the splitter uses.
+        can never disagree on the bounds the split uses.
         """
         self.size_model = size_model or SizeModel()
         self.max_entries = max_entries or self.size_model.node_capacity
@@ -235,18 +232,13 @@ class RTree:
             raise ValueError("max_entries must be at least 2")
         self.min_entries = min_entries or max(2, int(round(self.max_entries * 0.4)))
         self.min_entries = min(self.min_entries, self.max_entries // 2) or 1
-        self.splitter = splitter
-        self.forced_reinsert = forced_reinsert
 
     def __init__(self,
                  size_model: Optional[SizeModel] = None,
                  max_entries: Optional[int] = None,
                  min_entries: Optional[int] = None,
-                 splitter: Callable[[Sequence[Entry], int], Tuple[List[Entry], List[Entry]]] = rstar_split,
-                 forced_reinsert: bool = True,
                  store: Optional[PageStore] = None) -> None:
-        self._configure(size_model, max_entries, min_entries, splitter,
-                        forced_reinsert)
+        self._configure(size_model, max_entries, min_entries)
         if store is not None and len(store):
             raise ValueError("store must be empty; use RTree.from_storage to "
                              "adopt a populated backend")
@@ -262,10 +254,7 @@ class RTree:
                      root_id: int, height: int,
                      size_model: Optional[SizeModel] = None,
                      max_entries: Optional[int] = None,
-                     min_entries: Optional[int] = None,
-                     splitter: Callable[[Sequence[Entry], int],
-                                        Tuple[List[Entry], List[Entry]]] = rstar_split,
-                     forced_reinsert: bool = True) -> "RTree":
+                     min_entries: Optional[int] = None) -> "RTree":
         """Adopt an already populated storage backend (deserialisation hook).
 
         Used by :func:`repro.storage.paged.load_tree` to reconstruct a tree
@@ -276,8 +265,7 @@ class RTree:
         if root_id not in store:
             raise ValueError(f"root node {root_id} not present in the store")
         tree = cls.__new__(cls)
-        tree._configure(size_model, max_entries, min_entries, splitter,
-                        forced_reinsert)
+        tree._configure(size_model, max_entries, min_entries)
         tree.store = store
         tree.objects = objects
         tree.root_id = root_id
@@ -348,11 +336,6 @@ class RTree:
         entry = Entry(mbr=record.mbr, object_id=record.object_id)
         self._insert_entry(entry, target_level=0)
 
-    def insert_all(self, records: Iterable[ObjectRecord]) -> None:
-        """Insert many objects one by one (dynamic build)."""
-        for record in records:
-            self.insert(record)
-
     def _insert_entry(self, entry: Entry, target_level: int) -> None:
         leaf = self._choose_subtree(entry.mbr, target_level)
         leaf.add(entry)
@@ -380,14 +363,13 @@ class RTree:
         if node.fanout <= self.max_entries:
             return
         is_root = node.node_id == self.root_id
-        if (self.forced_reinsert and not is_root
-                and node.level not in self._reinsert_levels):
+        if not is_root and node.level not in self._reinsert_levels:
             self._reinsert_levels.add(node.level)
-            self._forced_reinsert(node)
+            self._reinsert_farthest(node)
         else:
             self._split_node(node)
 
-    def _forced_reinsert(self, node: Node) -> None:
+    def _reinsert_farthest(self, node: Node) -> None:
         """Remove the 30 % entries farthest from the node centre and reinsert."""
         center = node.mbr().center()
         count = max(1, int(round(node.fanout * 0.3)))
@@ -402,7 +384,7 @@ class RTree:
             self._insert_entry(entry, target_level=level)
 
     def _split_node(self, node: Node) -> None:
-        left_entries, right_entries = self.splitter(node.entries, self.min_entries)
+        left_entries, right_entries = rstar_split(node.entries, self.min_entries)
         sibling = self.store.allocate(level=node.level)
         node.entries = list(left_entries)
         sibling.entries = list(right_entries)

@@ -62,6 +62,15 @@ class SimulationConfig:
     bandwidth_bps: float = 384_000.0
     fixed_rtt_seconds: float = 0.0
 
+    def __post_init__(self) -> None:
+        if self.object_count <= 0:
+            raise ValueError("object_count must be positive")
+        if not self.cache_fraction > 0:
+            raise ValueError(f"cache_fraction must be positive, got "
+                             f"{self.cache_fraction!r}")
+        from repro.core.replacement import make_policy
+        make_policy(self.replacement_policy)  # refuses an unknown name
+
     # ------------------------------------------------------------------ #
     # factories
     # ------------------------------------------------------------------ #

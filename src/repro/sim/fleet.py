@@ -82,6 +82,8 @@ class ClientGroupSpec:
             raise ValueError("a group needs at least one client")
         if self.speed_factor <= 0:
             raise ValueError("speed_factor must be positive")
+        if self.cache_fraction is not None and not self.cache_fraction > 0:
+            raise ValueError("cache_fraction must be positive")
 
 
 @dataclass(frozen=True)

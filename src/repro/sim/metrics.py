@@ -227,10 +227,6 @@ class FleetResult:
     # ------------------------------------------------------------------ #
     # per-client / per-group
     # ------------------------------------------------------------------ #
-    def client_summaries(self) -> Dict[int, Dict[str, float]]:
-        """Headline metrics per client id."""
-        return {client.client_id: client.summary() for client in self.clients}
-
     def group_names(self) -> List[str]:
         """Group names in first-appearance order."""
         names: List[str] = []

@@ -1,4 +1,4 @@
-"""Pluggable persistence: disk-backed R-tree pages and cache snapshots.
+"""Pluggable persistence: disk-backed R-tree pages and warm-restart state.
 
 The paper's cost model counts page accesses; this package makes those pages
 (optionally) real.  It contains:
@@ -18,8 +18,8 @@ The paper's cost model counts page accesses; this package makes those pages
   fsync + rename), the required write path for every non-WAL artefact;
 * :mod:`repro.storage.faults` — fault injection: crashing/garbling file
   wrappers and the exhaustive crash-point recovery matrix;
-* :mod:`repro.storage.snapshot` — cache-snapshot files for warm-restart
-  sessions (see :mod:`repro.sim.restart`).
+* :mod:`repro.storage.snapshot` — canonical-JSON state files, which carry
+  the warm-restart fleet sessions of :mod:`repro.sim.restart`.
 
 The file backend is decision-identical to the in-memory one: query results
 and per-query visited-page counts match exactly (asserted by the storage
@@ -48,12 +48,7 @@ from repro.storage.paged import (
     save_tree,
     wal_summary,
 )
-from repro.storage.snapshot import (
-    load_cache_snapshot,
-    load_state,
-    save_cache_snapshot,
-    save_state,
-)
+from repro.storage.snapshot import load_state, save_state
 from repro.storage.wal import (
     WalRecord,
     WalScan,
@@ -82,13 +77,11 @@ __all__ = [
     "crash_point_offsets",
     "faulty_opener",
     "file_crc32",
-    "load_cache_snapshot",
     "load_state",
     "load_tree",
     "pack",
     "read_header",
     "repair_wal",
-    "save_cache_snapshot",
     "save_state",
     "save_tree",
     "scan_wal",

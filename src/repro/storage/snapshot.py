@@ -1,12 +1,13 @@
-"""Cache-snapshot files: persisting a client's proactive cache across restarts.
+"""State files: canonical JSON for warm restarts.
 
 A mobile client that reconnects after a crash (or an overnight shutdown)
 should not start cold: its proactive cache — index-node snapshots, data
 objects, EBRS/replacement metadata — is exactly the state the paper's cost
-model rewards keeping.  This module writes
-:meth:`repro.core.cache.ProactiveCache.state_dict` (and the session-level
-superset from :meth:`repro.sim.sessions.ProactiveSession.state_dict`) to
-canonical JSON files and reads them back.
+model rewards keeping.  :mod:`repro.sim.restart` embeds every client's
+:meth:`repro.sim.sessions.ProactiveSession.state_dict` (a superset of
+:meth:`repro.core.cache.ProactiveCache.state_dict`) in one fleet-session
+document, and this module writes such documents to canonical JSON files and
+reads them back.
 
 The JSON is dumped *without* key sorting: the cache state embeds two
 orderings the replacement policies are sensitive to (items insertion order
@@ -18,11 +19,7 @@ round-trip tests.
 from __future__ import annotations
 
 import json
-from typing import Optional
 
-from repro.core.cache import ProactiveCache
-from repro.core.replacement import ReplacementPolicy
-from repro.rtree.sizes import SizeModel
 from repro.storage.atomic import atomic_write_text
 from repro.storage.backend import StorageError
 
@@ -63,23 +60,3 @@ def load_state(path: str) -> dict:
         raise StorageError(f"{path}: snapshot is not a JSON object")
     return state
 
-
-def save_cache_snapshot(cache: ProactiveCache, path: str) -> None:
-    """Persist a proactive cache for a later warm restart."""
-    save_state(cache.state_dict(), path)
-
-
-def load_cache_snapshot(path: str, size_model: Optional[SizeModel] = None,
-                        replacement_policy: Optional[ReplacementPolicy] = None,
-                        ) -> ProactiveCache:
-    """Rebuild a proactive cache from a snapshot file.
-
-    ``replacement_policy`` (an instance) overrides the recorded policy name;
-    by default the recorded name is re-instantiated.
-    """
-    state = load_state(path)
-    if state.get("format") != 1:
-        raise StorageError(f"{path}: unsupported cache snapshot format "
-                           f"{state.get('format')!r}")
-    return ProactiveCache.from_state_dict(state, size_model=size_model,
-                                          replacement_policy=replacement_policy)

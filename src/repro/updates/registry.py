@@ -44,11 +44,6 @@ class VersionRegistry:
     # ------------------------------------------------------------------ #
     # batch bracketing and read pinning (MVCC)
     # ------------------------------------------------------------------ #
-    @property
-    def in_batch(self) -> bool:
-        """True between :meth:`begin_batch` and :meth:`commit_batch`."""
-        return self._in_batch
-
     def begin_batch(self) -> None:
         """Open an update batch; reads are barred until it commits."""
         if self._in_batch:

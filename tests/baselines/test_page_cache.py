@@ -59,11 +59,13 @@ def test_reinserting_existing_object_keeps_bytes_stable():
     assert cache.used_bytes == used
 
 
-def test_insert_many_and_cached_bytes_of():
+def test_inserted_objects_are_counted_in_used_bytes():
     cache = PageCache(capacity_bytes=10_000)
-    cache.insert_many([record(i, size=500) for i in range(5)])
+    for object_id in range(5):
+        assert cache.insert(record(object_id, size=500))
     assert len(cache) == 5
-    assert cache.cached_bytes_of([0, 1, 99]) == 1_000
+    assert cache.used_bytes == 2_500
+    assert cache.object_ids() == set(range(5))
 
 
 def test_used_bytes_never_exceeds_capacity():

@@ -6,8 +6,8 @@ import random
 
 import pytest
 
-from repro.datasets import generate_ne_like, generate_uniform
-from repro.geometry import Point, Rect
+from repro.datasets import generate_ne_like
+from repro.geometry import Rect
 from repro.rtree import RTree, SizeModel, bulk_load_str
 from repro.rtree.entry import ObjectRecord
 
@@ -22,6 +22,12 @@ def make_records(count: int, seed: int = 0, spread: float = 1.0,
         mbr = Rect(x, y, min(1.0, x + 0.002), min(1.0, y + 0.002))
         records.append(ObjectRecord(object_id=object_id, mbr=mbr, size_bytes=size_bytes))
     return records
+
+
+def cached_node_ids(cache) -> set:
+    """Ids of every node snapshot a proactive cache holds (test oracle)."""
+    return {state.payload.node_id for state in cache.items.values()
+            if state.is_index_item}
 
 
 @pytest.fixture(scope="session")
@@ -52,7 +58,8 @@ def clustered_tree(clustered_records):
 def dynamic_tree(small_records):
     """A dynamically built (insert-by-insert) tree; rebuilt per test."""
     tree = RTree(size_model=SizeModel(page_bytes=256))
-    tree.insert_all(small_records)
+    for record in small_records:
+        tree.insert(record)
     return tree
 
 

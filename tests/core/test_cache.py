@@ -4,9 +4,11 @@ import pytest
 
 from repro.core.cache import ProactiveCache
 from repro.core.items import CacheEntry, CachedIndexNode, CachedObject, item_key_for_node, item_key_for_object
-from repro.core.replacement import GRD3Policy, LRUPolicy
+from repro.core.replacement import LRUPolicy
 from repro.geometry import Rect
 from repro.rtree.sizes import SizeModel
+
+from tests.conftest import cached_node_ids
 
 
 MODEL = SizeModel()
@@ -215,7 +217,7 @@ def test_cached_id_sets():
     cache = make_cache()
     cache.insert_node_snapshot(node_snapshot(3, level=0), parent_node_id=None)
     cache.insert_object(cached_object(11), parent_node_id=3)
-    assert cache.cached_node_ids() == {3}
+    assert cached_node_ids(cache) == {3}
     assert cache.cached_object_ids() == {11}
     assert item_key_for_object(11) in cache
     assert len(cache) == 2

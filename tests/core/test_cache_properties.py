@@ -23,6 +23,8 @@ from repro.core.replacement import GRD3Policy, make_policy
 from repro.geometry import Point, Rect
 from repro.rtree.sizes import SizeModel
 
+from tests.conftest import cached_node_ids
+
 
 MODEL = SizeModel()
 POLICIES = ("LRU", "MRU", "FAR", "GRD1", "GRD2", "GRD3")
@@ -54,7 +56,7 @@ def test_random_workload_preserves_invariants(policy_name, seed):
     for step in range(300):
         cache.tick()
         op = rng.random()
-        cached_nodes = sorted(cache.cached_node_ids())
+        cached_nodes = sorted(cached_node_ids(cache))
         if op < 0.35:
             # Insert or merge a node snapshot (random parent, maybe None).
             node_id = rng.choice(node_ids)

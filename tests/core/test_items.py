@@ -69,11 +69,13 @@ def test_merge_is_idempotent():
     assert set(node.elements) == {"0", "1"}
 
 
-def test_real_and_super_entry_listing():
+def test_entries_list_real_and_super_elements():
     node = CachedIndexNode(node_id=1, level=0,
                            elements={"0": entry("0"), "1": entry("1", object_id=2)})
-    assert len(node.real_entries()) == 1
-    assert len(node.super_entries()) == 1
+    entries = node.entries()
+    assert len(entries) == 2
+    assert [e.is_super for e in entries].count(True) == 1
+    assert [e.object_id for e in entries if not e.is_super] == [2]
 
 
 def test_copy_is_independent():

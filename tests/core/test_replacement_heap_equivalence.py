@@ -40,6 +40,8 @@ from repro.geometry import Point, Rect
 from repro.rtree.sizes import SizeModel
 from repro.sharding.result_cache import FactStore, GlobalFact, HitSetFact
 
+from tests.conftest import cached_node_ids
+
 
 MODEL = SizeModel()
 
@@ -245,7 +247,7 @@ def generate_ops(seed, steps=300):
 
 def apply_op(cache, op, context):
     """Apply one op at the current clock; parent picks resolve against current state."""
-    cached_nodes = sorted(cache.cached_node_ids())
+    cached_nodes = sorted(cached_node_ids(cache))
     if op[0] == "node":
         _, node_id, parent_choice, elements = op
         candidates = [None] + cached_nodes

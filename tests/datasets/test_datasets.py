@@ -19,20 +19,24 @@ from repro.geometry import Rect
 # --------------------------------------------------------------------------- #
 # Zipf sizes
 # --------------------------------------------------------------------------- #
+def _samples(generator, count):
+    return [generator.sample() for _ in range(count)]
+
+
 def test_zipf_mean_close_to_target():
     generator = ZipfSizeGenerator(mean_bytes=10_240, theta=0.8, rng=random.Random(1))
-    samples = generator.sample_many(4_000)
+    samples = _samples(generator, 4_000)
     assert statistics.mean(samples) == pytest.approx(10_240, rel=0.25)
 
 
 def test_zipf_sizes_are_positive_and_bounded_below():
     generator = ZipfSizeGenerator(mean_bytes=2_000, min_bytes=256, rng=random.Random(2))
-    assert all(size >= 256 for size in generator.sample_many(500))
+    assert all(size >= 256 for size in _samples(generator, 500))
 
 
 def test_zipf_is_skewed():
     generator = ZipfSizeGenerator(mean_bytes=10_240, theta=0.8, rng=random.Random(3))
-    samples = generator.sample_many(2_000)
+    samples = _samples(generator, 2_000)
     assert statistics.median(samples) < statistics.mean(samples) * 1.05
     assert max(samples) > 2 * statistics.mean(samples)
 
@@ -45,8 +49,8 @@ def test_zipf_invalid_parameters():
 
 
 def test_zipf_deterministic_with_seeded_rng():
-    a = ZipfSizeGenerator(rng=random.Random(7)).sample_many(50)
-    b = ZipfSizeGenerator(rng=random.Random(7)).sample_many(50)
+    a = _samples(ZipfSizeGenerator(rng=random.Random(7)), 50)
+    b = _samples(ZipfSizeGenerator(rng=random.Random(7)), 50)
     assert a == b
 
 
@@ -78,7 +82,7 @@ def test_ne_like_is_clustered_compared_to_uniform():
         picked = rng.sample(records, sample)
         total = 0.0
         for record in picked:
-            best = min(record.centroid.distance_to(other.centroid)
+            best = min(record.mbr.center().distance_to(other.mbr.center())
                        for other in records if other.object_id != record.object_id)
             total += best
         return total / sample

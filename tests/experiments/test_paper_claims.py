@@ -110,7 +110,7 @@ def test_fig9_cpu_cost():
 
 
 def _assert_fig10_claims(config):
-    results = fig10.run(config, ("LRU", "FAR", "GRD3"), ("RAN", "DIR"), True)
+    results = fig10.run(config, ("LRU", "FAR", "GRD3", "MRU"), ("RAN", "DIR"))
     policies = ("LRU", "FAR", "GRD3")
     # MRU is the worst policy on average across mobility models (the paper
     # drops it from the figure for exactly this reason).
@@ -136,7 +136,10 @@ def test_fig10_replacement_schemes():
 @pytest.mark.xfail(strict=True, reason=(
     "known deviation at 250 queries / 4000 objects: under RAN GRD3 responds "
     "in 0.2151 s vs FAR's 0.1720 s (1.2502x against the 1.25x bound), and "
-    "GRD3 is also the slowest of LRU/FAR/GRD3 under DIR — see "
+    "GRD3 is also the slowest of LRU/FAR/GRD3 under DIR.  Measured cause: "
+    "scaled() makes one result window_area / cache_fraction = 0.2 of the "
+    "cache (1e-4 at Table 6.1, where the three tie within 2 %); at ratio "
+    "0.02 GRD3 is best or tied under RAN — see "
     "docs/replacement-policies.md"))
 def test_fig10_replacement_schemes_at_default_scale():
     _assert_fig10_claims(SimulationConfig.scaled(query_count=250,

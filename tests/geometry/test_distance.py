@@ -1,39 +1,26 @@
-"""Tests for repro.geometry.distance."""
+"""Tests for the distance kernels: circle containment and Rect's MINDIST."""
+
+import math
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.geometry import (
-    Point,
-    Rect,
-    circle_contains_circle,
-    circle_contains_rect,
-    euclidean,
-    min_dist_point_rect,
-    min_dist_rect_rect,
-    min_max_dist_point_rect,
-)
-from repro.geometry.distance import rect_intersects_circle
+from repro.geometry import Point, Rect, circle_contains_circle
 
 coords = st.floats(min_value=0.0, max_value=1.0, allow_nan=False, allow_infinity=False)
+radii = st.floats(min_value=0.0, max_value=1.5, allow_nan=False, allow_infinity=False)
 
 
-def test_euclidean_matches_point_method():
-    assert euclidean(Point(0, 0), Point(1, 1)) == pytest.approx(2 ** 0.5)
+@st.composite
+def rects(draw):
+    x1, x2 = sorted((draw(coords), draw(coords)))
+    y1, y2 = sorted((draw(coords), draw(coords)))
+    return Rect(x1, y1, x2, y2)
 
 
-def test_min_dist_point_rect_inside_is_zero():
-    assert min_dist_point_rect(Point(0.5, 0.5), Rect(0, 0, 1, 1)) == 0.0
-
-
-def test_min_max_dist_at_least_min_dist():
-    point = Point(0.0, 0.0)
-    rect = Rect(0.3, 0.4, 0.5, 0.8)
-    assert min_max_dist_point_rect(point, rect) >= min_dist_point_rect(point, rect)
-
-
-def test_min_dist_rect_rect_overlapping_zero():
-    assert min_dist_rect_rect(Rect(0, 0, 0.5, 0.5), Rect(0.4, 0.4, 1, 1)) == 0.0
+def corners(rect):
+    return [Point(rect.min_x, rect.min_y), Point(rect.min_x, rect.max_y),
+            Point(rect.max_x, rect.min_y), Point(rect.max_x, rect.max_y)]
 
 
 def test_circle_contains_circle_basic():
@@ -42,21 +29,56 @@ def test_circle_contains_circle_basic():
     assert not circle_contains_circle(Point(0.5, 0.5), 0.5, Point(0.9, 0.5), 0.2)
 
 
-def test_circle_contains_rect():
-    assert circle_contains_rect(Point(0.5, 0.5), 0.8, Rect(0.3, 0.3, 0.7, 0.7))
-    assert not circle_contains_rect(Point(0.5, 0.5), 0.2, Rect(0.0, 0.0, 1.0, 1.0))
+@given(coords, coords, radii, coords, coords, radii)
+def test_contained_circle_boundary_lies_inside_the_outer_circle(ox, oy, ro, ix, iy, ri):
+    outer, inner = Point(ox, oy), Point(ix, iy)
+    if not circle_contains_circle(outer, ro, inner, ri):
+        return
+    for step in range(8):
+        angle = step * math.pi / 4
+        rim = Point(ix + ri * math.cos(angle), iy + ri * math.sin(angle))
+        assert rim.distance_to(outer) <= ro + 1e-9
 
 
-def test_rect_intersects_circle():
-    assert rect_intersects_circle(Rect(0, 0, 0.1, 0.1), Point(0.2, 0.05), 0.15)
-    assert not rect_intersects_circle(Rect(0, 0, 0.1, 0.1), Point(0.5, 0.5), 0.1)
+@given(coords, coords, radii)
+def test_every_circle_contains_itself_and_no_larger_one(x, y, radius):
+    center = Point(x, y)
+    assert circle_contains_circle(center, radius, center, radius)
+    assert not circle_contains_circle(center, radius, center, radius + 1e-6)
 
 
-@given(coords, coords, coords, coords, coords, coords)
-def test_min_max_dist_upper_bounds_nearest_corner(px, py, x1, y1, x2, y2):
+def test_min_dist_point_rect_inside_is_zero():
+    rect = Rect(0.2, 0.2, 0.6, 0.6)
+    assert rect.min_dist_to_point(Point(0.4, 0.4)) == 0.0
+    assert rect.min_dist_to_point(Point(0.2, 0.5)) == 0.0      # on an edge
+    assert rect.min_dist_to_point(Point(0.6, 0.6)) == 0.0      # on a corner
+    assert rect.min_dist_to_point(Point(0.9, 0.6)) == pytest.approx(0.3)
+
+
+def test_min_dist_rect_rect_overlapping_zero():
+    assert Rect(0, 0, 0.5, 0.5).min_dist_to_rect(Rect(0.4, 0.4, 1, 1)) == 0.0
+    assert Rect(0, 0, 0.5, 0.5).min_dist_to_rect(Rect(0.5, 0.5, 1, 1)) == 0.0
+    assert Rect(0, 0, 1, 1).min_dist_to_rect(Rect(0.4, 0.4, 0.6, 0.6)) == 0.0
+    assert Rect(0, 0, 0.2, 0.2).min_dist_to_rect(Rect(0.5, 0.6, 1, 1)) == pytest.approx(0.5)
+
+
+@given(coords, coords, rects())
+def test_max_dist_is_the_farthest_corner_and_bounds_min_dist(px, py, rect):
     point = Point(px, py)
-    rect = Rect(min(x1, x2), min(y1, y2), max(x1, x2), max(y1, y2))
-    # MINMAXDIST is an upper bound on the distance to the nearest object
-    # guaranteed to be in the rect, hence at most the farthest corner.
-    assert min_max_dist_point_rect(point, rect) <= rect.max_dist_to_point(point) + 1e-9
-    assert min_dist_point_rect(point, rect) <= min_max_dist_point_rect(point, rect) + 1e-9
+    farthest = max(corner.distance_to(point) for corner in corners(rect))
+    assert rect.max_dist_to_point(point) == pytest.approx(farthest)
+    assert rect.min_dist_to_point(point) <= rect.max_dist_to_point(point) + 1e-12
+
+
+@given(rects(), rects())
+def test_min_dist_rect_rect_is_symmetric(a, b):
+    assert a.min_dist_to_rect(b) == pytest.approx(b.min_dist_to_rect(a))
+    if a.intersects(b):
+        assert a.min_dist_to_rect(b) == 0.0
+
+
+@given(rects(), rects(), coords, coords)
+def test_min_dist_rect_rect_lower_bounds_every_point_of_the_other(a, b, u, v):
+    point = Point(min(b.max_x, b.min_x + u * b.width),
+                  min(b.max_y, b.min_y + v * b.height))
+    assert a.min_dist_to_point(point) >= a.min_dist_to_rect(b) - 1e-12

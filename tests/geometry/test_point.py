@@ -1,7 +1,5 @@
 """Tests for repro.geometry.point."""
 
-import math
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -17,10 +15,6 @@ def test_distance_to_is_euclidean():
 def test_distance_to_self_is_zero():
     p = Point(0.3, 0.7)
     assert p.distance_to(p) == 0.0
-
-
-def test_translated_moves_both_axes():
-    assert Point(0.1, 0.2).translated(0.3, -0.1) == Point(0.4, pytest.approx(0.1))
 
 
 def test_clamped_limits_to_unit_square():
@@ -40,10 +34,6 @@ def test_as_tuple_and_iteration():
     p = Point(0.25, 0.75)
     assert p.as_tuple() == (0.25, 0.75)
     assert list(p) == [0.25, 0.75]
-
-
-def test_origin():
-    assert Point.origin() == Point(0.0, 0.0)
 
 
 def test_points_are_hashable_and_ordered():

@@ -20,10 +20,11 @@ def test_degenerate_rect_rejected():
         Rect(0.5, 0.0, 0.4, 1.0)
 
 
-def test_from_point_has_zero_area():
-    r = Rect.from_point(Point(0.3, 0.3))
+def test_point_rect_has_zero_area_and_contains_its_point():
+    r = Rect(0.3, 0.3, 0.3, 0.3)
     assert r.area() == 0.0
     assert r.contains_point(Point(0.3, 0.3))
+    assert r.min_dist_to_point(Point(0.3, 0.3)) == 0.0
 
 
 def test_from_center_dimensions():

@@ -10,7 +10,6 @@ import pytest
 from repro.core.cache import CacheItemState
 from repro.core.items import CachedObject, CacheEntry, FrontierTarget
 from repro.geometry import Point, Rect
-from repro.geometry.distance import min_dist_sq_point_rect, min_dist_sq_rect_rect
 from repro.rtree.entry import Entry, ObjectRecord
 from repro.rtree.node import Node
 
@@ -74,8 +73,6 @@ def test_squared_distances_agree_with_linear(seed):
             rect.min_dist_to_point(point))
         assert math.sqrt(rect.min_dist_sq_to_rect(other)) == pytest.approx(
             rect.min_dist_to_rect(other))
-        assert min_dist_sq_point_rect(point, rect) == rect.min_dist_sq_to_point(point)
-        assert min_dist_sq_rect_rect(rect, other) == rect.min_dist_sq_to_rect(other)
 
 
 def test_squared_distance_zero_inside():

@@ -1,8 +1,8 @@
-"""Tests for the wireless channel model and traffic logging."""
+"""Tests for the wireless channel model and its byte accounting."""
 
 import pytest
 
-from repro.network import TrafficLog, WirelessChannel
+from repro.network import WirelessChannel
 
 
 def test_channel_delay_matches_bandwidth():
@@ -37,41 +37,24 @@ def test_channel_fixed_rtt_applied_to_uplink():
     assert channel.send_uplink(4_800) == pytest.approx(0.1 + 0.1)
 
 
-def test_traffic_log_totals_and_per_query_breakdown():
-    log = TrafficLog()
-    log.log_uplink(0, 100)
-    log.log_downlink(0, 5_000)
-    log.log_uplink(1, 300)
-    assert log.uplink_bytes() == 400
-    assert log.downlink_bytes() == 5_000
-    assert log.bytes_for_query(0) == (100, 5_000)
-    assert log.bytes_for_query(1) == (300, 0)
-    assert log.bytes_for_query(9) == (0, 0)
-
-
 def test_byte_counts_are_ints_end_to_end():
-    """Regression: TrafficLog entries used to hold floats while the channel
-    accumulated whatever it was fed, so the two totals could only be
-    compared with approx.  Both now normalise to exact ints."""
-    log = TrafficLog()
+    """Regression: the channel used to accumulate whatever it was fed, so
+    its totals could only be compared with approx.  It now normalises to
+    exact ints."""
     channel = WirelessChannel()
-    log.log_uplink(0, 100.0)       # integral floats are normalised
-    channel.send_uplink(100.0)
-    log.log_downlink(0, 5_000)
+    channel.send_uplink(100.0)     # integral floats are normalised
     channel.send_downlink(5_000)
-    for _, _, size in log.entries:
-        assert isinstance(size, int)
     assert isinstance(channel.uplink_bytes_total, int)
     assert isinstance(channel.downlink_bytes_total, int)
     with pytest.raises(ValueError, match="integral"):
-        log.log_uplink(1, 0.5)
+        channel.send_uplink(0.5)
     with pytest.raises(ValueError, match="integral"):
         channel.send_downlink(10.25)
 
 
-def test_traffic_log_sums_equal_channel_totals_on_a_real_trace():
-    """Log every message of a simulated session into both accountings and
-    require exact (==) agreement between log and channel totals."""
+def test_channel_totals_equal_cost_sums_on_a_real_trace():
+    """Send every message of a simulated session through the channel and
+    require exact (==) agreement with the cost model's byte sums."""
     from repro.sim.config import SimulationConfig
     from repro.sim.runner import build_environment, run_model
 
@@ -79,17 +62,13 @@ def test_traffic_log_sums_equal_channel_totals_on_a_real_trace():
     environment = build_environment(config)
     result = run_model(environment, "APRO")
 
-    log = TrafficLog()
     channel = WirelessChannel()
     for cost in result.costs:
         # Byte counts from the cost model are exact ints by construction.
         up = int(cost.uplink_bytes)
         down = int(cost.downlink_bytes)
         assert up == cost.uplink_bytes and down == cost.downlink_bytes
-        log.log_uplink(cost.query_index, up)
-        log.log_downlink(cost.query_index, down)
         channel.send_uplink(up)
         channel.send_downlink(down)
-    assert log.uplink_bytes() == channel.uplink_bytes_total
-    assert log.downlink_bytes() == channel.downlink_bytes_total
-    assert log.uplink_bytes() == sum(int(c.uplink_bytes) for c in result.costs)
+    assert channel.uplink_bytes_total == sum(int(c.uplink_bytes) for c in result.costs)
+    assert channel.downlink_bytes_total == sum(int(c.downlink_bytes) for c in result.costs)

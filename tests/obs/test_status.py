@@ -40,12 +40,11 @@ def test_failing_provider_becomes_error_section():
                                         "run teardown"}
 
 
-def test_unregister_is_idempotent():
+def test_register_replaces_the_section_provider():
     board = StatusBoard()
     board.register("x", lambda: 1)
-    board.unregister("x")
-    board.unregister("x")
-    assert board.status()["sections"] == {}
+    board.register("x", lambda: 2)
+    assert board.status()["sections"] == {"x": 2}
 
 
 def test_metrics_text_empty_without_registry():

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.geometry import Rect
-from repro.rtree.entry import Entry, ObjectRecord
+from repro.rtree.entry import Entry
 
 
 def test_entry_requires_exactly_one_reference():
@@ -26,9 +26,3 @@ def test_entry_key_is_stable_and_distinct():
     assert leaf.key() == "obj:7"
     assert node.key() == "node:7"
     assert leaf.key() != node.key()
-
-
-def test_object_record_centroid():
-    record = ObjectRecord(object_id=1, mbr=Rect(0.0, 0.0, 0.2, 0.4), size_bytes=100)
-    assert record.centroid.x == pytest.approx(0.1)
-    assert record.centroid.y == pytest.approx(0.2)

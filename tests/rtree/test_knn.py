@@ -4,14 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.geometry import Point
-from repro.rtree.knn import knn_distance, knn_search, nearest_neighbor
+from repro.rtree.knn import knn_search
 
 coords = st.floats(min_value=0.0, max_value=1.0, allow_nan=False, allow_infinity=False)
-
-
-def brute_force_knn(records, point, k):
-    ranked = sorted(records, key=lambda r: r.mbr.min_dist_to_point(point))
-    return [r.object_id for r in ranked[:k]]
 
 
 def brute_force_distances(records, point, k):
@@ -43,18 +38,18 @@ def test_knn_k_larger_than_dataset(small_tree, small_records):
 
 def test_nearest_neighbor(small_tree, small_records):
     point = Point(0.11, 0.42)
-    found = nearest_neighbor(small_tree, point)
-    assert found is not None
-    expected = brute_force_knn(small_records, point, 1)[0]
+    [(object_id, distance)] = knn_search(small_tree, point, 1)
     expected_distance = brute_force_distances(small_records, point, 1)[0]
-    assert found[1] == pytest.approx(expected_distance)
+    assert distance == pytest.approx(expected_distance)
+    nearest = next(r for r in small_records if r.object_id == object_id)
+    assert nearest.mbr.min_dist_to_point(point) == pytest.approx(expected_distance)
 
 
-def test_knn_distance_helper(small_tree, small_records):
+def test_smaller_k_is_a_prefix_of_larger_k(small_tree):
     point = Point(0.9, 0.1)
-    assert knn_distance(small_tree, point, 3) == pytest.approx(
-        brute_force_distances(small_records, point, 3)[-1])
-    assert knn_distance(small_tree, point, len(small_records) + 1) == float("inf")
+    three = knn_search(small_tree, point, 3)
+    ten = knn_search(small_tree, point, 10)
+    assert [d for _, d in three] == [d for _, d in ten[:3]]
 
 
 def test_knn_collects_visited_nodes(small_tree):
@@ -67,7 +62,6 @@ def test_knn_empty_tree():
     from repro.rtree import RTree, SizeModel
     tree = RTree(size_model=SizeModel(page_bytes=256))
     assert knn_search(tree, Point(0.5, 0.5), 3) == []
-    assert nearest_neighbor(tree, Point(0.5, 0.5)) is None
 
 
 @settings(max_examples=25, deadline=None)

@@ -3,8 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.geometry import Rect
-from repro.rtree import SizeModel, bulk_load_str
+from repro.rtree import SizeModel
 from repro.rtree.entry import Entry
 from repro.rtree.node import Node
 from repro.rtree.partition_tree import PartitionTree, SuperEntry, build_partition_trees
@@ -37,8 +36,7 @@ def test_single_entry_node():
     pt = PartitionTree(_node(1))
     assert pt.is_leaf_code("")
     assert pt.height == 0
-    assert len(pt.root_elements()) == 1
-    assert isinstance(pt.root_elements()[0], Entry)
+    assert isinstance(pt.element_at(""), Entry)
 
 
 def test_internal_node_count_is_n_minus_one(pt10):
@@ -66,10 +64,10 @@ def test_children_partition_parent(pt10):
         child_keys = set()
         for child in children:
             if isinstance(child, SuperEntry):
-                child_keys.update(e.key() for e in pt10.entries_under(child.code))
+                child_keys.update(e.key() for e in pt10.subsets[child.code])
             else:
                 child_keys.add(child.key())
-        assert child_keys == {e.key() for e in pt10.entries_under(code)}
+        assert child_keys == {e.key() for e in pt10.subsets[code]}
 
 
 def test_children_of_leaf_code_raises(pt10):
@@ -90,8 +88,8 @@ def test_compact_form_covers_node_exactly_once(pt10):
     cut = pt10.compact_form(expanded_codes={""})
     covered = []
     for code, element in cut:
-        covered.extend(e.key() for e in pt10.entries_under(code))
-    assert sorted(covered) == sorted(e.key() for e in pt10.entries_under(""))
+        covered.extend(e.key() for e in pt10.subsets[code])
+    assert sorted(covered) == sorted(e.key() for e in pt10.subsets[""])
 
 
 def test_compact_form_with_deeper_expansion(pt10):
@@ -102,8 +100,8 @@ def test_compact_form_with_deeper_expansion(pt10):
     # (never expanded) must appear exactly once.
     assert "0" not in codes
     assert codes.count("1") == 1
-    covered = [e.key() for code, _ in cut for e in pt10.entries_under(code)]
-    assert sorted(covered) == sorted(e.key() for e in pt10.entries_under(""))
+    covered = [e.key() for code, _ in cut for e in pt10.subsets[code]]
+    assert sorted(covered) == sorted(e.key() for e in pt10.subsets[""])
 
 
 def test_full_form_lists_every_entry(pt10, node10):
@@ -123,14 +121,14 @@ def test_d_level_form_interpolates(pt10):
 def test_d_level_form_covers_exactly(pt10):
     for d in range(pt10.height + 1):
         cut = pt10.d_level_form(expanded_codes={""}, d=d)
-        covered = [e.key() for code, _ in cut for e in pt10.entries_under(code)]
-        assert sorted(covered) == sorted(e.key() for e in pt10.entries_under(""))
+        covered = [e.key() for code, _ in cut for e in pt10.subsets[code]]
+        assert sorted(covered) == sorted(e.key() for e in pt10.subsets[""])
 
 
 def test_subtree_codes_restricted(pt10):
     cut = pt10.subtree_codes("0", expanded_codes=set(), d=0)
-    covered = {e.key() for code in cut for e in pt10.entries_under(code)}
-    assert covered == {e.key() for e in pt10.entries_under("0")}
+    covered = {e.key() for code in cut for e in pt10.subsets[code]}
+    assert covered == {e.key() for e in pt10.subsets["0"]}
 
 
 def test_subtree_codes_at_the_root_are_the_d_level_form(pt10):
@@ -179,5 +177,5 @@ def test_compact_form_space_saving_example():
 def test_property_every_cut_is_a_partition(entry_count, seed, d):
     pt = PartitionTree(_node(entry_count, seed=seed))
     cut = pt.d_level_form(expanded_codes={""}, d=d)
-    covered = [e.key() for code, _ in cut for e in pt.entries_under(code)]
+    covered = [e.key() for code, _ in cut for e in pt.subsets[code]]
     assert len(covered) == len(set(covered)) == entry_count

@@ -1,10 +1,9 @@
 """Tests for the window (range) query."""
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.geometry import Rect
-from repro.rtree.range_search import range_count, range_search, range_search_filtered
+from repro.rtree.range_search import range_search
 
 coords = st.floats(min_value=0.0, max_value=1.0, allow_nan=False, allow_infinity=False)
 
@@ -27,23 +26,26 @@ def test_range_search_empty_window_region(small_tree, small_records):
     assert sorted(range_search(small_tree, window)) == brute_force_range(small_records, window)
 
 
+def test_range_search_reports_each_object_once(clustered_tree, clustered_records):
+    window = Rect(0.0, 0.0, 0.5, 0.5)
+    found = range_search(clustered_tree, window)
+    assert len(found) == len(set(found))
+    assert len(found) == len(brute_force_range(clustered_records, window))
+
+
+def test_point_window_returns_the_objects_covering_it(small_tree, small_records):
+    corner = small_records[7].mbr
+    window = Rect(corner.min_x, corner.min_y, corner.min_x, corner.min_y)
+    found = sorted(range_search(small_tree, window))
+    assert 7 in found
+    assert found == brute_force_range(small_records, window)
+
+
 def test_range_search_collects_visited_nodes(small_tree):
     visited = set()
     range_search(small_tree, Rect(0.4, 0.4, 0.6, 0.6), visited_nodes=visited)
     assert small_tree.root_id in visited
     assert all(node_id in small_tree.store for node_id in visited)
-
-
-def test_range_count(small_tree, small_records):
-    window = Rect(0.0, 0.0, 0.5, 0.5)
-    assert range_count(small_tree, window) == len(brute_force_range(small_records, window))
-
-
-def test_range_search_filtered(small_tree):
-    window = Rect.unit()
-    evens = range_search_filtered(small_tree, window, lambda oid: oid % 2 == 0)
-    assert all(oid % 2 == 0 for oid in evens)
-    assert len(evens) == 60
 
 
 @settings(max_examples=25, deadline=None)

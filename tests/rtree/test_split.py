@@ -1,4 +1,4 @@
-"""Tests for the R* and quadratic node-split heuristics."""
+"""Tests for the R* node-split heuristic."""
 
 import random
 
@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from repro.geometry import Rect
 from repro.rtree import RTree, SizeModel, assert_tree_valid
 from repro.rtree.entry import Entry, ObjectRecord
-from repro.rtree.split import quadratic_split, rstar_split
+from repro.rtree.split import rstar_split
 
 
 def _entries(count, seed=0):
@@ -20,27 +20,24 @@ def _entries(count, seed=0):
     return entries
 
 
-@pytest.mark.parametrize("splitter", [rstar_split, quadratic_split])
-def test_split_partitions_all_entries(splitter):
+def test_split_partitions_all_entries():
     entries = _entries(20)
-    left, right = splitter(entries, min_fill=4)
+    left, right = rstar_split(entries, min_fill=4)
     assert len(left) + len(right) == len(entries)
     assert {e.object_id for e in left} | {e.object_id for e in right} == set(range(20))
     assert {e.object_id for e in left} & {e.object_id for e in right} == set()
 
 
-@pytest.mark.parametrize("splitter", [rstar_split, quadratic_split])
-def test_split_respects_min_fill(splitter):
+def test_split_respects_min_fill():
     entries = _entries(15, seed=3)
-    left, right = splitter(entries, min_fill=5)
+    left, right = rstar_split(entries, min_fill=5)
     assert len(left) >= 5
     assert len(right) >= 5
 
 
-@pytest.mark.parametrize("splitter", [rstar_split, quadratic_split])
-def test_split_rejects_single_entry(splitter):
+def test_split_rejects_single_entry():
     with pytest.raises(ValueError):
-        splitter(_entries(1), min_fill=1)
+        rstar_split(_entries(1), min_fill=1)
 
 
 def test_split_two_entries():
@@ -71,12 +68,11 @@ def test_rstar_split_property(count, seed):
     assert min(len(left), len(right)) >= min(min_fill, count - min_fill)
 
 
-@pytest.mark.parametrize("splitter", [rstar_split, quadratic_split])
-def test_split_driven_tree_build_keeps_invariants(splitter):
+def test_split_driven_tree_build_keeps_invariants():
     """Splits exercised through the tree itself: every overflow the build
     triggers must leave a structurally valid tree (assert_tree_valid)."""
     rng = random.Random(8)
-    tree = RTree(size_model=SizeModel(page_bytes=256), splitter=splitter)
+    tree = RTree(size_model=SizeModel(page_bytes=256))
     for object_id in range(80):
         x, y = rng.random(), rng.random()
         tree.insert(ObjectRecord(object_id=object_id,

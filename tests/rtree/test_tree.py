@@ -5,11 +5,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.geometry import Point, Rect
+from repro.geometry import Rect
 from repro.rtree import RTree, SizeModel
 from repro.rtree.entry import ObjectRecord
 from repro.rtree.range_search import range_search
-from repro.rtree.split import quadratic_split
 
 from tests.conftest import make_records
 
@@ -49,18 +48,23 @@ def test_dynamic_build_range_results_match_bruteforce(dynamic_tree, small_record
     assert sorted(range_search(dynamic_tree, window)) == expected
 
 
-def test_quadratic_splitter_builds_valid_tree(small_records):
-    tree = RTree(size_model=SizeModel(page_bytes=256), splitter=quadratic_split,
-                 forced_reinsert=False)
-    tree.insert_all(small_records)
+def test_forced_reinsert_runs_once_per_non_root_level_per_insert(small_records):
+    tree = RTree(size_model=SizeModel(page_bytes=256))
+    reinserts = []
+    original = tree._reinsert_farthest
+
+    def spy(node):
+        assert node.node_id != tree.root_id
+        reinserts.append((len(tree), node.level))
+        original(node)
+
+    tree._reinsert_farthest = spy
+    for record in small_records:
+        tree.insert(record)
     tree.validate()
+    assert reinserts
+    assert len(reinserts) == len(set(reinserts))
     assert sorted(range_search(tree, Rect.unit())) == [r.object_id for r in small_records]
-
-
-def test_no_forced_reinsert_still_valid(small_records):
-    tree = RTree(size_model=SizeModel(page_bytes=256), forced_reinsert=False)
-    tree.insert_all(small_records)
-    tree.validate()
 
 
 def test_delete_removes_object(dynamic_tree):
@@ -118,6 +122,7 @@ def test_page_store_read_counter(dynamic_tree):
 def test_insertion_property_all_objects_retrievable(count, seed):
     records = make_records(count, seed=seed)
     tree = RTree(size_model=SizeModel(page_bytes=256))
-    tree.insert_all(records)
+    for record in records:
+        tree.insert(record)
     tree.validate()
     assert sorted(range_search(tree, Rect.unit())) == list(range(count))

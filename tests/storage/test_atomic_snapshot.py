@@ -4,17 +4,9 @@ import os
 
 import pytest
 
-from repro.core.cache import ProactiveCache
-from repro.rtree import SizeModel
 from repro.storage import StorageError
 from repro.storage.atomic import atomic_write_bytes, atomic_write_text
-from repro.storage.snapshot import (
-    dumps_state,
-    load_cache_snapshot,
-    load_state,
-    save_cache_snapshot,
-    save_state,
-)
+from repro.storage.snapshot import dumps_state, load_state, save_state
 
 
 # --------------------------------------------------------------------------- #
@@ -88,16 +80,3 @@ def test_non_object_snapshot_raises_storage_error(tmp_path):
     with pytest.raises(StorageError, match="not a JSON object"):
         load_state(path)
 
-
-def test_cache_snapshot_rejects_unknown_format(tmp_path):
-    path = str(tmp_path / "cache.json")
-    cache = ProactiveCache(capacity_bytes=4096, size_model=SizeModel())
-    save_cache_snapshot(cache, path)
-    restored = load_cache_snapshot(path, size_model=SizeModel())
-    assert restored.capacity_bytes == 4096
-
-    state = load_state(path)
-    state["format"] = 99
-    save_state(state, path)
-    with pytest.raises(StorageError, match="unsupported cache snapshot"):
-        load_cache_snapshot(path, size_model=SizeModel())

@@ -16,7 +16,7 @@ from repro.core.cache import ProactiveCache
 from repro.core.items import CachedIndexNode, CachedObject, CacheEntry
 from repro.core.replacement import make_policy
 from repro.geometry import Rect
-from repro.rtree import RTree, SizeModel, bulk_load_str
+from repro.rtree import SizeModel, bulk_load_str
 from repro.rtree.entry import Entry, ObjectRecord
 from repro.rtree.node import Node
 from repro.rtree.serialize import (
@@ -25,13 +25,7 @@ from repro.rtree.serialize import (
     encode_node,
     encode_object,
 )
-from repro.storage import (
-    load_cache_snapshot,
-    load_tree,
-    read_header,
-    save_cache_snapshot,
-    save_tree,
-)
+from repro.storage import load_state, load_tree, read_header, save_state, save_tree
 from repro.storage.snapshot import dumps_state
 
 from tests.conftest import make_records
@@ -188,9 +182,10 @@ def test_cache_snapshot_save_load_save_is_byte_stable(tmp_path, seed, policy):
     cache = _populated_cache(seed, policy)
     first = tmp_path / "a.json"
     second = tmp_path / "b.json"
-    save_cache_snapshot(cache, str(first))
-    restored = load_cache_snapshot(str(first), size_model=cache.size_model)
-    save_cache_snapshot(restored, str(second))
+    save_state(cache.state_dict(), str(first))
+    restored = ProactiveCache.from_state_dict(load_state(str(first)),
+                                              size_model=cache.size_model)
+    save_state(restored.state_dict(), str(second))
     assert _file_digest(first) == _file_digest(second)
 
 

@@ -40,6 +40,19 @@ FAILING = {
     # --paper-scale fixes the dataset and the trace: a flag it would
     # override is refused, not silently dropped.
     "params --paper-scale": ["params", "--paper-scale", "--queries", "10"],
+    # A configuration value the library refuses is an error line, not a
+    # traceback, and a negative cache size is refused, not run.
+    "trace --clients 0": ["trace", "--clients", "0"] + TINY,
+    "trace --shards 0": ["trace", "--clients", "2", "--shards", "0"] + TINY,
+    "trace --update-rate -1": ["trace", "--clients", "2",
+                               "--update-rate", "-1"] + TINY,
+    "compare --models": ["compare", "--models", "XYZ"] + TINY,
+    "compare --replacement": ["compare", "--replacement", "NOPE"] + TINY,
+    "compare --objects 0": ["compare", "--queries", "5", "--objects", "0"],
+    "compare --cache": ["compare", "--cache", "-0.5"] + TINY,
+    "figure --replacement": ["figure", "6", "--replacement", "NOPE"] + TINY,
+    "figure --objects 0": ["figure", "6", "--queries", "5", "--objects", "0"],
+    "fleet --cache": ["fleet", "--clients", "2", "--cache", "-0.5"] + TINY,
 }
 
 
