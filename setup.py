@@ -3,8 +3,8 @@
 Kept as a plain ``setup.py`` (no ``pyproject.toml``) so that
 ``pip install -e .`` works through the legacy editable-install path in
 offline environments where the ``wheel``/``build`` packages are
-unavailable.  Installing exposes the ``repro`` console script (and the
-legacy ``repro-spatial-cache`` alias).
+unavailable.  Installing exposes the one console script, ``repro``
+(``python -m repro.cli`` runs the same entry point without installing).
 """
 
 from setuptools import find_packages, setup
@@ -22,7 +22,6 @@ setup(
     entry_points={
         "console_scripts": [
             "repro = repro.cli:main",
-            "repro-spatial-cache = repro.cli:main",
         ],
     },
 )

@@ -1,8 +1,8 @@
 """Command-line interface for running simulations and paper experiments.
 
 Installed as the ``repro`` console script (also runnable as
-``python -m repro.cli``; the legacy ``repro-spatial-cache`` alias is kept).
-Eight sub-commands are provided (see ``docs/cli.md`` for a full guide):
+``python -m repro.cli``).  Eight sub-commands are provided (see
+``docs/cli.md`` for a full guide):
 
 * ``compare`` — run PAG / SEM / APRO (and optionally FPRO / CPRO) on one
   trace and print the headline metrics;
@@ -15,7 +15,7 @@ Eight sub-commands are provided (see ``docs/cli.md`` for a full guide):
 * ``trace`` — replay a seeded fleet under the recording instrument and
   print a text flame view (optionally exporting one JSON line per query);
 * ``figure`` — regenerate one of the paper's figures (``6``–``11``,
-  ``table61`` or ``overheads``);
+  ``table61`` or ``overheads``); this is the only runner of the figures;
 * ``params`` — print the Table 6.1 parameter sheet for a configuration;
 * ``persist`` — checkpoint a server R-tree into a ``.rpro`` page store,
   inspect one (header + write-ahead-log facts), verify it (WAL validation
@@ -23,12 +23,19 @@ Eight sub-commands are provided (see ``docs/cli.md`` for a full guide):
   pack the log back into a fresh checkpoint;
 * ``lint`` — run the AST-based determinism & invariant linter
   (:mod:`repro.analysis`) and exit non-zero on findings.
+
+Every sub-command that simulates declares the configuration flags
+``_CONFIG_FLAGS`` gives it and builds its :class:`SimulationConfig`
+through :func:`config_from_args`.  :func:`main` is the one place a library
+error becomes a ``repro <command>: error: ...`` line.
 """
 
 from __future__ import annotations
 
 import argparse
-from typing import List, Optional, Sequence
+import dataclasses
+from contextlib import ExitStack
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments import fig6, fig7, fig8, fig9, fig10, fig11, overheads, table61
 from repro.experiments.report import (
@@ -38,6 +45,10 @@ from repro.sim.config import SimulationConfig, config_meta
 from repro.sim.deployment import check_combination
 from repro.sim.fleet import ClientGroupSpec, FleetConfig, default_fleet, run_fleet
 from repro.sim.runner import run_comparison
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.obs.registry import MetricsRegistry
+    from repro.obs.status import StatusBoard
 
 
 _FIGURES = {
@@ -51,72 +62,133 @@ _FIGURES = {
     "overheads": overheads,
 }
 
+#: The flags a figure sweeps or fixes itself: refused, never dropped.
+_FIGURE_FIXES = {
+    "7": ("mobility",),
+    "8": ("mobility", "cache"),
+    "9": ("mobility", "cache"),
+    "10": ("mobility", "replacement"),
+    "11": ("mobility", "cache", "paper_scale"),
+}
 
-#: Defaults of the configuration flags that ``--paper-scale`` replaces with
-#: Table 6.1's values.  They default to ``None`` so an explicit one is seen.
-_SCALED_DEFAULTS = {"queries": 250, "objects": 4_000, "dataset": "NE", "seed": 7}
+_ALL_FLAGS = ("queries", "objects", "dataset", "mobility", "cache",
+              "replacement", "seed", "paper_scale")
+
+#: The configuration flags each sub-command takes, and the defaults in which
+#: it differs from :class:`SimulationConfig`'s (``persist`` covers its
+#: save-tree, save-shards and verify actions).
+_CONFIG_FLAGS: Dict[str, Tuple[Tuple[str, ...], Dict[str, int]]] = {
+    "compare": (_ALL_FLAGS, {"queries": 250}),
+    "figure": (_ALL_FLAGS, {"queries": 250}),
+    "params": (_ALL_FLAGS, {"queries": 250}),
+    "persist": (_ALL_FLAGS, {"queries": 250}),
+    "fleet": (("queries", "objects", "dataset", "cache", "replacement",
+               "seed"), {"queries": 40}),
+    "trace": (("queries", "objects", "dataset", "seed"),
+              {"queries": 15, "objects": 2_000}),
+    "serve": (("objects", "dataset", "seed"), {}),
+}
+
+#: The :class:`SimulationConfig` field each configuration flag sets.
+_CONFIG_FIELDS = {"queries": "query_count", "objects": "object_count",
+                  "dataset": "dataset_name", "seed": "dataset_seed",
+                  "mobility": "mobility_model", "cache": "cache_fraction",
+                  "replacement": "replacement_policy"}
+
+#: The flags ``--paper-scale`` replaces with Table 6.1's dataset and trace.
+_TABLE61_FLAGS = ("queries", "objects", "dataset", "seed")
 
 
-def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--queries", type=int,
-                        help="number of queries to simulate (default: 250)")
-    parser.add_argument("--objects", type=int,
-                        help="number of data objects (default: 4000)")
-    parser.add_argument("--dataset", choices=("NE", "RD", "UNIFORM"),
-                        help="synthetic dataset family (default: NE)")
-    parser.add_argument("--mobility", choices=("RAN", "DIR"), default="RAN",
-                        help="mobility model (default: RAN)")
-    parser.add_argument("--cache", type=float, default=0.01,
-                        help="cache size as a fraction of the dataset (default: 0.01)")
-    parser.add_argument("--replacement", default="GRD3",
-                        help="replacement policy for proactive caching (default: GRD3)")
-    parser.add_argument("--seed", type=int, help="dataset seed (default: 7)")
-    parser.add_argument("--paper-scale", action="store_true",
-                        help="use the paper's full Table 6.1 parameters (123 593 "
-                             "NE objects, 10 000 queries; a Figure-6 panel takes "
-                             "about 24 s) instead of the scaled defaults")
+def _add_config_arguments(parser: argparse.ArgumentParser, command: str) -> None:
+    """Declare the configuration flags ``command`` takes.
+
+    Each defaults to ``None`` in the parser, so an explicit value can be
+    told from the default; :func:`config_from_args` applies the defaults.
+    """
+    takes, defaults = _CONFIG_FLAGS[command]
+
+    def default(name: str) -> str:
+        value = defaults.get(name, getattr(SimulationConfig(),
+                                           _CONFIG_FIELDS[name]))
+        return f" (default: {value})"
+    if "queries" in takes:
+        parser.add_argument("--queries", type=int,
+                            help="number of queries to simulate, per client "
+                                 "in a fleet" + default("queries"))
+    if "objects" in takes:
+        parser.add_argument("--objects", type=int,
+                            help="number of data objects" + default("objects"))
+    if "dataset" in takes:
+        parser.add_argument("--dataset", choices=("NE", "RD", "UNIFORM"),
+                            help="synthetic dataset family" + default("dataset"))
+    if "mobility" in takes:
+        parser.add_argument("--mobility", choices=("RAN", "DIR"),
+                            help="mobility model" + default("mobility"))
+    if "cache" in takes:
+        parser.add_argument("--cache", type=float,
+                            help="cache size as a fraction of the dataset; "
+                                 "fleet groups may scale it" + default("cache"))
+    if "replacement" in takes:
+        parser.add_argument("--replacement",
+                            help="replacement policy for proactive caching"
+                                 + default("replacement"))
+    if "seed" in takes:
+        parser.add_argument("--seed", type=int,
+                            help="dataset seed" + default("seed"))
+    if "paper_scale" in takes:
+        parser.add_argument("--paper-scale", action="store_true", default=None,
+                            help="use the paper's full Table 6.1 parameters "
+                                 "(123 593 NE objects, 10 000 queries; a "
+                                 "Figure-6 panel takes about 24 s) instead of "
+                                 "the scaled defaults")
+
+
+def _add_shard_arguments(parser: argparse.ArgumentParser,
+                         required: bool = False) -> None:
+    """Declare ``--shards`` and ``--partitioner``."""
+    parser.add_argument("--shards", type=int, required=required, metavar="N",
+                        help="number of spatial shards behind the "
+                             "scatter-gather router" + ("" if required else
+                             " (default: one unsharded server; --shards 1 "
+                             "is byte-identical to it)"))
+    parser.add_argument("--partitioner", choices=("grid", "kd"), default="grid",
+                        help="spatial partitioner for --shards: uniform grid "
+                             "cells or kd median splits (default: grid)")
 
 
 def config_from_args(args: argparse.Namespace) -> SimulationConfig:
-    """Build a :class:`SimulationConfig` from parsed CLI arguments.
+    """Build any sub-command's :class:`SimulationConfig` from its flags.
 
-    ``--paper-scale`` fixes the dataset and the trace, so an explicit
-    ``--queries`` / ``--objects`` / ``--dataset`` / ``--seed`` beside it is
-    refused rather than silently dropped.
+    A flag left out takes the sub-command's default from ``_CONFIG_FLAGS``
+    or, failing that, :class:`SimulationConfig`'s.  ``--paper-scale`` fixes
+    the dataset and the trace, so an explicit ``--queries`` / ``--objects``
+    / ``--dataset`` / ``--seed`` beside it is refused rather than silently
+    dropped.
     """
-    given = {name: getattr(args, name) for name in _SCALED_DEFAULTS
+    takes, defaults = _CONFIG_FLAGS[args.command]
+    given = {name: getattr(args, name) for name in takes
              if getattr(args, name) is not None}
-    overrides = dict(mobility_model=args.mobility, cache_fraction=args.cache,
-                     replacement_policy=args.replacement)
-    try:
-        if getattr(args, "paper_scale", False):
-            if given:
-                flags = ", ".join(f"--{name}" for name in given)
-                raise ValueError(f"--paper-scale uses Table 6.1's dataset "
-                                 f"and trace; drop {flags}")
-            return SimulationConfig.paper().with_overrides(**overrides)
-        values = {**_SCALED_DEFAULTS, **given}
-        return SimulationConfig.scaled(query_count=values["queries"],
-                                       object_count=values["objects"],
-                                       seed=values["seed"]).with_overrides(
-            dataset_name=values["dataset"], **overrides)
-    except ValueError as error:
-        raise SystemExit(f"repro {args.command}: error: {error}")
+    if given.pop("paper_scale", False):
+        fixed = [f"--{name}" for name in _TABLE61_FLAGS if name in given]
+        if fixed:
+            raise ValueError(f"--paper-scale uses Table 6.1's dataset "
+                             f"and trace; drop {', '.join(fixed)}")
+        base = SimulationConfig.paper()
+    else:
+        base = SimulationConfig.scaled()
+        given = {**defaults, **given}
+    return base.with_overrides(**{_CONFIG_FIELDS[name]: value
+                                  for name, value in given.items()})
 
 
 def _run_compare(args: argparse.Namespace) -> str:
-    from repro.storage import StorageError
     config = config_from_args(args)
     models = tuple(model.strip().upper() for model in args.models.split(","))
     unknown = [model for model in models if model not in _MODELS]
     if unknown:
-        raise SystemExit(f"repro compare: error: unknown caching model(s) "
-                         f"{', '.join(unknown)}; expected one of "
-                         f"{', '.join(_MODELS)}")
-    try:
-        results = run_comparison(config, models=models, store_path=args.store)
-    except (OSError, StorageError) as error:
-        raise SystemExit(f"repro compare: error: {error}")
+        raise ValueError(f"unknown caching model(s) {', '.join(unknown)}; "
+                         f"expected one of {', '.join(_MODELS)}")
+    results = run_comparison(config, models=models, store_path=args.store)
     metrics = ("uplink_bytes", "downlink_bytes", "cache_hit_rate", "byte_hit_rate",
                "false_miss_rate", "response_time", "client_cpu_ms")
     rows = [[metric] + [results[m].summary()[metric] for m in models] for metric in metrics]
@@ -173,11 +245,23 @@ def _update_summary_line(summary: dict) -> str:
     return line
 
 
+def _live_ops() -> Tuple["MetricsRegistry", "StatusBoard"]:
+    """The metrics registry and status board behind ``--status-port``."""
+    from repro.obs.registry import MetricsRegistry
+    from repro.obs.status import StatusBoard
+    registry = MetricsRegistry()
+    return registry, StatusBoard(registry)
+
+
+def _print_live_ops(host: str, port: int) -> None:
+    """Announce the bound ``--status-port`` dashboard of fleet and serve."""
+    print(f"live ops: http://{host}:{port}/ (/status, /metrics)", flush=True)
+
+
 def _run_fleet(args: argparse.Namespace) -> str:
-    from repro.storage import StorageError
     if args.status_port is not None and (args.resume or args.halt_after):
-        raise SystemExit("repro fleet: error: --status-port cannot be "
-                         "combined with --resume/--halt-after")
+        raise ValueError("--status-port cannot be combined with "
+                         "--resume/--halt-after")
     if args.resume:
         # The session file is authoritative for a resumed fleet; flags that
         # describe the deployment would be silently dropped otherwise.
@@ -190,11 +274,11 @@ def _run_fleet(args: argparse.Namespace) -> str:
                  "--transport": args.transport != "inproc"}
         for flag, present in given.items():
             if present:
-                raise SystemExit(
-                    f"repro fleet: error: {flag} cannot be combined with "
-                    f"--resume (the session file already records the "
-                    f"fleet's deployment)")
+                raise ValueError(f"{flag} cannot be combined with --resume "
+                                 f"(the session file already records the "
+                                 f"fleet's deployment)")
         from repro.sim.restart import resume_fleet
+        from repro.storage import StorageError
         try:
             result, state = resume_fleet(args.resume)
         except (OSError, ValueError, StorageError) as error:
@@ -208,95 +292,65 @@ def _run_fleet(args: argparse.Namespace) -> str:
             report += _update_summary_line(result.update_summary)
         return report
 
-    try:
-        base = SimulationConfig.scaled(query_count=args.queries,
-                                       object_count=args.objects,
-                                       seed=args.seed).with_overrides(
-            dataset_name=args.dataset, cache_fraction=args.cache,
-            replacement_policy=args.replacement)
-        if args.group:
-            fleet = FleetConfig.make(base, args.group, fleet_seed=args.fleet_seed)
-        else:
-            fleet = default_fleet(args.clients, base=base, fleet_seed=args.fleet_seed)
-        if args.update_rate or args.consistency != "none":
-            import dataclasses
-            fleet = dataclasses.replace(fleet, update_rate=args.update_rate,
-                                        consistency=args.consistency,
-                                        ttl_seconds=args.ttl)
-        if args.shards is not None:
-            import dataclasses
-            fleet = dataclasses.replace(fleet, shards=args.shards,
-                                        partitioner=args.partitioner)
-        if args.router_cache or args.router_cache_bytes is not None:
-            import dataclasses
-            from repro.sharding import DEFAULT_CACHE_BYTES
-            fleet = dataclasses.replace(
-                fleet, router_cache=True,
-                router_cache_bytes=(args.router_cache_bytes
-                                    if args.router_cache_bytes is not None
-                                    else DEFAULT_CACHE_BYTES))
-        if args.transport != "inproc":
-            import dataclasses
-            fleet = dataclasses.replace(fleet, transport=args.transport)
-        # The one combination table decides what can run together; asking
-        # it here fails before a status server or worker pool starts.
-        check_combination(fleet, max_workers=args.workers,
-                          store_path=args.store, durable=args.durable,
-                          halt_resume=args.halt_after is not None)
-    except ValueError as error:
-        # Also cross-group validation (duplicate names, non-positive
-        # totals) that parse_group_spec cannot see: fail like an argparse
-        # error, not a traceback.
-        raise SystemExit(f"repro fleet: error: {error}")
+    base = config_from_args(args)
+    if args.group:
+        fleet = FleetConfig.make(base, args.group, fleet_seed=args.fleet_seed)
+    else:
+        fleet = default_fleet(args.clients, base=base, fleet_seed=args.fleet_seed)
+    changes = {"transport": args.transport,
+               "router_cache": (args.router_cache
+                                or args.router_cache_bytes is not None)}
+    if args.update_rate or args.consistency != "none":
+        changes.update(update_rate=args.update_rate,
+                       consistency=args.consistency, ttl_seconds=args.ttl)
+    if args.shards is not None:
+        changes.update(shards=args.shards, partitioner=args.partitioner)
+    if args.router_cache_bytes is not None:
+        changes["router_cache_bytes"] = args.router_cache_bytes
+    fleet = dataclasses.replace(fleet, **changes)
+    # The one combination table decides what can run together; asking it
+    # here fails before a status server or worker pool starts.
+    check_combination(fleet, max_workers=args.workers,
+                      store_path=args.store, durable=args.durable,
+                      halt_resume=args.halt_after is not None)
 
     if args.halt_after is not None:
         from repro.sim.restart import run_fleet_interrupted
         if not args.session_dir:
-            raise SystemExit("repro fleet: error: --halt-after requires "
-                             "--session-dir to persist the session")
-        try:
-            state = run_fleet_interrupted(fleet, halt_after=args.halt_after,
-                                          directory=args.session_dir,
-                                          store_path=args.store,
-                                          durable=args.durable)
-        except (OSError, ValueError, StorageError) as error:
-            raise SystemExit(f"repro fleet: error: {error}")
+            raise ValueError("--halt-after requires --session-dir to "
+                             "persist the session")
+        state = run_fleet_interrupted(fleet, halt_after=args.halt_after,
+                                      directory=args.session_dir,
+                                      store_path=args.store,
+                                      durable=args.durable)
         return (f"Fleet halted after {state['processed_events']} of "
                 f"{state['total_events']} events; session saved to "
                 f"{args.session_dir}.\nResume with: repro fleet --resume "
                 f"{args.session_dir}")
 
-    from contextlib import ExitStack
-    stack = ExitStack()
-    status_thread = None
-    if args.status_port is not None:
-        if args.workers and args.workers > 1:
-            raise SystemExit("repro fleet: error: --status-port needs a "
-                             "serial run (worker processes cannot share "
-                             "the in-process metrics registry)")
-        from repro.obs.instrument import activated
-        from repro.obs.registry import MetricsRegistry
-        from repro.obs.status import StatusBoard, StatusServerThread, \
-            board_active
-        from repro.obs.trace import Recorder
-        registry = MetricsRegistry()
-        board = StatusBoard(registry)
-        status_thread = StatusServerThread(board, port=args.status_port)
-        try:
-            status_thread.start()
-        except RuntimeError as error:
-            raise SystemExit(f"repro fleet: error: {error}")
-        stack.callback(status_thread.stop)
-        stack.enter_context(activated(Recorder(registry)))
-        stack.enter_context(board_active(board))
-        print(f"live ops: http://{status_thread.host}:{status_thread.port}/ "
-              f"(/status, /metrics)", flush=True)
-    try:
-        try:
-            result = run_fleet(fleet, max_workers=args.workers,
-                               store_path=args.store, durable=args.durable)
-        except (OSError, ValueError, StorageError) as error:
-            raise SystemExit(f"repro fleet: error: {error}")
+    with ExitStack() as stack:
+        if args.status_port is not None:
+            if args.workers and args.workers > 1:
+                raise ValueError("--status-port needs a serial run (worker "
+                                 "processes cannot share the in-process "
+                                 "metrics registry)")
+            from repro.obs.instrument import activated
+            from repro.obs.status import StatusServerThread, board_active
+            from repro.obs.trace import Recorder
+            registry, board = _live_ops()
+            status_thread = StatusServerThread(board, port=args.status_port)
+            try:
+                status_thread.start()
+            except RuntimeError as error:
+                # The thread re-raises a failed bind (a port in use) this
+                # way; as an OSError it reaches main()'s error boundary.
+                raise OSError(str(error)) from error
+            stack.callback(status_thread.stop)
+            stack.enter_context(activated(Recorder(registry)))
+            stack.enter_context(board_active(board))
+            _print_live_ops(status_thread.host, status_thread.port)
+        result = run_fleet(fleet, max_workers=args.workers,
+                           store_path=args.store, durable=args.durable)
         mode = f"{args.workers} worker processes" if args.workers and args.workers > 1 \
             else "serial"
         if args.store:
@@ -330,7 +384,7 @@ def _run_fleet(args: argparse.Namespace) -> str:
             latency = result.net_summary.get("latency")
             if latency and latency.get("queries"):
                 report += "\n" + format_latency_line(latency)
-        if status_thread is not None and args.status_linger > 0:
+        if args.status_port is not None and args.status_linger > 0:
             # Scrapers (the CI smoke job, a browser on the dashboard) need
             # the endpoint to outlive a fast run; the final sections and
             # metrics stay scrapable until the linger expires.
@@ -344,8 +398,6 @@ def _run_fleet(args: argparse.Namespace) -> str:
                 pass
             return "status server stopped"
         return report
-    finally:
-        stack.close()
 
 
 def _run_serve(args: argparse.Namespace) -> str:
@@ -354,18 +406,12 @@ def _run_serve(args: argparse.Namespace) -> str:
     import signal
 
     from repro.net.server import ReproServer
+    from repro.obs.status import StatusServer
     from repro.sim.runner import build_shared_state
 
-    try:
-        base = SimulationConfig.scaled(query_count=args.queries,
-                                       object_count=args.objects,
-                                       seed=args.seed).with_overrides(
-            dataset_name=args.dataset)
-    except ValueError as error:
-        raise SystemExit(f"repro serve: error: {error}")
+    base = config_from_args(args)
     if args.transport == "uds" and not args.path:
-        raise SystemExit("repro serve: error: --transport uds requires "
-                         "--path")
+        raise ValueError("--transport uds requires --path")
 
     async def main() -> None:
         # Either signal ends the wait below, and the finally clause closes
@@ -377,7 +423,7 @@ def _run_serve(args: argparse.Namespace) -> str:
             loop.add_signal_handler(signum, stop.set)
         shared = build_shared_state(base)
         server = ReproServer(shared.server, shared.size_model)
-        status = None
+        status: Optional[StatusServer] = None
         try:
             if args.transport == "uds":
                 where = await server.listen_uds(args.path)
@@ -391,11 +437,8 @@ def _run_serve(args: argparse.Namespace) -> str:
                 # The status server shares the wire server's loop; the
                 # recorder feeds the /metrics registry from the query path.
                 from repro.obs.instrument import activate
-                from repro.obs.registry import MetricsRegistry
-                from repro.obs.status import StatusBoard, StatusServer
                 from repro.obs.trace import MetricsRecorder
-                registry = MetricsRegistry()
-                board = StatusBoard(registry)
+                registry, board = _live_ops()
                 board.register("server", lambda: {
                     "dataset": base.dataset_name,
                     "objects": base.object_count,
@@ -407,14 +450,12 @@ def _run_serve(args: argparse.Namespace) -> str:
                 })
                 activate(MetricsRecorder(registry))
                 status = StatusServer(board, port=args.status_port)
-                shost, sport = await status.start()
-                print(f"live ops: http://{shost}:{sport}/ "
-                      f"(/status, /metrics)", flush=True)
+                _print_live_ops(*await status.start())
             await stop.wait()
         finally:
             if status is not None:
-                from repro.obs.instrument import deactivate as _deactivate
-                _deactivate()
+                from repro.obs.instrument import deactivate
+                deactivate()
                 await status.close()
             await server.close()
             shared.tree.store.close()
@@ -423,58 +464,42 @@ def _run_serve(args: argparse.Namespace) -> str:
         asyncio.run(main())
     except KeyboardInterrupt:
         pass
-    except OSError as error:
-        # A listener that cannot bind (missing socket directory, port in
-        # use); main() has already closed the server and the store.
-        raise SystemExit(f"repro serve: error: {error}")
     return "server stopped"
 
 
 def _run_trace(args: argparse.Namespace) -> str:
     """Replay a seeded fleet under the recording instrument; print traces."""
-    import dataclasses
-
     from repro.obs.instrument import activated
     from repro.obs.trace import Recorder, render_flame, spans_to_jsonl
 
+    fleet = default_fleet(args.clients, base=config_from_args(args))
+    changes: dict = {}
+    if args.shards is not None:
+        changes.update(shards=args.shards, partitioner=args.partitioner)
+    if args.update_rate:
+        changes.update(update_rate=args.update_rate, consistency="versioned")
+    fleet = dataclasses.replace(fleet, **changes)
     recorder = Recorder(timing=args.timing)
-    try:
-        base = SimulationConfig.scaled(query_count=args.queries,
-                                       object_count=args.objects,
-                                       seed=args.seed).with_overrides(
-            dataset_name=args.dataset)
-        fleet = default_fleet(args.clients, base=base)
-        if args.shards is not None:
-            fleet = dataclasses.replace(fleet, shards=args.shards,
-                                        partitioner=args.partitioner)
-        if args.update_rate:
-            fleet = dataclasses.replace(fleet, update_rate=args.update_rate,
-                                        consistency="versioned")
-        with activated(recorder):
-            run_fleet(fleet)
-    except (OSError, ValueError) as error:
-        raise SystemExit(f"repro trace: error: {error}")
-    if args.jsonl:
-        try:
-            with open(args.jsonl, "w", encoding="utf-8") as handle:
-                spans_to_jsonl(recorder.roots, handle)
-        except OSError as error:
-            raise SystemExit(f"repro trace: error: cannot write "
-                             f"{args.jsonl}: {error}")
+    with activated(recorder):
+        run_fleet(fleet)
     report = render_flame(recorder.roots, limit=args.limit)
     if args.jsonl:
+        with open(args.jsonl, "w", encoding="utf-8") as handle:
+            spans_to_jsonl(recorder.roots, handle)
         report += (f"\n{len(recorder.roots)} trace line(s) written to "
                    f"{args.jsonl}")
     return report
 
 
 def _run_figure(args: argparse.Namespace) -> str:
+    refused = [f"--{name.replace('_', '-')}"
+               for name in _FIGURE_FIXES.get(args.figure, ())
+               if getattr(args, name) is not None]
+    if refused:
+        raise ValueError(f"figure {args.figure} refuses {', '.join(refused)}: "
+                         f"it sweeps or fixes that setting itself")
     module = _FIGURES[args.figure]
-    config = config_from_args(args)
-    if args.figure == "11":
-        config = fig11.default_config(query_count=config.query_count).with_overrides(
-            object_count=config.object_count)
-    return module.render(module.run(config))
+    return module.render(module.run(config_from_args(args)))
 
 
 def _run_params(args: argparse.Namespace) -> str:
@@ -483,13 +508,9 @@ def _run_params(args: argparse.Namespace) -> str:
 
 def _run_persist_save_tree(args: argparse.Namespace) -> str:
     from repro.sim.runner import build_tree
-    from repro.storage import StorageError, save_tree
+    from repro.storage import save_tree
     config = config_from_args(args)
-    tree = build_tree(config)
-    try:
-        header = save_tree(tree, args.out, meta=config_meta(config))
-    except (OSError, StorageError) as error:
-        raise SystemExit(f"repro persist: error: {error}")
+    header = save_tree(build_tree(config), args.out, meta=config_meta(config))
     return (f"saved {header['node_count']} node pages and "
             f"{header['object_count']} object pages "
             f"({header['page_size']} B each) to {args.out}")
@@ -497,18 +518,13 @@ def _run_persist_save_tree(args: argparse.Namespace) -> str:
 
 def _run_persist_save_shards(args: argparse.Namespace) -> str:
     from repro.sharding import build_sharded_state, save_sharded_state
-    from repro.storage import StorageError
     config = config_from_args(args)
+    state = build_sharded_state(config, args.shards,
+                                partitioner=args.partitioner)
     try:
-        state = build_sharded_state(config, args.shards,
-                                    partitioner=args.partitioner)
-        try:
-            manifest = save_sharded_state(state, args.out,
-                                          meta=config_meta(config))
-        finally:
-            state.close()
-    except (OSError, ValueError, StorageError) as error:
-        raise SystemExit(f"repro persist: error: {error}")
+        manifest = save_sharded_state(state, args.out, meta=config_meta(config))
+    finally:
+        state.close()
     counts = ", ".join(str(count) for count in manifest["objects_per_shard"])
     return (f"saved {manifest['shards']} shard store(s) "
             f"({manifest['partitioner']} partitioner; objects per shard: "
@@ -539,12 +555,9 @@ def _wal_info_lines(summary: dict) -> List[str]:
 
 
 def _run_persist_info(args: argparse.Namespace) -> str:
-    from repro.storage import StorageError, read_header, wal_summary
-    try:
-        header = read_header(args.path)
-        summary = wal_summary(args.path)
-    except (OSError, StorageError) as error:
-        raise SystemExit(f"repro persist: error: {error}")
+    from repro.storage import read_header, wal_summary
+    header = read_header(args.path)
+    summary = wal_summary(args.path)
     lines = [f"{args.path}: rtree page store (format {header['format']})"]
     for key in ("page_size", "node_count", "object_count", "root_id", "height",
                 "max_entries", "min_entries"):
@@ -569,10 +582,7 @@ def _run_persist_verify(args: argparse.Namespace) -> str:
     """
     from repro.sim.runner import generate_trace, replay_store_trace
     from repro.storage import StorageError, load_tree, wal_path, wal_summary
-    try:
-        summary = wal_summary(args.path)
-    except (OSError, StorageError) as error:
-        raise SystemExit(f"repro persist: error: {error}")
+    summary = wal_summary(args.path)
     if summary["tail_state"] == "corrupt":
         raise SystemExit(
             f"repro persist: VERIFY FAILED — {wal_path(args.path)}: corrupt "
@@ -606,14 +616,11 @@ def _run_persist_verify(args: argparse.Namespace) -> str:
                 f"{summary['dead_pages']} dead pages reclaimable by pack)")
     config = config_from_args(args)
     trace = generate_trace(config)
-    try:
-        memory_rows, memory_reads, _ = replay_store_trace(config, trace)
-        # A small 16-page buffer so the file path is genuinely exercised at
-        # query time (a default-size buffer could serve everything warm).
-        file_rows, file_reads, io_stats = replay_store_trace(
-            config, trace, store_path=args.path, store_buffer_pages=16)
-    except (OSError, StorageError) as error:
-        raise SystemExit(f"repro persist: error: {error}")
+    memory_rows, memory_reads, _ = replay_store_trace(config, trace)
+    # A small 16-page buffer so the file path is genuinely exercised at
+    # query time (a default-size buffer could serve everything warm).
+    file_rows, file_reads, io_stats = replay_store_trace(
+        config, trace, store_path=args.path, store_buffer_pages=16)
     mismatches = [index for index, (m, f) in enumerate(zip(memory_rows, file_rows))
                   if m != f]
     if mismatches or memory_reads != file_reads:
@@ -632,17 +639,14 @@ def _run_persist_verify(args: argparse.Namespace) -> str:
 def _run_persist_recover(args: argparse.Namespace) -> str:
     """Repair a store's WAL in place: truncate torn/corrupt tails."""
     import os
-    from repro.storage import StorageError, repair_wal, wal_path
+    from repro.storage import repair_wal, wal_path
     if not os.path.exists(args.path):
         # A typo'd path must not read as a healthy store.
-        raise SystemExit(f"repro persist: error: no such store: {args.path}")
+        raise ValueError(f"no such store: {args.path}")
     log = wal_path(args.path)
     if not os.path.exists(log):
         return f"{args.path}: no write-ahead log; nothing to recover"
-    try:
-        scan = repair_wal(log, force=args.force)
-    except (OSError, StorageError) as error:
-        raise SystemExit(f"repro persist: error: {error}")
+    scan = repair_wal(log, force=args.force)
     if not os.path.exists(log):
         return (f"{log}: unreadable log header; log removed, store falls "
                 f"back to its checkpoint")
@@ -661,20 +665,17 @@ def _run_persist_pack(args: argparse.Namespace) -> str:
     """Fold WALs into fresh checkpoints (single store or shard directory)."""
     import os
     from repro.sharding import pack_shards
-    from repro.storage import StorageError, pack
-    try:
-        if os.path.isdir(args.path):
-            per_shard = pack_shards(args.path)
-            lines = [f"packed {len(per_shard)} shard store(s) in {args.path}:"]
-            lines.extend(
-                f"  {name}: {info['records_folded']} record(s) folded, "
-                f"{info['dead_pages_reclaimed']} dead page(s) reclaimed, "
-                f"version {info['committed_version']}"
-                for name, info in per_shard.items())
-            return "\n".join(lines)
-        info = pack(args.path)
-    except (OSError, StorageError) as error:
-        raise SystemExit(f"repro persist: error: {error}")
+    from repro.storage import pack
+    if os.path.isdir(args.path):
+        per_shard = pack_shards(args.path)
+        lines = [f"packed {len(per_shard)} shard store(s) in {args.path}:"]
+        lines.extend(
+            f"  {name}: {info['records_folded']} record(s) folded, "
+            f"{info['dead_pages_reclaimed']} dead page(s) reclaimed, "
+            f"version {info['committed_version']}"
+            for name, info in per_shard.items())
+        return "\n".join(lines)
+    info = pack(args.path)
     return (f"packed {args.path}: {info['records_folded']} WAL record(s) "
             f"({info['wal_bytes']} bytes) folded into a fresh checkpoint at "
             f"version {info['committed_version']}; "
@@ -697,22 +698,14 @@ def _run_lint(args: argparse.Namespace) -> str:
     known = {rule for rule, _ in rule_catalogue()}
     unknown = sorted(set(rules) - known)
     if unknown:
-        raise SystemExit(f"repro lint: error: unknown rule(s) "
-                         f"{', '.join(unknown)} (see --list-rules)")
-    paths = args.paths or ["src"]
-    try:
-        findings, checked = lint_paths(paths, rules=rules)
-    except OSError as error:
-        raise SystemExit(f"repro lint: error: {error}")
+        raise ValueError(f"unknown rule(s) {', '.join(unknown)} "
+                         f"(see --list-rules)")
+    findings, checked = lint_paths(args.paths or ["src"], rules=rules)
     enabled = rules or known
     if args.output:
-        try:
-            with open(args.output, "w", encoding="utf-8") as handle:
-                handle.write(render_json(findings, checked, rules=enabled))
-                handle.write("\n")
-        except OSError as error:
-            raise SystemExit(f"repro lint: error: cannot write "
-                             f"{args.output}: {error}")
+        with open(args.output, "w", encoding="utf-8") as handle:
+            handle.write(render_json(findings, checked, rules=enabled))
+            handle.write("\n")
     if args.format == "json":
         report = render_json(findings, checked, rules=enabled)
     else:
@@ -765,7 +758,7 @@ examples:
     "figure": """\
 examples:
   repro figure 6 --queries 250
-  repro figure 10 --mobility DIR
+  repro figure 6 --mobility DIR
   repro figure table61 --paper-scale
 """,
     "params": """\
@@ -811,7 +804,7 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--store", default=None, metavar="PATH",
                          help="serve the R-tree from this .rpro page store "
                               "(see 'repro persist save-tree')")
-    _add_config_arguments(compare)
+    _add_config_arguments(compare, "compare")
     compare.set_defaults(handler=_run_compare)
 
     fleet = subparsers.add_parser(
@@ -824,17 +817,7 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument("--group", action="append", type=parse_group_spec, default=[],
                        metavar="NAME:COUNT[:MOBILITY[:MODEL[:CACHE[:SPEED]]]]",
                        help="explicit client group (repeatable); overrides --clients")
-    fleet.add_argument("--queries", type=int, default=40,
-                       help="queries per client (default: 40)")
-    fleet.add_argument("--objects", type=int, default=4_000,
-                       help="number of data objects (default: 4000)")
-    fleet.add_argument("--dataset", choices=("NE", "RD", "UNIFORM"), default="NE",
-                       help="synthetic dataset family (default: NE)")
-    fleet.add_argument("--cache", type=float, default=0.01,
-                       help="base cache fraction, groups may scale it (default: 0.01)")
-    fleet.add_argument("--replacement", default="GRD3",
-                       help="replacement policy for proactive clients (default: GRD3)")
-    fleet.add_argument("--seed", type=int, default=7, help="dataset seed (default: 7)")
+    _add_config_arguments(fleet, "fleet")
     fleet.add_argument("--fleet-seed", type=int, default=101,
                        help="seed decorrelating per-client traces (default: 101)")
     fleet.add_argument("--workers", type=int, default=1,
@@ -843,14 +826,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="serve the shared R-tree from this .rpro page "
                             "store (with --shards: a shard-store directory "
                             "from 'repro persist save-shards')")
-    fleet.add_argument("--shards", type=int, default=None, metavar="N",
-                       help="run the fleet against N spatial shards behind "
-                            "the scatter-gather router (default: one "
-                            "unsharded server; --shards 1 is byte-identical "
-                            "to it)")
-    fleet.add_argument("--partitioner", choices=("grid", "kd"), default="grid",
-                       help="spatial partitioner for --shards: uniform grid "
-                            "cells or kd median splits (default: grid)")
+    _add_shard_arguments(fleet)
     fleet.add_argument("--router-cache", action="store_true",
                        help="attach the router-level partition-result cache "
                             "(requires --shards): repeated queries skip "
@@ -916,17 +892,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=0,
                        help="TCP port; 0 picks a free one and prints it "
                             "(default: 0)")
-    serve.add_argument("--queries", type=int, default=400,
-                       help="query-count knob of the generating config "
-                            "(affects adaptation defaults only; default: "
-                            "400)")
-    serve.add_argument("--objects", type=int, default=4_000,
-                       help="number of data objects (default: 4000)")
-    serve.add_argument("--dataset", choices=("NE", "RD", "UNIFORM"),
-                       default="NE",
-                       help="synthetic dataset family (default: NE)")
-    serve.add_argument("--seed", type=int, default=7,
-                       help="dataset seed (default: 7)")
+    _add_config_arguments(serve, "serve")
     serve.add_argument("--status-port", type=int, default=None, metavar="PORT",
                        help="also serve the live ops dashboard (/, /status, "
                             "/metrics) on 127.0.0.1:PORT (0 picks a free "
@@ -941,22 +907,8 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--clients", type=int, default=6,
                        help="total clients over the default heterogeneous "
                             "groups (default: 6)")
-    trace.add_argument("--queries", type=int, default=15,
-                       help="queries per client (default: 15)")
-    trace.add_argument("--objects", type=int, default=2_000,
-                       help="number of data objects (default: 2000)")
-    trace.add_argument("--dataset", choices=("NE", "RD", "UNIFORM"),
-                       default="NE",
-                       help="synthetic dataset family (default: NE)")
-    trace.add_argument("--seed", type=int, default=7,
-                       help="dataset seed (default: 7)")
-    trace.add_argument("--shards", type=int, default=None, metavar="N",
-                       help="trace a sharded fleet behind the "
-                            "scatter-gather router")
-    trace.add_argument("--partitioner", choices=("grid", "kd"),
-                       default="grid",
-                       help="spatial partitioner for --shards "
-                            "(default: grid)")
+    _add_config_arguments(trace, "trace")
+    _add_shard_arguments(trace)
     trace.add_argument("--update-rate", type=float, default=0.0,
                        metavar="RATE",
                        help="dataset updates per simulated second under "
@@ -977,14 +929,14 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter)
     figure.add_argument("figure", choices=sorted(_FIGURES),
                         help="which figure/table to regenerate")
-    _add_config_arguments(figure)
+    _add_config_arguments(figure, "figure")
     figure.set_defaults(handler=_run_figure)
 
     params = subparsers.add_parser(
         "params", help="print the Table 6.1 parameter sheet",
         epilog=_EXAMPLES["params"],
         formatter_class=argparse.RawDescriptionHelpFormatter)
-    _add_config_arguments(params)
+    _add_config_arguments(params, "params")
     params.set_defaults(handler=_run_params)
 
     persist = subparsers.add_parser(
@@ -997,7 +949,7 @@ def build_parser() -> argparse.ArgumentParser:
         "save-tree", help="build the configured dataset's R-tree and save it")
     save_tree.add_argument("--out", required=True, metavar="PATH",
                            help="output .rpro file")
-    _add_config_arguments(save_tree)
+    _add_config_arguments(save_tree, "persist")
     save_tree.set_defaults(handler=_run_persist_save_tree)
 
     save_shards = persist_actions.add_parser(
@@ -1005,12 +957,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="partition the configured dataset and save one .rpro per shard")
     save_shards.add_argument("--out", required=True, metavar="DIR",
                              help="output shard-store directory")
-    save_shards.add_argument("--shards", type=int, required=True, metavar="N",
-                             help="number of spatial shards")
-    save_shards.add_argument("--partitioner", choices=("grid", "kd"),
-                             default="grid",
-                             help="spatial partitioner (default: grid)")
-    _add_config_arguments(save_shards)
+    _add_shard_arguments(save_shards, required=True)
+    _add_config_arguments(save_shards, "persist")
     save_shards.set_defaults(handler=_run_persist_save_shards)
 
     info = persist_actions.add_parser("info", help="print a page store's header")
@@ -1021,7 +969,7 @@ def build_parser() -> argparse.ArgumentParser:
         "verify", help="validate the WAL and assert the file backend "
                        "matches the in-memory backend")
     verify.add_argument("path", help="an .rpro file written from this configuration")
-    _add_config_arguments(verify)
+    _add_config_arguments(verify, "persist")
     verify.set_defaults(handler=_run_persist_verify)
 
     recover = persist_actions.add_parser(
@@ -1062,14 +1010,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """CLI entry point; returns a process exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """CLI entry point; returns a process exit code.
+
+    The one error boundary: a ``ValueError``, ``OSError``, ``StorageError``
+    or ``NetError`` from any handler exits with one ``repro <command>:
+    error: <message>`` line.  Anything else is a bug and keeps its
+    traceback.
+    """
+    from repro.net.frames import NetError
+    from repro.storage import StorageError
+    args = build_parser().parse_args(argv)
     try:
         print(args.handler(args))
     except BrokenPipeError:
         # Output piped into a pager/head that closed early — not an error.
         return 0
+    except (ValueError, OSError, StorageError, NetError) as error:
+        raise SystemExit(f"repro {args.command}: error: {error}")
     return 0
 
 

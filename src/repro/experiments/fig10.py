@@ -40,12 +40,3 @@ def render(results: Dict[str, Dict[str, Dict[str, float]]]) -> str:
     headers = ["policy"] + [f"{m} resp (s)" for m in mobilities]
     return format_table(headers, rows,
                         title="Figure 10 — APRO response time under replacement schemes")
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    """Regenerate and print this experiment at the default scale."""
-    print(render(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -45,12 +45,3 @@ def render(summaries: Dict[str, Dict[str, float]]) -> str:
     blocks.append(format_table(["metric (value, normalised)"] + models, rows,
                                title="Figure 6 — overall performance comparison"))
     return "\n".join(blocks)
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    """Regenerate and print this experiment at the default scale."""
-    print(render(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

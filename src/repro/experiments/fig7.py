@@ -36,12 +36,3 @@ def render(results: Dict[str, Dict[str, Dict[str, float]]]) -> str:
     part_b = format_table(["model"] + [f"{m} fmr" for m in mobilities], fmr_rows,
                           title="Figure 7(b) — false miss rate under mobility models")
     return part_a + "\n\n" + part_b
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    """Regenerate and print this experiment at the default scale."""
-    print(render(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -31,12 +31,3 @@ def render(results: Dict[float, Dict[str, Dict[str, float]]]) -> str:
     headers = ["model"] + [f"|C|={f:.1%}" for f in fractions]
     return format_table(headers, rows,
                         title="Figure 8 — response time (s) vs cache size (RAN)")
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    """Regenerate and print this experiment at the default scale."""
-    print(render(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -50,12 +50,3 @@ def render(values: Dict[str, float]) -> str:
     ]
     return format_table(["quantity", "this run", "paper"], rows,
                         title="Section 6.4 — adaptive-scheme overheads")
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    """Regenerate and print this experiment at the default scale."""
-    print(render(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

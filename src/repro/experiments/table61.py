@@ -31,12 +31,3 @@ def render(tables: Dict[str, Dict[str, str]]) -> str:
     rows = [(key, paper.get(key, "-"), current.get(key, "-")) for key in keys]
     return format_table(["parameter", "paper (Table 6.1)", "this run"], rows,
                         title="Table 6.1 — system parameter settings")
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    """Regenerate and print this experiment at the default scale."""
-    print(render(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -260,7 +260,8 @@ class RTree:
         Used by :func:`repro.storage.paged.load_tree` to reconstruct a tree
         around a file-backed page store without re-inserting anything.  The
         caller is responsible for ``root_id`` / ``height`` being consistent
-        with the backend's contents (``validate`` checks the invariants).
+        with the backend's contents
+        (:func:`~repro.rtree.validation.assert_tree_valid` checks the invariants).
         """
         if root_id not in store:
             raise ValueError(f"root node {root_id} not present in the store")
@@ -477,53 +478,3 @@ class RTree:
         self._reinsert_levels = set()
         for level, entry in orphaned:
             self._insert_entry(entry, target_level=level)
-
-    # ------------------------------------------------------------------ #
-    # validation helpers (used heavily by the test-suite)
-    # ------------------------------------------------------------------ #
-    def validate(self, check_min_fill: bool = False) -> None:
-        """Raise ``AssertionError`` if any structural invariant is violated.
-
-        ``check_min_fill`` additionally enforces the minimum fanout on every
-        non-root node; it is meaningful for dynamically built trees but not
-        for STR bulk-loaded trees, whose last node per slice may legitimately
-        be under-filled.
-        """
-        root = self.store.peek(self.root_id)
-        assert root.parent_id is None, "root must not have a parent"
-        seen_objects: List[int] = []
-        leaf_levels: List[int] = []
-        self._validate_node(root, expected_parent=None, seen=seen_objects,
-                            leaf_levels=leaf_levels, is_root=True,
-                            check_min_fill=check_min_fill)
-        assert sorted(seen_objects) == sorted(self.objects.keys()), \
-            "leaf entries must cover exactly the object table"
-        assert len(set(leaf_levels)) <= 1, "all leaves must be at the same level"
-
-    def _validate_node(self, node: Node, expected_parent: Optional[int],
-                       seen: List[int], leaf_levels: List[int], is_root: bool,
-                       check_min_fill: bool = False) -> None:
-        assert node.parent_id == expected_parent, \
-            f"node {node.node_id}: bad parent pointer"
-        if not is_root:
-            minimum = self.min_entries if check_min_fill else 1
-            assert minimum <= node.fanout <= self.max_entries, \
-                f"node {node.node_id}: fanout {node.fanout} out of bounds"
-        else:
-            assert node.fanout <= self.max_entries
-        if node.is_leaf:
-            leaf_levels.append(node.level)
-            for entry in node.entries:
-                assert entry.is_leaf_entry
-                seen.append(entry.object_id)
-                record = self.objects[entry.object_id]
-                assert entry.mbr.contains(record.mbr)
-            return
-        for entry in node.entries:
-            assert not entry.is_leaf_entry
-            child = self.store.peek(entry.child_id)
-            assert child.level == node.level - 1
-            assert entry.mbr.contains(child.mbr()), \
-                f"node {node.node_id}: entry MBR does not cover child {child.node_id}"
-            self._validate_node(child, node.node_id, seen, leaf_levels, is_root=False,
-                                check_min_fill=check_min_fill)

@@ -4,8 +4,7 @@ With server-side updates (:mod:`repro.updates`) the R-tree is no longer
 write-once: every insert or delete reshapes nodes, splits pages and condenses
 underfull paths.  :func:`assert_tree_valid` is the single checker the test
 suites (and debugging sessions) apply after every mutation.  It walks the
-whole tree from the root and asserts, independently of
-:meth:`~repro.rtree.tree.RTree.validate`'s internal bookkeeping:
+whole tree from the root and asserts:
 
 * **MBR containment** — every entry's MBR covers its child node's MBR
   (or the referenced object's MBR at leaf level);

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.geometry import Rect
-from repro.rtree import SizeModel, bulk_load_str
+from repro.rtree import SizeModel, assert_tree_valid, bulk_load_str
 from repro.rtree.entry import ObjectRecord
 from repro.rtree.range_search import range_search
 
@@ -22,7 +22,7 @@ def test_bulk_load_single_record():
                          size_model=SizeModel(page_bytes=256))
     assert len(tree) == 1
     assert range_search(tree, Rect.unit()) == [0]
-    tree.validate()
+    assert_tree_valid(tree)
 
 
 def test_bulk_load_matches_dynamic_results(small_records, small_tree, dynamic_tree):
@@ -33,7 +33,7 @@ def test_bulk_load_matches_dynamic_results(small_records, small_tree, dynamic_tr
 def test_bulk_load_is_balanced(small_tree):
     leaf_levels = {node.level for node in small_tree.all_nodes() if node.is_leaf}
     assert leaf_levels == {0}
-    small_tree.validate()
+    assert_tree_valid(small_tree)
 
 
 def test_bulk_load_duplicate_ids_rejected():
@@ -59,5 +59,5 @@ def test_bulk_load_respects_fanout(small_records):
 def test_bulk_load_property_complete_and_valid(count, seed):
     records = make_records(count, seed=seed)
     tree = bulk_load_str(records, size_model=SizeModel(page_bytes=256))
-    tree.validate()
+    assert_tree_valid(tree)
     assert sorted(range_search(tree, Rect.unit())) == list(range(count))

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.geometry import Rect
-from repro.rtree import RTree, SizeModel
+from repro.rtree import RTree, SizeModel, assert_tree_valid
 from repro.rtree.entry import Entry, ObjectRecord
 from repro.rtree.node import Node
 from repro.rtree.serialize import encode_node
@@ -117,7 +117,7 @@ def _churned_tree(pick_child, monkeypatch):
 def test_whole_tree_is_byte_identical_under_either_choose_subtree(monkeypatch):
     reference = _churned_tree(reference_pick_child, monkeypatch)
     inlined = _churned_tree(None, monkeypatch)
-    inlined.validate()
+    assert_tree_valid(inlined)
     assert inlined.height >= 3  # upper-level choices were exercised too
     assert (inlined.root_id, inlined.height) == (reference.root_id, reference.height)
     assert inlined.store.node_ids() == reference.store.node_ids()

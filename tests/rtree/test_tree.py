@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.geometry import Rect
-from repro.rtree import RTree, SizeModel
+from repro.rtree import RTree, SizeModel, assert_tree_valid
 from repro.rtree.entry import ObjectRecord
 from repro.rtree.range_search import range_search
 
@@ -26,7 +26,7 @@ def test_insert_single_object():
     tree.insert(ObjectRecord(1, Rect(0.1, 0.1, 0.2, 0.2), 100))
     assert len(tree) == 1
     assert range_search(tree, Rect.unit()) == [1]
-    tree.validate()
+    assert_tree_valid(tree)
 
 
 def test_duplicate_object_id_rejected():
@@ -37,7 +37,7 @@ def test_duplicate_object_id_rejected():
 
 
 def test_dynamic_build_invariants(dynamic_tree):
-    dynamic_tree.validate(check_min_fill=True)
+    assert_tree_valid(dynamic_tree, check_min_fill=True)
     assert dynamic_tree.height >= 2
     assert len(dynamic_tree) == 120
 
@@ -61,7 +61,7 @@ def test_forced_reinsert_runs_once_per_non_root_level_per_insert(small_records):
     tree._reinsert_farthest = spy
     for record in small_records:
         tree.insert(record)
-    tree.validate()
+    assert_tree_valid(tree)
     assert reinserts
     assert len(reinserts) == len(set(reinserts))
     assert sorted(range_search(tree, Rect.unit())) == [r.object_id for r in small_records]
@@ -71,7 +71,7 @@ def test_delete_removes_object(dynamic_tree):
     assert dynamic_tree.delete(10)
     assert 10 not in dynamic_tree.objects
     assert 10 not in range_search(dynamic_tree, Rect.unit())
-    dynamic_tree.validate()
+    assert_tree_valid(dynamic_tree)
 
 
 def test_delete_missing_returns_false(dynamic_tree):
@@ -83,7 +83,7 @@ def test_delete_many_keeps_invariants(dynamic_tree):
     victims = rng.sample(range(120), 60)
     for object_id in victims:
         assert dynamic_tree.delete(object_id)
-    dynamic_tree.validate()
+    assert_tree_valid(dynamic_tree)
     remaining = sorted(range_search(dynamic_tree, Rect.unit()))
     assert remaining == sorted(set(range(120)) - set(victims))
 
@@ -124,5 +124,5 @@ def test_insertion_property_all_objects_retrievable(count, seed):
     tree = RTree(size_model=SizeModel(page_bytes=256))
     for record in records:
         tree.insert(record)
-    tree.validate()
+    assert_tree_valid(tree)
     assert sorted(range_search(tree, Rect.unit())) == list(range(count))

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.rtree import assert_tree_valid
 from repro.sim.config import SimulationConfig
 from repro.sim.metrics import CacheSnapshot, SimulationResult
 from repro.sim.runner import (
@@ -36,7 +37,7 @@ def environment():
 def test_build_tree_matches_config():
     tree = build_tree(CONFIG)
     assert len(tree) == CONFIG.object_count
-    tree.validate()
+    assert_tree_valid(tree)
 
 
 def test_generate_trace_is_deterministic():

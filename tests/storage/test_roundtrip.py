@@ -16,7 +16,7 @@ from repro.core.cache import ProactiveCache
 from repro.core.items import CachedIndexNode, CachedObject, CacheEntry
 from repro.core.replacement import make_policy
 from repro.geometry import Rect
-from repro.rtree import SizeModel, bulk_load_str
+from repro.rtree import SizeModel, assert_tree_valid, bulk_load_str
 from repro.rtree.entry import Entry, ObjectRecord
 from repro.rtree.node import Node
 from repro.rtree.serialize import (
@@ -94,7 +94,7 @@ def test_tree_save_load_save_is_byte_stable(tmp_path, count, seed, page_bytes):
     second = tmp_path / "b.rpro"
     save_tree(tree, str(first), meta={"seed": seed})
     loaded = load_tree(str(first), buffer_pages=4)
-    loaded.validate()
+    assert_tree_valid(loaded)
     save_tree(loaded, str(second))
     assert _file_digest(first) == _file_digest(second)
     # And a third generation from the second file, for good measure.
@@ -128,7 +128,7 @@ def test_dynamic_tree_roundtrip(tmp_path, dynamic_tree):
     path = tmp_path / "dyn.rpro"
     save_tree(dynamic_tree, str(path))
     loaded = load_tree(str(path))
-    loaded.validate()
+    assert_tree_valid(loaded)
     assert loaded.objects == dynamic_tree.objects
 
 

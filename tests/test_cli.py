@@ -57,6 +57,38 @@ def test_figure_6_command_tiny(capsys):
     assert "Figure 6" in capsys.readouterr().out
 
 
+#: The figures no other test here runs through ``main()``, with a line each
+#: prints (``6`` and ``table61`` have their own tests above).
+FIGURE_TITLES = {"7": "Figure 7(a)", "8": "Figure 8", "9": "Figure 9",
+                 "10": "Figure 10", "11": "Figure 11(a)",
+                 "overheads": "Section 6.4"}
+
+
+@pytest.mark.parametrize("figure", sorted(FIGURE_TITLES))
+def test_every_figure_command_tiny(figure, capsys):
+    assert main(["figure", figure, "--queries", "8", "--objects", "200"]) == 0
+    assert FIGURE_TITLES[figure] in capsys.readouterr().out
+
+
+def test_figure_11_default_output_is_unchanged(capsys):
+    """``repro figure 11`` at its defaults (250 queries, 4 000 objects, the
+    scaled configuration under Figure 11's fixed fields) prints a recorded
+    output, byte for byte."""
+    import hashlib
+    assert main(["figure", "11"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == ("093cd636c9add3bcfb9db6d6d0db7895"
+                      "3ed2e794ab4c2abb22a544d4d48d1973")
+
+
+def test_figure_11_refuses_paper_scale():
+    """At Table 6.1 scale Figure 11 would keep only the query and object
+    counts; it is refused instead of run as that hybrid."""
+    with pytest.raises(SystemExit, match="repro figure: error: figure 11 "
+                                         "refuses --paper-scale"):
+        main(["figure", "11", "--paper-scale"])
+
+
 def test_unknown_figure_rejected():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["figure", "42"])

@@ -67,6 +67,36 @@ def test_cli_guide_covers_every_subcommand():
             f"docs/cli.md does not document 'repro {command}'")
 
 
+def _option_strings(parser):
+    """Every option string of ``parser`` and of its nested sub-commands."""
+    options = set()
+    for action in parser._actions:
+        if action.__class__.__name__ == "_SubParsersAction":
+            for subparser in action.choices.values():
+                options |= _option_strings(subparser)
+        else:
+            options.update(action.option_strings)
+    return options - {"-h", "--help"}
+
+
+def test_cli_guide_documents_every_option_in_its_subcommand_section():
+    from repro.cli import build_parser
+    text = (DOCS_DIR / "cli.md").read_text(encoding="utf-8")
+    sections = {}
+    for block in re.split(r"^## ", text, flags=re.MULTILINE)[1:]:
+        heading, _, body = block.partition("\n")
+        sections[heading.strip()] = body
+    subparsers = next(action for action in build_parser()._actions
+                      if action.__class__.__name__ == "_SubParsersAction")
+    for command, parser in subparsers.choices.items():
+        section = sections[f"`repro {command}`"]
+        missing = sorted(option for option in _option_strings(parser)
+                         if not re.search(re.escape(option) + r"(?![\w-])",
+                                          section))
+        assert not missing, (
+            f"docs/cli.md's 'repro {command}' section omits {missing}")
+
+
 def test_cli_guide_mirrors_the_combination_table_row_for_row():
     from repro.sim.deployment import COMBINATIONS
     text = (DOCS_DIR / "cli.md").read_text(encoding="utf-8")

@@ -127,7 +127,6 @@ def test_updater_survives_heavy_churn():
                                                min(1, y + 0.004)),
                                       size_bytes=rng.randint(500, 1500)))
         assert_tree_valid(tree)
-    tree.validate()
 
 
 # --------------------------------------------------------------------------- #
