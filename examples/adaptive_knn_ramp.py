@@ -18,11 +18,12 @@ from __future__ import annotations
 
 from repro.experiments import fig11
 from repro.experiments.report import format_table
+from repro.sim.config import SimulationConfig
 
 
 def main(query_count: int = 300, window: int = 25) -> None:
     """Run the Figure-11 kNN ramp and print the per-window adaptation table."""
-    config = fig11.default_config(query_count=query_count)
+    config = SimulationConfig.scaled(query_count=query_count)
     print("kNN-only workload, k ramping 10 -> 1 -> 10, cache = 0.1% of the dataset")
     print()
 

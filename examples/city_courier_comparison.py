@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from repro.experiments.report import format_table
 from repro.sim.config import SimulationConfig
-from repro.sim.runner import build_environment, run_model, run_models
+from repro.sim.fleet import run_comparison
 from repro.sim.sweeps import replacement_sweep
 
 
@@ -30,8 +30,7 @@ def main(query_count: int = 200, object_count: int = 4_000,
         mobility_model="DIR", cache_fraction=0.02)
 
     print("Courier scenario: directed movement, 2% cache, mixed workload")
-    environment = build_environment(config)
-    results = run_models(environment, ("PAG", "SEM", "APRO"))
+    results = run_comparison(config, ("PAG", "SEM", "APRO"))
 
     rows = []
     for model, result in results.items():

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from repro.experiments.report import format_table
 from repro.sim.config import SimulationConfig
-from repro.sim.runner import run_comparison
+from repro.sim.fleet import run_comparison
 
 
 def main(query_count: int = 200, object_count: int = 4_000) -> None:

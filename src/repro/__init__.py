@@ -16,10 +16,11 @@ contains every substrate the paper's evaluation relies on:
 * :mod:`repro.sim` and :mod:`repro.experiments` — the end-to-end simulator
   and the scripts that regenerate every figure of the paper.
 
-Quickstart::
+Quickstart — a paired comparison replays one client trace against each
+model, one model after another, through the same deployment and replay
+loop every fleet runs on (:mod:`repro.sim.deployment`)::
 
-    from repro.sim import SimulationConfig
-    from repro.sim.runner import run_comparison
+    from repro.sim import SimulationConfig, run_comparison
 
     results = run_comparison(SimulationConfig.tiny(), models=("PAG", "SEM", "APRO"))
     for name, result in results.items():

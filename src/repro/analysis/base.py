@@ -15,7 +15,7 @@ happened to be spelled.
 from __future__ import annotations
 
 import ast
-from typing import Callable, Dict, List, Optional, Type
+from typing import Dict, List, Optional, Type
 
 from repro.analysis.config import package_relative
 from repro.analysis.findings import Finding
@@ -125,10 +125,3 @@ def register(checker_class: Type[Checker]) -> Type[Checker]:
         raise ValueError(f"duplicate checker for rule {checker_class.rule}")
     CHECKER_REGISTRY[checker_class.rule] = checker_class
     return checker_class
-
-
-def is_call_to(imports: ImportMap, node: ast.Call,
-               predicate: Callable[[str], bool]) -> bool:
-    """True when ``node`` calls a resolvable dotted name satisfying ``predicate``."""
-    resolved = imports.resolve(node.func)
-    return resolved is not None and predicate(resolved)

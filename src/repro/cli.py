@@ -43,8 +43,9 @@ from repro.experiments.report import (
 )
 from repro.sim.config import SimulationConfig, config_meta
 from repro.sim.deployment import check_combination
-from repro.sim.fleet import ClientGroupSpec, FleetConfig, default_fleet, run_fleet
-from repro.sim.runner import run_comparison
+from repro.sim.fleet import (
+    ClientGroupSpec, FleetConfig, default_fleet, run_comparison, run_fleet,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.registry import MetricsRegistry
@@ -580,7 +581,7 @@ def _run_persist_verify(args: argparse.Namespace) -> str:
     tree (that is the point of the log), so verify instead recovers it and
     checks the structural invariants of the recovered tree.
     """
-    from repro.sim.runner import generate_trace, replay_store_trace
+    from repro.sim.fleet import replay_backend
     from repro.storage import StorageError, load_tree, wal_path, wal_summary
     summary = wal_summary(args.path)
     if summary["tail_state"] == "corrupt":
@@ -615,12 +616,11 @@ def _run_persist_verify(args: argparse.Namespace) -> str:
                 f"recovered tree valid ({objects} objects, "
                 f"{summary['dead_pages']} dead pages reclaimable by pack)")
     config = config_from_args(args)
-    trace = generate_trace(config)
-    memory_rows, memory_reads, _ = replay_store_trace(config, trace)
+    memory_rows, memory_reads, _ = replay_backend(config)
     # A small 16-page buffer so the file path is genuinely exercised at
     # query time (a default-size buffer could serve everything warm).
-    file_rows, file_reads, io_stats = replay_store_trace(
-        config, trace, store_path=args.path, store_buffer_pages=16)
+    file_rows, file_reads, io_stats = replay_backend(
+        config, store_path=args.path, store_buffer_pages=16)
     mismatches = [index for index, (m, f) in enumerate(zip(memory_rows, file_rows))
                   if m != f]
     if mismatches or memory_reads != file_reads:
@@ -630,7 +630,7 @@ def _run_persist_verify(args: argparse.Namespace) -> str:
             f"{file_reads} (file)")
     note = " (stale WAL present; pack or the next open discards it)" \
         if summary["stale"] else ""
-    return (f"OK — {len(trace)} queries identical on both backends; "
+    return (f"OK — {len(file_rows)} queries identical on both backends; "
             f"{file_reads} logical page reads, "
             f"{io_stats['file_reads']} physical file reads, "
             f"{io_stats['buffer_hits']} buffer hits{note}")

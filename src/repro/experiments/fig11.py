@@ -13,14 +13,16 @@ reports three time series sampled every ``window`` queries:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, TypeVar
 
 from repro.experiments.report import format_table
 from repro.sim.config import SimulationConfig
-from repro.sim.runner import build_environment, run_models
+from repro.sim.fleet import run_comparison
+from repro.sim.metrics import ClientResult
 from repro.workload.generator import QueryMix
 from repro.workload.schedule import KnnRampSchedule
 
+T = TypeVar("T")
 
 #: The fields Figure 11 fixes on whatever configuration it runs: a kNN-only
 #: workload, a small cache and RAN mobility.
@@ -40,11 +42,6 @@ FIXED = dict(
 )
 
 
-def default_config(query_count: int = 400) -> SimulationConfig:
-    """The Figure 11 configuration: the scaled defaults plus :data:`FIXED`."""
-    return SimulationConfig.scaled(query_count=query_count).with_overrides(**FIXED)
-
-
 def run(config: Optional[SimulationConfig] = None,
         models: Sequence[str] = ("FPRO", "CPRO", "APRO"),
         window: int = 25) -> Dict[str, Dict[str, List[float]]]:
@@ -55,20 +52,41 @@ def run(config: Optional[SimulationConfig] = None,
     """
     config = (config or SimulationConfig.scaled()).with_overrides(**FIXED)
     schedule = KnnRampSchedule(total_queries=config.query_count)
-    environment = build_environment(config, knn_schedule=schedule)
-    results = run_models(environment, models)
+    results = run_comparison(config, models, knn_schedule=schedule)
     series: Dict[str, Dict[str, List[float]]] = {}
     for model, result in results.items():
         series[model] = {
-            "false_miss_rate": result.windowed_false_miss_rate(window),
-            "index_fraction": result.windowed_index_fraction(window),
-            "response_time": result.windowed_response_time(window),
-            "depth": result.windowed_depth(window),
+            "false_miss_rate": windowed_false_miss_rate(result, window),
+            "index_fraction": _windowed_mean(
+                [s.index_fraction for s in result.snapshots], window),
+            "response_time": _windowed_mean(
+                [c.response_time for c in result.costs], window),
+            "depth": _windowed_mean([s.depth for s in result.snapshots],
+                                    window),
         }
     series["_k_schedule"] = {
         "k": [float(schedule.k_at(i)) for i in range(0, config.query_count, window)],
     }
     return series
+
+
+def windowed_false_miss_rate(result: ClientResult, window: int) -> List[float]:
+    """fmr per window of ``window`` consecutive queries."""
+    series = []
+    for chunk in _windows(result.costs, window):
+        cached = sum(c.cached_result_bytes for c in chunk)
+        false = sum(c.false_miss_bytes for c in chunk)
+        series.append(false / cached if cached else 0.0)
+    return series
+
+
+def _windowed_mean(values: List[float], window: int) -> List[float]:
+    """Mean of ``values`` per window of ``window`` consecutive queries."""
+    return [sum(chunk) / len(chunk) for chunk in _windows(values, window)]
+
+
+def _windows(values: List[T], window: int) -> List[List[T]]:
+    return [values[start:start + window] for start in range(0, len(values), window)]
 
 
 def render(series: Dict[str, Dict[str, List[float]]]) -> str:

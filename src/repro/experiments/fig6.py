@@ -12,7 +12,7 @@ from typing import Dict, Optional, Sequence
 
 from repro.experiments.report import format_table, normalise
 from repro.sim.config import SimulationConfig
-from repro.sim.runner import run_comparison
+from repro.sim.fleet import run_comparison
 
 
 METRICS = ("uplink_bytes", "downlink_bytes", "cache_hit_rate", "byte_hit_rate",

@@ -10,25 +10,29 @@ partition tree is visited.
 
 from __future__ import annotations
 
+from contextlib import closing
 from typing import Dict, Optional
 
 from repro.experiments.report import format_table
 from repro.rtree.partition_tree import build_partition_trees
 from repro.sim.config import SimulationConfig
-from repro.sim.runner import build_environment, run_models
+from repro.sim.fleet import open_comparison, replay_comparison
 
 
 def run(config: Optional[SimulationConfig] = None) -> Dict[str, float]:
     """Measure index size, partition-tree size and FPRO vs APRO server CPU."""
     config = config or SimulationConfig.scaled(query_count=150)
-    environment = build_environment(config)
-    tree = environment.tree
-    size_model = tree.size_model
-    partition_trees = build_partition_trees(tree.all_nodes())
-    index_bytes = tree.index_bytes()
-    partition_bytes = sum(pt.size_bytes(size_model.entry_bytes, size_model.pointer_bytes)
-                          for pt in partition_trees.values())
-    results = run_models(environment, ("FPRO", "APRO"))
+    deployment, specs = open_comparison(
+        config, [(model, model, None) for model in ("FPRO", "APRO")])
+    with closing(deployment):
+        tree = deployment.tree
+        size_model = tree.size_model
+        partition_trees = build_partition_trees(tree.all_nodes())
+        index_bytes = tree.index_bytes()
+        partition_bytes = sum(pt.size_bytes(size_model.entry_bytes,
+                                            size_model.pointer_bytes)
+                              for pt in partition_trees.values())
+        results = replay_comparison(deployment, specs)
     return {
         "index_bytes": float(index_bytes),
         "partition_tree_bytes": float(partition_bytes),

@@ -28,10 +28,6 @@ class Point:
         """Return a copy clamped into the square ``[lo, hi] x [lo, hi]``."""
         return Point(min(max(self.x, lo), hi), min(max(self.y, lo), hi))
 
-    def midpoint(self, other: "Point") -> "Point":
-        """Return the midpoint between this point and ``other``."""
-        return Point((self.x + other.x) / 2.0, (self.y + other.y) / 2.0)
-
     def as_tuple(self) -> Tuple[float, float]:
         """Return ``(x, y)``."""
         return (self.x, self.y)

@@ -81,10 +81,6 @@ class Rect:
         """Area of the rectangle."""
         return self.width * self.height
 
-    def margin(self) -> float:
-        """Half perimeter (the R*-tree "margin" measure)."""
-        return self.width + self.height
-
     def center(self) -> Point:
         """Centre point of the rectangle."""
         return Point((self.min_x + self.max_x) / 2.0,
@@ -111,30 +107,12 @@ class Rect:
     # ------------------------------------------------------------------ #
     # combination
     # ------------------------------------------------------------------ #
-    def union(self, other: "Rect") -> "Rect":
-        """Smallest rectangle covering both rectangles."""
-        return Rect(min(self.min_x, other.min_x), min(self.min_y, other.min_y),
-                    max(self.max_x, other.max_x), max(self.max_y, other.max_y))
-
     def intersection(self, other: "Rect") -> Optional["Rect"]:
         """The overlapping rectangle, or ``None`` when disjoint."""
         if not self.intersects(other):
             return None
         return Rect(max(self.min_x, other.min_x), max(self.min_y, other.min_y),
                     min(self.max_x, other.max_x), min(self.max_y, other.max_y))
-
-    def intersection_area(self, other: "Rect") -> float:
-        """Area of overlap (0.0 when disjoint)."""
-        overlap = self.intersection(other)
-        return overlap.area() if overlap is not None else 0.0
-
-    def enlargement(self, other: "Rect") -> float:
-        """Area growth needed to also cover ``other`` (R-tree ChooseSubtree)."""
-        return self.union(other).area() - self.area()
-
-    def clipped(self, bounds: "Rect") -> Optional["Rect"]:
-        """Alias of :meth:`intersection`, reads better for window clipping."""
-        return self.intersection(bounds)
 
     # ------------------------------------------------------------------ #
     # distances
@@ -144,17 +122,6 @@ class Rect:
         dx = max(self.min_x - point.x, 0.0, point.x - self.max_x)
         dy = max(self.min_y - point.y, 0.0, point.y - self.max_y)
         return math.hypot(dx, dy)
-
-    def min_dist_sq_to_point(self, point: Point) -> float:
-        """Squared MINDIST from ``point`` (no square root).
-
-        Reference formulation of the arithmetic the kNN hot loop inlines
-        (``rtree/knn.py`` hoists the coordinates rather than calling this);
-        the equivalence tests pin the inlined kernels against it.
-        """
-        dx = max(self.min_x - point.x, 0.0, point.x - self.max_x)
-        dy = max(self.min_y - point.y, 0.0, point.y - self.max_y)
-        return dx * dx + dy * dy
 
     def max_dist_to_point(self, point: Point) -> float:
         """Maximum Euclidean distance from ``point`` to the rectangle."""
@@ -167,16 +134,6 @@ class Rect:
         dx = max(self.min_x - other.max_x, 0.0, other.min_x - self.max_x)
         dy = max(self.min_y - other.max_y, 0.0, other.min_y - self.max_y)
         return math.hypot(dx, dy)
-
-    def min_dist_sq_to_rect(self, other: "Rect") -> float:
-        """Squared minimum distance between the two rectangles.
-
-        The join's pair predicate; ``repro.core.join.within`` evaluates the
-        same arithmetic for a whole batch on hoisted coordinates.
-        """
-        dx = max(self.min_x - other.max_x, 0.0, other.min_x - self.max_x)
-        dy = max(self.min_y - other.max_y, 0.0, other.min_y - self.max_y)
-        return dx * dx + dy * dy
 
     # ------------------------------------------------------------------ #
     # decomposition (semantic-cache trimming)

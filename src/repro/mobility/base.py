@@ -23,7 +23,3 @@ class MobilityModel(abc.ABC):
     @abc.abstractmethod
     def advance(self, elapsed_seconds: float) -> Point:
         """Move the client for ``elapsed_seconds`` and return the new position."""
-
-    def reset(self, start: Point = Point(0.5, 0.5)) -> None:
-        """Restart the trajectory from ``start``."""
-        self.position = start

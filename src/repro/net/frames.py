@@ -136,17 +136,6 @@ def check_payload(payload: bytes, crc: int) -> None:
                          f"payload {actual:#010x})")
 
 
-def decode_frame(data: bytes) -> Tuple[int, bytes]:
-    """Decode one complete frame held in memory (tests, buffers)."""
-    frame_type, length, crc = split_header(data[:HEADER_BYTES])
-    payload = data[HEADER_BYTES:]
-    if len(payload) != length:
-        raise FrameError(f"frame payload is {len(payload)} bytes, header "
-                         f"says {length}")
-    check_payload(payload, crc)
-    return frame_type, payload
-
-
 async def read_frame_async(reader: asyncio.StreamReader) -> Tuple[int, bytes]:
     """Read one frame from an asyncio stream.
 

@@ -40,8 +40,3 @@ class WirelessChannel:
         """Account for a downlink transmission; returns its delay in seconds."""
         self.downlink_bytes_total += as_int_bytes(num_bytes)
         return num_bytes * self.timing.seconds_per_byte
-
-    def reset(self) -> None:
-        """Zero the cumulative counters."""
-        self.uplink_bytes_total = 0
-        self.downlink_bytes_total = 0

@@ -5,9 +5,8 @@ than :mod:`repro.obs.instrument`, whose module-level ``ENABLED`` flag guards
 every call site, so a fleet run with instrumentation off executes the exact
 same byte-for-byte cost accounting it did before this package existed.
 
-* :mod:`repro.obs.registry` — named counters / gauges / histograms with
-  label sets, a deterministic ``snapshot()`` and Prometheus-style text
-  exposition.
+* :mod:`repro.obs.registry` — named counters with label sets, a
+  deterministic ``snapshot()`` and Prometheus-style text exposition.
 * :mod:`repro.obs.instrument` — the pluggable :class:`Instrument` protocol
   (null by default), the ``ENABLED`` guard, and :func:`perf_clock`, the
   tree's one sanctioned wall-clock read (rule ``OBS01``).

@@ -1,38 +1,30 @@
-"""Metrics registry: named counters, gauges and histograms with label sets.
+"""Metrics registry: named counters with label sets.
 
 Two contracts matter here:
 
 * **Determinism.**  Every metric declares whether it is a pure function of
   the run's seeds (``deterministic=True``, the default) or carries
   wall-clock readings (``deterministic=False``).  :meth:`MetricsRegistry.snapshot`
-  splits the two into separate sections and
-  :meth:`MetricsRegistry.deterministic_blob` canonicalises only the seeded
-  section, so two identical seeded runs produce byte-identical blobs no
-  matter how the wall clock behaved.
+  splits the two into separate sections, so the seeded section of two
+  identical seeded runs is identical no matter how the wall clock behaved.
 * **Exposition.**  :meth:`MetricsRegistry.render_prometheus` emits the
-  Prometheus text format (``# HELP`` / ``# TYPE`` headers, cumulative
-  ``_bucket`` series for histograms) for the status server's ``/metrics``
-  endpoint.
+  Prometheus text format (``# HELP`` / ``# TYPE`` headers) for the status
+  server's ``/metrics`` endpoint.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import re
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Tuple
 
-__all__ = ["Counter", "Gauge", "Histogram", "Metric", "MetricsRegistry"]
+__all__ = ["Counter", "Metric", "MetricsRegistry"]
 
 #: Canonical, sorted ``(label, value)`` series key.
 LabelKey = Tuple[Tuple[str, str], ...]
 
 _NAME = re.compile(r"[a-zA-Z_:][a-zA-Z0-9_:]*\Z")
 _LABEL = re.compile(r"[a-zA-Z_][a-zA-Z0-9_]*\Z")
-
-#: Default histogram buckets — tuned for "pages per query" style counts.
-DEFAULT_BUCKETS: Tuple[float, ...] = (
-    1.0, 2.0, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 1000.0, math.inf)
 
 
 def _label_key(labels: Mapping[str, object]) -> LabelKey:
@@ -108,140 +100,25 @@ class Counter(Metric):
         self._series[key] = self._series.get(key, 0.0) + amount
 
 
-class Gauge(Metric):
-    """Point-in-time value that may go up or down."""
-
-    kind = "gauge"
-
-    def set(self, value: float, **labels: object) -> None:
-        """Overwrite the series addressed by ``labels``."""
-        self._series[_label_key(labels)] = float(value)
-
-    def inc(self, amount: float = 1.0, **labels: object) -> None:
-        """Shift the series addressed by ``labels`` by ``amount``."""
-        key = _label_key(labels)
-        self._series[key] = self._series.get(key, 0.0) + amount
-
-
-class Histogram(Metric):
-    """Bucketed distribution with per-series count and sum."""
-
-    kind = "histogram"
-
-    def __init__(self, name: str, help_text: str = "",
-                 deterministic: bool = True,
-                 buckets: Optional[Tuple[float, ...]] = None) -> None:
-        super().__init__(name, help_text, deterministic)
-        bounds = tuple(buckets) if buckets is not None else DEFAULT_BUCKETS
-        if not bounds or sorted(bounds) != list(bounds):
-            raise ValueError(f"histogram {name}: buckets must be sorted")
-        if not math.isinf(bounds[-1]):
-            bounds = bounds + (math.inf,)
-        self.buckets = bounds
-        self._counts: Dict[LabelKey, List[int]] = {}
-        self._sums: Dict[LabelKey, float] = {}
-        self._totals: Dict[LabelKey, int] = {}
-
-    def observe(self, value: float, **labels: object) -> None:
-        """Record one sample in the series addressed by ``labels``."""
-        key = _label_key(labels)
-        counts = self._counts.setdefault(key, [0] * len(self.buckets))
-        for index, bound in enumerate(self.buckets):
-            if value <= bound:
-                counts[index] += 1
-                break
-        self._sums[key] = self._sums.get(key, 0.0) + float(value)
-        self._totals[key] = self._totals.get(key, 0) + 1
-
-    def value(self, **labels: object) -> float:
-        """Sample count of the series addressed by ``labels``."""
-        return float(self._totals.get(_label_key(labels), 0))
-
-    def snapshot_series(self) -> Dict[str, object]:
-        out: Dict[str, object] = {}
-        for key in sorted(self._totals):
-            buckets = {_format(bound): count for bound, count
-                       in zip(self.buckets, self._counts[key])}
-            out[_render_labels(key)] = {
-                "count": self._totals[key],
-                "sum": self._sums[key],
-                "buckets": buckets,
-            }
-        return out
-
-    def expose(self) -> List[str]:
-        lines = []
-        if self.help_text:
-            lines.append(f"# HELP {self.name} {self.help_text}")
-        lines.append(f"# TYPE {self.name} histogram")
-        for key in sorted(self._totals):
-            cumulative = 0
-            for bound, count in zip(self.buckets, self._counts[key]):
-                cumulative += count
-                bucket_key = key + (("le", _format(bound)),)
-                lines.append(f"{self.name}_bucket{_render_labels(bucket_key)} "
-                             f"{cumulative}")
-            lines.append(f"{self.name}_sum{_render_labels(key)} "
-                         f"{_format(self._sums[key])}")
-            lines.append(f"{self.name}_count{_render_labels(key)} "
-                         f"{self._totals[key]}")
-        return lines
-
-
 class MetricsRegistry:
     """Get-or-create home for every metric family of one run."""
 
     def __init__(self) -> None:
-        self._metrics: Dict[str, Metric] = {}
-
-    def _existing(self, name: str, kind: str,
-                  deterministic: bool) -> Optional[Metric]:
-        existing = self._metrics.get(name)
-        if existing is None:
-            return None
-        if existing.kind != kind:
-            raise ValueError(f"metric {name!r} already registered as "
-                             f"{existing.kind}, not {kind}")
-        if existing.deterministic != deterministic:
-            raise ValueError(f"metric {name!r} already registered with "
-                             f"deterministic={existing.deterministic}")
-        return existing
+        self._metrics: Dict[str, Counter] = {}
 
     def counter(self, name: str, help_text: str = "",
                 deterministic: bool = True) -> Counter:
         """Get or create the counter family ``name``."""
-        existing = self._existing(name, "counter", deterministic)
-        if existing is not None:
-            assert isinstance(existing, Counter)
-            return existing
-        metric = Counter(name, help_text, deterministic)
-        self._metrics[name] = metric
-        return metric
+        existing = self._metrics.get(name)
+        if existing is None:
+            existing = self._metrics[name] = Counter(name, help_text,
+                                                     deterministic)
+        elif existing.deterministic != deterministic:
+            raise ValueError(f"metric {name!r} already registered with "
+                             f"deterministic={existing.deterministic}")
+        return existing
 
-    def gauge(self, name: str, help_text: str = "",
-              deterministic: bool = True) -> Gauge:
-        """Get or create the gauge family ``name``."""
-        existing = self._existing(name, "gauge", deterministic)
-        if existing is not None:
-            assert isinstance(existing, Gauge)
-            return existing
-        metric = Gauge(name, help_text, deterministic)
-        self._metrics[name] = metric
-        return metric
-
-    def histogram(self, name: str, help_text: str = "",
-                  deterministic: bool = True,
-                  buckets: Optional[Tuple[float, ...]] = None) -> Histogram:
-        """Get or create the histogram family ``name``."""
-        existing = self._existing(name, "histogram", deterministic)
-        if existing is not None:
-            assert isinstance(existing, Histogram)
-            return existing
-        metric = Histogram(name, help_text, deterministic, buckets=buckets)
-        self._metrics[name] = metric
-        return metric
-
-    def families(self) -> List[Metric]:
+    def families(self) -> List[Counter]:
         """Every registered family, sorted by name."""
         return [self._metrics[name] for name in sorted(self._metrics)]
 
@@ -262,11 +139,6 @@ class MetricsRegistry:
                 "series": metric.snapshot_series(),
             }
         return sections
-
-    def deterministic_blob(self) -> bytes:
-        """Canonical JSON bytes of the deterministic snapshot section."""
-        return json.dumps(self.snapshot()["deterministic"], sort_keys=True,
-                          separators=(",", ":")).encode("utf-8")
 
     def render_prometheus(self) -> str:
         """The whole registry in the Prometheus text exposition format."""

@@ -151,49 +151,10 @@ class PartitionTree:
     # ------------------------------------------------------------------ #
     # compact forms
     # ------------------------------------------------------------------ #
-    def compact_form(self, expanded_codes: Set[str]) -> List[Tuple[str, PartitionElement]]:
-        """The compact-form cut given the set of codes that were *expanded*.
-
-        ``expanded_codes`` are internal codes whose children the query
-        processor pushed.  The cut consists of every pushed element whose own
-        code was not expanded: walking from the root, we descend through
-        expanded codes and emit the first non-expanded element on each path.
-        The result covers every entry of the node exactly once.
-
-        Returns ``(code, element)`` pairs.
-        """
-        cut: List[Tuple[str, PartitionElement]] = []
-        stack = [""]
-        while stack:
-            code = stack.pop()
-            if self.is_leaf_code(code):
-                cut.append((code, self.entry_at(code)))
-            elif code in expanded_codes or code == "" and "" in expanded_codes:
-                stack.append(code + "0")
-                stack.append(code + "1")
-            elif code == "":
-                # The root itself was never expanded: the whole node collapses
-                # to its two top-level children (the minimum meaningful form).
-                stack.append("0")
-                stack.append("1")
-            else:
-                cut.append((code, SuperEntry(self.node_id, code, self.mbrs[code])))
-        return cut
-
     def full_form(self) -> List[Tuple[str, Entry]]:
         """Every real entry with its leaf code (the full form of the node)."""
         return [(code, self.entry_at(code))
                 for code in sorted(self.subsets) if self.is_leaf_code(code)]
-
-    def expand_element(self, code: str, levels: int) -> List[Tuple[str, PartitionElement]]:
-        """Replace the element at ``code`` by its ``levels``-deep descendants.
-
-        Descendants that are real entries are emitted as soon as they are
-        reached, matching the paper's "d level descendant nodes or the
-        entries whichever come first".
-        """
-        return [(descendant, self.element_at(descendant))
-                for descendant in self._expand_codes(code, levels)]
 
     def _expand_codes(self, code: str, levels: int) -> List[str]:
         """Codes of the ``levels``-deep descendants of ``code`` (memoised:
@@ -215,18 +176,9 @@ class PartitionTree:
         self._expanded_codes[(code, levels)] = results
         return results
 
-    def d_level_form(self, expanded_codes: Set[str], d: int) -> List[Tuple[str, PartitionElement]]:
-        """The ``d+``-level compact form (paper Section 4.3)."""
-        refined: List[Tuple[str, PartitionElement]] = []
-        for code, element in self.compact_form(expanded_codes):
-            if isinstance(element, SuperEntry) and d > 0:
-                refined.extend(self.expand_element(code, d))
-            else:
-                refined.append((code, element))
-        return refined
-
     def subtree_codes(self, base_code: str, expanded_codes: Set[str], d: int) -> List[str]:
-        """The codes of :meth:`d_level_form` restricted to the subtree at ``base_code``.
+        """The codes of the ``d+``-level compact form (paper Section 4.3)
+        restricted to the subtree at ``base_code``.
 
         Used when the server resumes from a super-entry frontier element: it
         only needs to (re)describe the part of the node below that element.

@@ -157,9 +157,10 @@ def subtree_keys(entries: Sequence[Entry], mbr: Rect,
     enlargement alone.  The leaf-parent case is quadratic in the
     fanout and runs once per insert, so the arithmetic is inlined on hoisted
     coordinates: no :class:`Rect` is built and no method called per sibling
-    pair.  Every float equals what ``Rect.union`` / ``intersection_area`` /
-    ``enlargement`` / ``area`` give (same operations, same accumulation
-    order; ``tests/rtree/test_choose_subtree_differential.py``).
+    pair.  Every float equals what the plain ``Rect`` union / overlap-area
+    formulation gives (same operations, same accumulation order; the
+    reference in ``tests/rtree/choose_subtree_reference.py`` and
+    ``tests/rtree/test_choose_subtree_differential.py``).
     """
     boxes = [(e.mbr.min_x, e.mbr.min_y, e.mbr.max_x, e.mbr.max_y)
              for e in entries]

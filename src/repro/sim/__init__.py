@@ -7,10 +7,12 @@ of the caching models (PAG / SEM / proactive in its FPRO / CPRO / APRO
 variants) over a 384 Kbps wireless channel.  Identical query traces are
 replayed against every model so comparisons are paired.
 
-Beyond the paper's single-client experiments, :mod:`repro.sim.fleet` scales
-the same machinery to a whole fleet: many heterogeneous client groups
-interleaved event-driven against one shared server, with per-group and
-server-load aggregates.
+Both the paper's single-client comparisons (:func:`run_comparison`: one
+client per model, each replaying the same trace in turn) and whole fleets
+(:func:`run_fleet`: many heterogeneous client groups interleaved
+event-driven) run through the one replay loop of
+:mod:`repro.sim.deployment` against one shared server, with per-client,
+per-group and server-load aggregates.
 """
 
 from repro.sim.config import SimulationConfig
@@ -18,6 +20,7 @@ from repro.sim.fleet import (
     ClientGroupSpec,
     FleetConfig,
     default_fleet,
+    run_comparison,
     run_fleet,
 )
 from repro.sim.metrics import (
@@ -25,7 +28,6 @@ from repro.sim.metrics import (
     ClientResult,
     FleetResult,
     ServerLoad,
-    SimulationResult,
 )
 from repro.sim.sessions import (
     ClientSession,
@@ -37,18 +39,13 @@ from repro.sim.sessions import (
 )
 from repro.sim.runner import (
     SharedServerState,
-    SimulationEnvironment,
-    build_environment,
     build_shared_state,
     generate_trace,
-    run_model,
-    run_models,
 )
 
 __all__ = [
     "SimulationConfig",
     "CacheSnapshot",
-    "SimulationResult",
     "ClientResult",
     "FleetResult",
     "ServerLoad",
@@ -59,14 +56,11 @@ __all__ = [
     "SemanticCachingSession",
     "make_session",
     "SharedServerState",
-    "SimulationEnvironment",
-    "build_environment",
     "build_shared_state",
     "generate_trace",
-    "run_model",
-    "run_models",
     "ClientGroupSpec",
     "FleetConfig",
     "default_fleet",
+    "run_comparison",
     "run_fleet",
 ]

@@ -221,14 +221,16 @@ class Deployment:
 
 
 def open_deployment(fleet: "FleetConfig", store_path: Optional[str] = None,
-                    durable: bool = False) -> Deployment:
+                    durable: bool = False,
+                    store_buffer_pages: Optional[int] = None) -> Deployment:
     """Compose storage × topology × transport into one :class:`Deployment`.
 
     ``store_path`` names a ``.rpro`` file (a shard-store directory for a
     sharded fleet), opened read-only for a fleet that never writes,
     copy-on-write for one that does and — with ``durable`` — through the
-    write-ahead log.  A networked fleet wraps the finished in-process
-    deployment in a loopback server.  The caller owns the result and must
+    write-ahead log; ``store_buffer_pages`` sizes a single store's page
+    buffer.  A networked fleet wraps the finished in-process deployment in
+    a loopback server.  The caller owns the result and must
     :meth:`~Deployment.close` it.
     """
     writable = fleet.update_rate > 0
@@ -255,6 +257,7 @@ def open_deployment(fleet: "FleetConfig", store_path: Optional[str] = None,
         publish("shards", lambda: state.shard_summary(fleet.partitioner))
     else:
         shared = build_shared_state(fleet.base, store_path=store_path,
+                                    store_buffer_pages=store_buffer_pages,
                                     store_writable=writable,
                                     store_durable=durable)
         deployment = Deployment(fleet, shared.server, shared.tree,
@@ -296,15 +299,18 @@ def _wal_facts(store: PageStore) -> Dict[str, object]:
 # --------------------------------------------------------------------------- #
 def replay(deployment: Deployment, sessions: Dict[int, ClientSession],
            results: Dict[int, ClientResult], events: Sequence[Tuple],
-           start: int = 0, stop: Optional[int] = None) -> None:
+           start: int = 0, stop: Optional[int] = None,
+           snapshots: bool = False) -> None:
     """Process ``events[start:stop]`` in arrival order.
 
     ``events`` is the merged list of
-    :func:`~repro.sim.fleet.build_dynamic_events`: an ``("update", t, None,
+    :func:`~repro.sim.fleet.build_dynamic_events` (or a comparison's
+    :func:`~repro.sim.fleet.paired_events`): an ``("update", t, None,
     event)`` lands on the deployment's updater, a ``("query", t, client_id,
-    record)`` runs through its client's session and records on its result.
-    A halted run passes ``stop``; a resumed one passes the same offset as
-    ``start``.
+    record)`` runs through its client's session and records its cost on
+    its result — with ``snapshots``, also the cache state right after it
+    (a comparison's per-query series).  A halted run passes ``stop``; a
+    resumed one passes the same offset as ``start``.
     """
     for kind, arrival_time, client_id, payload in islice(events, start, stop):
         if kind == "update":
@@ -316,12 +322,14 @@ def replay(deployment: Deployment, sessions: Dict[int, ClientSession],
             else:
                 deployment.apply_update(payload)
         else:
+            session = sessions[client_id]
             if obs.ENABLED:
-                cost = _process_traced(sessions[client_id], client_id,
-                                       payload)
+                cost = _process_traced(session, client_id, payload)
             else:
-                cost = sessions[client_id].process(payload)
-            results[client_id].record(cost, arrival_time)
+                cost = session.process(payload)
+            results[client_id].record(
+                cost, arrival_time,
+                session.cache_snapshot(payload.index) if snapshots else None)
 
 
 def _process_traced(session: ClientSession, client_id: int,

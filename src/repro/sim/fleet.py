@@ -23,18 +23,25 @@ Serial and parallel runs produce identical seed-deterministic metrics.
 What the fleet runs *against* — storage, topology, transport — is composed
 by :func:`repro.sim.deployment.open_deployment`; this module defines the
 fleet, builds its event list and sessions, and drives the one replay loop.
+The paper's paired model comparisons (:func:`run_comparison`) run through
+the same pipeline as a static fleet of one client per model.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import ProcessPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple, cast,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.updates.applier import Updater
 
 from repro.core.cache import ProactiveCache
 from repro.obs.status import publish
+from repro.rtree.tree import PageStore
 from repro.sim.config import SimulationConfig
 from repro.sim.deployment import (
     COMBINATIONS,
@@ -44,13 +51,10 @@ from repro.sim.deployment import (
     replay,
 )
 from repro.sim.metrics import ClientResult, FleetResult
-from repro.sim.runner import (
-    SharedServerState,
-    generate_trace,
-    map_maybe_parallel,
-)
+from repro.sim.runner import SharedServerState, generate_trace
 from repro.sim.sessions import ClientSession, make_session
 from repro.workload.generator import QueryMix
+from repro.workload.schedule import KnnRampSchedule
 from repro.workload.trace import TraceRecord
 
 
@@ -240,6 +244,8 @@ class FleetClientSpec:
     model: str
     config: SimulationConfig
     replacement_policy: Optional[str] = None
+    #: Overrides every kNN query's ``k`` along the trace (Figure 11's ramp).
+    knn_schedule: Optional[KnnRampSchedule] = None
 
 
 def default_fleet(clients: int, base: Optional[SimulationConfig] = None,
@@ -330,12 +336,73 @@ def run_fleet(fleet: FleetConfig, max_workers: Optional[int] = None,
     specs = fleet.client_specs()
     if max_workers is not None and max_workers > 1 and len(specs) > 1:
         count = min(max_workers, len(specs))
-        slices = map_maybe_parallel(
-            _run_slice, [(fleet, specs[offset::count], store_path)
-                         for offset in range(count)], max_workers)
-        return FleetResult(clients=[client for part in slices
-                                    for client in part.clients])
+        with ProcessPoolExecutor(max_workers=count) as pool:
+            slices = [pool.submit(_run_slice, fleet, specs[offset::count],
+                                  store_path)
+                      for offset in range(count)]
+            return FleetResult(clients=[client for part in slices
+                                        for client in part.result().clients])
     return _run_slice(fleet, specs, store_path, durable)
+
+
+def run_comparison(config: SimulationConfig,
+                   models: Iterable[str] = ("PAG", "SEM", "APRO"),
+                   knn_schedule: Optional[KnnRampSchedule] = None,
+                   replacement_policy: Optional[str] = None,
+                   store_path: Optional[str] = None) -> Dict[str, ClientResult]:
+    """Replay one trace against every model: ``{model: result}``.
+
+    A paired comparison: one client per (distinct) model, all under
+    ``replacement_policy`` (see :func:`open_comparison`); ``store_path``
+    serves the tree from a ``.rpro`` page store.
+    """
+    deployment, specs = open_comparison(
+        config, [(model, model, replacement_policy)
+                 for model in dict.fromkeys(models)],
+        knn_schedule, store_path)
+    with closing(deployment):
+        return replay_comparison(deployment, specs)
+
+
+def open_comparison(config: SimulationConfig,
+                    groups: Sequence[Tuple[str, str, Optional[str]]],
+                    knn_schedule: Optional[KnnRampSchedule] = None,
+                    store_path: Optional[str] = None,
+                    store_buffer_pages: Optional[int] = None,
+                    ) -> Tuple[Deployment, List[FleetClientSpec]]:
+    """Open a paired comparison's deployment and its one spec per group.
+
+    A comparison is a static, single-server, in-process fleet with one
+    client per ``(name, model, replacement policy)`` group.  Every client
+    keeps ``config`` unchanged (no reseeding), so all of them replay the
+    identical trace — with every kNN query's ``k`` ramped by
+    ``knn_schedule`` (Figure 11) — and differ only in model and policy.
+    The caller owns the deployment and must close it.
+    """
+    fleet = FleetConfig.make(config, [
+        ClientGroupSpec(name, clients=1, model=model,
+                        replacement_policy=policy)
+        for name, model, policy in groups])
+    specs = [FleetClientSpec(client_id, group.name, group.model, config,
+                             group.replacement_policy, knn_schedule)
+             for client_id, group in enumerate(fleet.groups)]
+    return (open_deployment(fleet, store_path,
+                            store_buffer_pages=store_buffer_pages), specs)
+
+
+def replay_comparison(deployment: Deployment,
+                      specs: Sequence[FleetClientSpec],
+                      ) -> Dict[str, ClientResult]:
+    """Replay a comparison's clients on its open deployment, one at a time.
+
+    Each client replays its whole trace before the next starts (see
+    :func:`paired_events`), sharing the deployment's ground-truth memo,
+    and records the cache state after every query.  Returns ``{group
+    name: result}`` in spec order.
+    """
+    result = _replay_clients(deployment, specs, paired_events(specs),
+                             snapshots=True)
+    return {client.group: client for client in result.clients}
 
 
 def _run_slice(fleet: FleetConfig, specs: List[FleetClientSpec],
@@ -346,22 +413,54 @@ def _run_slice(fleet: FleetConfig, specs: List[FleetClientSpec],
     The whole serial fleet, or (as the process-pool task) one worker's
     slice of it.
     """
-    deployment = open_deployment(fleet, store_path, durable)
-    try:
-        sessions = make_sessions(deployment, specs)
-        results = fresh_results(specs)
-        events = build_dynamic_events(fleet, specs)
-        publish("fleet", lambda: {"clients": len(specs),
-                                  "events": len(events),
-                                  "consistency": fleet.consistency,
-                                  "shards": fleet.shards,
-                                  "partitioner": fleet.partitioner,
-                                  "transport": fleet.transport})
-        publish("cache", lambda: cache_churn(sessions))
-        replay(deployment, sessions, results, events)
-        return finish_fleet(deployment, specs, sessions, results)
-    finally:
-        deployment.close()
+    with closing(open_deployment(fleet, store_path, durable)) as deployment:
+        return _replay_clients(deployment, specs,
+                               build_dynamic_events(fleet, specs))
+
+
+def _replay_clients(deployment: Deployment, specs: Sequence[FleetClientSpec],
+                    events: Sequence[Tuple],
+                    snapshots: bool = False) -> FleetResult:
+    """Replay ``events`` for ``specs``' cold-cache clients on a deployment."""
+    fleet = deployment.fleet
+    sessions = make_sessions(deployment, specs)
+    results = fresh_results(specs)
+    publish("fleet", lambda: {"clients": len(specs),
+                              "events": len(events),
+                              "consistency": fleet.consistency,
+                              "shards": fleet.shards,
+                              "partitioner": fleet.partitioner,
+                              "transport": fleet.transport})
+    publish("cache", lambda: cache_churn(sessions))
+    replay(deployment, sessions, results, events, snapshots=snapshots)
+    return finish_fleet(deployment, specs, sessions, results)
+
+
+def replay_backend(config: SimulationConfig, store_path: Optional[str] = None,
+                   store_buffer_pages: Optional[int] = None,
+                   ) -> Tuple[List[Tuple[int, float, float, float, float]],
+                              int, Dict[str, int]]:
+    """Replay one APRO comparison; the backend-invariance probe.
+
+    The shared kernel of ``repro persist verify`` and the
+    ``storage_paged`` golden fingerprint: returns ``(per_query_rows,
+    logical_reads, io_stats)`` where each row is the deterministic
+    ``(server_page_reads, uplink, downlink, result_bytes, response_time)``
+    tuple.  Two replays of the same config — one in memory, one through
+    the page store at ``store_path`` with a ``store_buffer_pages`` buffer
+    — must return identical rows and logical read totals; only
+    ``io_stats`` may differ.
+    """
+    deployment, specs = open_comparison(
+        config, [("APRO", "APRO", None)], store_path=store_path,
+        store_buffer_pages=store_buffer_pages)
+    with closing(deployment):
+        client = replay_comparison(deployment, specs)["APRO"]
+        store = cast(PageStore, deployment.tree.store)
+        rows = [(cost.server_page_reads, cost.uplink_bytes,
+                 cost.downlink_bytes, cost.result_bytes, cost.response_time)
+                for cost in client.costs]
+        return rows, store.reads, store.io_stats()
 
 
 def make_sessions(deployment: Deployment, specs: Sequence[FleetClientSpec],
@@ -414,11 +513,24 @@ def build_fleet_events(specs: Sequence[FleetClientSpec],
     """
     events: List[Tuple[float, int, TraceRecord]] = []
     for spec in specs:
-        trace = generate_trace(spec.config)
+        trace = generate_trace(spec.config, spec.knn_schedule)
         events.extend((record.arrival_time, spec.client_id, record)
                       for record in trace)
     events.sort(key=lambda event: (event[0], event[1], event[2].index))
     return events
+
+
+def paired_events(specs: Sequence[FleetClientSpec]) -> List[Tuple]:
+    """A comparison's query events: each spec's whole trace, in spec order.
+
+    Not interleaved by arrival time: the first client replays all of its
+    trace before the second starts, so it alone pays for the shared
+    ground-truth and partition-tree memos.  Figure 9 and Section 6.4
+    measure CPU time under that order.
+    """
+    return [("query", record.arrival_time, spec.client_id, record)
+            for spec in specs
+            for record in generate_trace(spec.config, spec.knn_schedule)]
 
 
 def build_dynamic_events(fleet: FleetConfig,
@@ -475,9 +587,8 @@ def finish_fleet(deployment: Deployment, specs: Sequence[FleetClientSpec],
     loopback reconciliation).  Must run before the deployment closes.
     """
     for client_id, session in sessions.items():
-        snapshot = session.cache_snapshot(len(results[client_id].costs))
-        results[client_id].final_cache_used_bytes = snapshot.used_bytes
         cache = session.cache
+        results[client_id].final_cache_used_bytes = cache.used_bytes
         if isinstance(cache, ProactiveCache):
             results[client_id].final_cache_digest = cache.content_digest()
     result = FleetResult(clients=[results[spec.client_id] for spec in specs])

@@ -2,8 +2,9 @@
 
 Two result granularities live here:
 
-* :class:`SimulationResult` — one trace replayed against one caching model
-  (the paper's single-client experiments);
+* :class:`ClientResult` — one client's replayed trace: a fleet client, or
+  one model of a paired comparison (the paper's single-client
+  experiments);
 * :class:`FleetResult` — many heterogeneous clients sharing one server
   (the fleet simulations), aggregated per client, per group and for the
   server as a whole (:class:`ServerLoad`).
@@ -36,83 +37,6 @@ class CacheSnapshot:
         return self.index_bytes / self.used_bytes
 
 
-@dataclass
-class SimulationResult:
-    """Everything measured while replaying one trace against one caching model."""
-
-    model: str
-    config_summary: Dict[str, str] = field(default_factory=dict)
-    accumulator: CostAccumulator = field(default_factory=CostAccumulator)
-    snapshots: List[CacheSnapshot] = field(default_factory=list)
-
-    # ------------------------------------------------------------------ #
-    # recording
-    # ------------------------------------------------------------------ #
-    def record(self, cost: QueryCost, snapshot: CacheSnapshot) -> None:
-        """Record one query's cost and the post-query cache state."""
-        self.accumulator.add(cost)
-        self.snapshots.append(snapshot)
-
-    @property
-    def costs(self) -> List[QueryCost]:
-        """The per-query cost records."""
-        return self.accumulator.costs
-
-    # ------------------------------------------------------------------ #
-    # headline metrics (Figure 6)
-    # ------------------------------------------------------------------ #
-    def summary(self) -> Dict[str, float]:
-        """The paper's headline metrics for this run."""
-        return _accumulator_summary(self.accumulator)
-
-    # ------------------------------------------------------------------ #
-    # windowed time series (Figure 11)
-    # ------------------------------------------------------------------ #
-    def _windows(self, window: int) -> List[List[QueryCost]]:
-        costs = self.costs
-        return [costs[start:start + window] for start in range(0, len(costs), window)]
-
-    def windowed_false_miss_rate(self, window: int) -> List[float]:
-        """fmr per window of ``window`` consecutive queries."""
-        series = []
-        for chunk in self._windows(window):
-            cached = sum(c.cached_result_bytes for c in chunk)
-            false = sum(c.false_miss_bytes for c in chunk)
-            series.append(false / cached if cached else 0.0)
-        return series
-
-    def windowed_response_time(self, window: int) -> List[float]:
-        """Mean response time per window."""
-        series = []
-        for chunk in self._windows(window):
-            series.append(sum(c.response_time for c in chunk) / len(chunk) if chunk else 0.0)
-        return series
-
-    def windowed_index_fraction(self, window: int) -> List[float]:
-        """Mean index/cache share (``i/c``) per window."""
-        series = []
-        snapshots = self.snapshots
-        for start in range(0, len(snapshots), window):
-            chunk = snapshots[start:start + window]
-            if not chunk:
-                series.append(0.0)
-                continue
-            series.append(sum(s.index_fraction for s in chunk) / len(chunk))
-        return series
-
-    def windowed_depth(self, window: int) -> List[float]:
-        """Mean adaptive depth ``d`` per window."""
-        series = []
-        snapshots = self.snapshots
-        for start in range(0, len(snapshots), window):
-            chunk = snapshots[start:start + window]
-            if not chunk:
-                series.append(0.0)
-                continue
-            series.append(sum(s.depth for s in chunk) / len(chunk))
-        return series
-
-
 # --------------------------------------------------------------------------- #
 # fleet-scale results
 # --------------------------------------------------------------------------- #
@@ -128,22 +52,28 @@ DETERMINISTIC_METRICS = ("uplink_bytes", "downlink_bytes", "cache_hit_rate",
 
 @dataclass
 class ClientResult:
-    """Everything measured for one fleet client."""
+    """Everything measured for one client of a fleet or a comparison."""
 
     client_id: int
     group: str
     model: str
     costs: List[QueryCost] = field(default_factory=list)
     arrival_times: List[float] = field(default_factory=list)
+    #: The cache state right after each recorded query (Figure 11 reads it).
+    snapshots: List[CacheSnapshot] = field(default_factory=list)
     final_cache_used_bytes: int = 0
     # Digest of the full final cache state (proactive sessions only; "" for
     # models without snapshot support).  Warm-restart tests compare these.
     final_cache_digest: str = ""
 
-    def record(self, cost: QueryCost, arrival_time: float) -> None:
-        """Record one query's cost and its simulated arrival instant."""
+    def record(self, cost: QueryCost, arrival_time: float,
+               snapshot: Optional[CacheSnapshot] = None) -> None:
+        """Record one query's cost, arrival instant and (if given) the
+        post-query cache state."""
         self.costs.append(cost)
         self.arrival_times.append(arrival_time)
+        if snapshot is not None:
+            self.snapshots.append(snapshot)
 
     def accumulator(self) -> CostAccumulator:
         """The client's costs wrapped for metric computation."""

@@ -1,77 +1,51 @@
 """Parameter sweeps used by the figure-regenerating experiments.
 
-Every sweep point rebuilds the environment from a deterministic
-configuration, which makes the points embarrassingly parallel: pass
-``max_workers`` > 1 to fan the points out over a
-:class:`~concurrent.futures.ProcessPoolExecutor`.  Results are identical to
-a serial sweep (only the measured CPU timings differ).
+Every sweep point is one paired comparison
+(:func:`~repro.sim.fleet.run_comparison`) that rebuilds the deployment
+from a deterministic configuration, so every model or policy within a
+point replays an identical trace.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from contextlib import closing
+from typing import Dict, Iterable, Sequence
 
 from repro.sim.config import SimulationConfig
-from repro.sim.metrics import SimulationResult
-from repro.sim.runner import build_environment, map_maybe_parallel, run_model, run_models
-
-
-def _sweep_point_worker(config: SimulationConfig, models: Sequence[str],
-                        replacement_policies: Optional[Sequence[str]],
-                        model: str) -> Dict[str, SimulationResult]:
-    """Run one sweep point in a worker process.
-
-    With ``replacement_policies`` set, runs ``model`` once per policy;
-    otherwise runs every model in ``models`` once.
-    """
-    environment = build_environment(config)
-    if replacement_policies is not None:
-        return {policy: run_model(environment, model, replacement_policy=policy)
-                for policy in replacement_policies}
-    return run_models(environment, models)
-
-
-def _run_points(configs: Sequence[SimulationConfig], models: Sequence[str],
-                replacement_policies: Optional[Sequence[str]], model: str,
-                max_workers: Optional[int]) -> List[Dict[str, SimulationResult]]:
-    return map_maybe_parallel(
-        _sweep_point_worker,
-        [(config, models, replacement_policies, model) for config in configs],
-        max_workers)
+from repro.sim.fleet import open_comparison, replay_comparison, run_comparison
+from repro.sim.metrics import ClientResult
 
 
 def cache_size_sweep(config: SimulationConfig, fractions: Sequence[float],
-                     models: Iterable[str],
-                     max_workers: Optional[int] = None) -> Dict[float, Dict[str, SimulationResult]]:
-    """Run every model at several cache sizes (Figures 8 and 9).
-
-    The dataset and trace are rebuilt once per cache size with the same seeds
-    so every model within a cache size sees an identical workload.
-    """
+                     models: Iterable[str]) -> Dict[float, Dict[str, ClientResult]]:
+    """Run every model at several cache sizes (Figures 8 and 9)."""
     models = list(models)
-    configs = [config.with_overrides(cache_fraction=fraction) for fraction in fractions]
-    points = _run_points(configs, models, None, "", max_workers)
-    return dict(zip(fractions, points))
+    return {fraction: run_comparison(
+                config.with_overrides(cache_fraction=fraction), models)
+            for fraction in fractions}
 
 
 def mobility_sweep(config: SimulationConfig, mobility_models: Sequence[str],
-                   models: Iterable[str],
-                   max_workers: Optional[int] = None) -> Dict[str, Dict[str, SimulationResult]]:
+                   models: Iterable[str]) -> Dict[str, Dict[str, ClientResult]]:
     """Run every caching model under several mobility models (Figure 7)."""
     models = list(models)
-    configs = [config.with_overrides(mobility_model=mobility)
-               for mobility in mobility_models]
-    points = _run_points(configs, models, None, "", max_workers)
-    return dict(zip(mobility_models, points))
+    return {mobility: run_comparison(
+                config.with_overrides(mobility_model=mobility), models)
+            for mobility in mobility_models}
 
 
 def replacement_sweep(config: SimulationConfig, policies: Sequence[str],
                       mobility_models: Sequence[str] = ("RAN", "DIR"),
-                      model: str = "APRO",
-                      max_workers: Optional[int] = None) -> Dict[str, Dict[str, SimulationResult]]:
-    """Run the proactive model under several replacement policies (Figure 10)."""
-    policies = list(policies)
-    configs = [config.with_overrides(mobility_model=mobility)
-               for mobility in mobility_models]
-    points = _run_points(configs, (), policies, model, max_workers)
-    return dict(zip(mobility_models, points))
+                      model: str = "APRO") -> Dict[str, Dict[str, ClientResult]]:
+    """Run one model under several replacement policies (Figure 10).
+
+    One comparison per mobility model, with one client per policy.
+    """
+    results = {}
+    for mobility in mobility_models:
+        deployment, specs = open_comparison(
+            config.with_overrides(mobility_model=mobility),
+            [(policy, model, policy) for policy in policies])
+        with closing(deployment):
+            results[mobility] = replay_comparison(deployment, specs)
+    return results

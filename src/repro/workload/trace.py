@@ -8,12 +8,11 @@ which is how the paper's side-by-side comparisons are made fair.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional
+from typing import Iterator, List
 
-from repro.geometry import Point, Rect
-from repro.workload.queries import JoinQuery, KNNQuery, Query, RangeQuery
+from repro.geometry import Point
+from repro.workload.queries import Query
 
 
 @dataclass(frozen=True)
@@ -34,7 +33,7 @@ class TraceRecord:
 
 @dataclass
 class QueryTrace:
-    """An ordered list of :class:`TraceRecord`, serialisable to JSON."""
+    """An ordered list of :class:`TraceRecord`."""
 
     records: List[TraceRecord] = field(default_factory=list)
 
@@ -50,54 +49,3 @@ class QueryTrace:
 
     def __getitem__(self, index: int) -> TraceRecord:
         return self.records[index]
-
-    # ------------------------------------------------------------------ #
-    # serialisation
-    # ------------------------------------------------------------------ #
-    def to_json(self) -> str:
-        """Serialise the trace to a JSON string."""
-        payload = []
-        for record in self.records:
-            entry = {
-                "index": record.index,
-                "position": [record.position.x, record.position.y],
-                "think_time": record.think_time,
-                "arrival_time": record.arrival_time,
-            }
-            query = record.query
-            if isinstance(query, RangeQuery):
-                entry["query"] = {"type": "range", "window": list(query.window.as_tuple())}
-            elif isinstance(query, KNNQuery):
-                entry["query"] = {"type": "knn", "point": [query.point.x, query.point.y],
-                                  "k": query.k}
-            elif isinstance(query, JoinQuery):
-                entry["query"] = {"type": "join", "window": list(query.window.as_tuple()),
-                                  "threshold": query.threshold}
-            else:  # pragma: no cover - defensive
-                raise TypeError(f"unsupported query type {type(query)!r}")
-            payload.append(entry)
-        return json.dumps(payload)
-
-    @staticmethod
-    def from_json(text: str) -> "QueryTrace":
-        """Deserialise a trace produced by :meth:`to_json`."""
-        trace = QueryTrace()
-        for entry in json.loads(text):
-            query_data = entry["query"]
-            query_type = query_data["type"]
-            if query_type == "range":
-                query: Query = RangeQuery(window=Rect(*query_data["window"]))
-            elif query_type == "knn":
-                point = Point(*query_data["point"])
-                query = KNNQuery(point=point, k=query_data["k"])
-            elif query_type == "join":
-                query = JoinQuery(window=Rect(*query_data["window"]),
-                                  threshold=query_data["threshold"])
-            else:
-                raise ValueError(f"unknown query type {query_type!r} in trace")
-            trace.append(TraceRecord(index=entry["index"],
-                                     position=Point(*entry["position"]),
-                                     think_time=entry["think_time"],
-                                     query=query,
-                                     arrival_time=entry.get("arrival_time", 0.0)))
-        return trace

@@ -21,7 +21,7 @@ from repro.core.supporting_index import SupportingIndexPolicy
 from repro.geometry import Rect
 from repro.rtree import SizeModel
 from repro.sim.config import SimulationConfig
-from repro.sim.runner import build_environment
+from repro.sim.runner import build_tree, generate_trace
 from repro.sim.sessions import ProactiveSession
 
 
@@ -81,19 +81,20 @@ def test_adaptive_controller_state_roundtrips():
 
 def test_proactive_session_digest_roundtrips():
     config = SimulationConfig.tiny(query_count=20, object_count=300)
-    environment = build_environment(config)
-    session = ProactiveSession(environment.tree, config)
-    for record in environment.trace.records[:12]:
+    tree = build_tree(config)
+    trace = generate_trace(config)
+    session = ProactiveSession(tree, config)
+    for record in trace.records[:12]:
         session.process(record)
     snapshot = session.state_dict()
 
-    twin = ProactiveSession(environment.tree, config)
+    twin = ProactiveSession(tree, config)
     twin.restore_state(snapshot)
     assert twin.cache.content_digest() == session.cache.content_digest()
     assert _digest(twin.state_dict()) == _digest(snapshot)
 
     # The restored session keeps producing identical behaviour.
-    for record in environment.trace.records[12:16]:
+    for record in trace.records[12:16]:
         a = session.process(record)
         b = twin.process(record)
         assert a.downlink_bytes == b.downlink_bytes

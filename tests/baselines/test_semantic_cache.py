@@ -6,6 +6,7 @@ from repro.baselines.semantic import SemanticCache
 from repro.geometry import Point, Rect
 from repro.rtree.entry import ObjectRecord
 from repro.rtree.sizes import SizeModel
+from tests.geometry.rect_reference import intersection_area
 
 
 MODEL = SizeModel()
@@ -55,7 +56,7 @@ def test_range_trimming_produces_remainder_rectangles():
     assert 1 in saved
     assert remainders
     leftover = sum(r.area() for r in remainders)
-    covered = window.intersection_area(Rect(0.2, 0.2, 0.4, 0.4))
+    covered = intersection_area(window, Rect(0.2, 0.2, 0.4, 0.4))
     assert leftover == pytest.approx(window.area() - covered)
 
 

@@ -14,12 +14,13 @@ from __future__ import annotations
 from repro.core.client import ClientExecution
 from repro.core.items import FrontierTarget, item_key_for_node, item_key_for_object
 from repro.core.join import side_key, side_mbr
+from tests.geometry.rect_reference import min_dist_sq_to_rect
 
 
 def _qualifies(query, a, b):
     return (side_mbr(a).intersects(query.window)
             and side_mbr(b).intersects(query.window)
-            and side_mbr(a).min_dist_sq_to_rect(side_mbr(b))
+            and min_dist_sq_to_rect(side_mbr(a), side_mbr(b))
             <= query.threshold * query.threshold)
 
 

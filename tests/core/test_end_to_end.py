@@ -10,19 +10,19 @@ tolerate ties).
 import pytest
 
 from repro.sim.config import SimulationConfig
-from repro.sim.runner import build_environment
+from repro.sim.runner import build_shared_state, generate_trace
 from repro.sim.sessions import ProactiveSession, true_results
 from repro.core.items import CachedIndexNode, CachedObject
 from repro.workload.generator import QueryMix
 
 
 def _replay_with_truth_check(config, index_form, replacement_policy="GRD3"):
-    environment = build_environment(config)
+    environment = build_shared_state(config)
     session = ProactiveSession(environment.tree, config, server=environment.server,
                                index_form=index_form,
                                replacement_policy=replacement_policy)
     mismatches = []
-    for record in environment.trace:
+    for record in generate_trace(config):
         query = record.query
         session.cache.tick()
         execution = session.client.execute(query)

@@ -9,7 +9,9 @@ import pytest
 
 from repro.experiments import fig6, fig7, fig8, fig9, fig10, fig11, overheads, table61
 from repro.experiments.report import format_table, normalise
+from repro.core.cost_model import QueryCost
 from repro.sim.config import SimulationConfig
+from repro.sim.metrics import ClientResult
 from repro.workload.generator import QueryMix
 
 
@@ -63,7 +65,7 @@ def test_fig10_runs_and_renders():
 
 
 def test_fig11_runs_and_renders():
-    config = fig11.default_config(query_count=20).with_overrides(object_count=300)
+    config = SimulationConfig.scaled(query_count=20, object_count=300)
     series = fig11.run(config, window=10)
     assert {"FPRO", "CPRO", "APRO"} <= set(series)
     for model in ("FPRO", "CPRO", "APRO"):
@@ -71,13 +73,26 @@ def test_fig11_runs_and_renders():
     assert "false miss rate" in fig11.render(series)
 
 
-def test_fig11_default_config_is_knn_only():
-    config = fig11.default_config()
-    assert config.query_mix.range_ == 0.0
-    assert config.query_mix.join == 0.0
-    # Small cache relative to the scaled dataset (see the fig11 docstring for
-    # how the paper's 0.1% maps onto the scaled dataset size).
-    assert config.cache_fraction <= 0.02
+def test_fig11_fixes_its_workload_cache_and_mobility():
+    # fig11.run overrides the mix, cache and mobility it is given with
+    # FIXED, so a range-heavy, 50%-cache DIR config gives the same series.
+    plain = SimulationConfig.scaled(query_count=20, object_count=300)
+    skewed = plain.with_overrides(
+        query_mix=QueryMix(range_=5.0, knn=0.5, join=1.0),
+        cache_fraction=0.5, mobility_model="DIR")
+    assert fig11.run(skewed, window=10) == fig11.run(plain, window=10)
+
+
+def test_fig11_false_miss_rate_is_pooled_per_window():
+    # (cached, locally confirmed) result bytes: false misses 10, 30, 0, 50, 0.
+    costs = [QueryCost(query_index=index, query_type="knn",
+                       cached_result_bytes=cached, saved_bytes=saved)
+             for index, (cached, saved) in enumerate(
+                 ((100.0, 90.0), (300.0, 270.0), (0.0, 0.0), (50.0, 0.0),
+                  (0.0, 0.0)))]
+    result = ClientResult(client_id=0, group="APRO", model="APRO", costs=costs)
+    # Bytes pool within a window; a window with nothing cached reads 0.
+    assert fig11.windowed_false_miss_rate(result, 2) == [0.1, 1.0, 0.0]
 
 
 def test_overheads_runs_and_renders():

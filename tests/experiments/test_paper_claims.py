@@ -16,8 +16,8 @@ import pytest
 from repro.core.items import CachedIndexNode, CachedObject
 from repro.experiments import fig6, fig7, fig8, fig9, fig10, fig11, overheads, table61
 from repro.sim.config import SimulationConfig
-from repro.sim.fleet import default_fleet, run_fleet
-from repro.sim.runner import build_environment, run_model
+from repro.sim.fleet import default_fleet, run_comparison, run_fleet
+from repro.sim.runner import build_shared_state, generate_trace
 from repro.sim.sessions import ProactiveSession
 from repro.workload.generator import QueryMix
 
@@ -161,9 +161,7 @@ def test_fig11_adaptive_schemes():
     CPRO >= APRO >= FPRO on fmr, FPRO >= APRO >= CPRO on index share, and
     APRO <= CPRO on response time.
     """
-    config = fig11.default_config(query_count=CONFIG.query_count).with_overrides(
-        object_count=CONFIG.object_count)
-    series = fig11.run(config)
+    series = fig11.run(CONFIG)
     fpro, cpro, apro = series["FPRO"], series["CPRO"], series["APRO"]
     # 11(b): FPRO ships/keeps the most index, CPRO the least.
     assert _mean(fpro["index_fraction"]) >= _mean(apro["index_fraction"]) - 1e-9
@@ -194,9 +192,9 @@ def test_partition_tree_overheads():
 
 def test_ablation_grd_family():
     """GRD1 (unconstrained), GRD2 (EBRS greedy) and GRD3 end to end."""
-    environment = build_environment(CONFIG.with_overrides(cache_fraction=0.005))
-    summaries = {policy: run_model(environment, "APRO",
-                                   replacement_policy=policy).summary()
+    config = CONFIG.with_overrides(cache_fraction=0.005)
+    summaries = {policy: run_comparison(config, ("APRO",),
+                                        replacement_policy=policy)["APRO"].summary()
                  for policy in ("GRD1", "GRD2", "GRD3")}
     grd2, grd3 = summaries["GRD2"], summaries["GRD3"]
     # GRD3 and GRD2 pick the same victims, so end-to-end metrics match closely.
@@ -215,10 +213,10 @@ def test_ablation_knn_remainder_pruning():
     """
     config = CONFIG.with_overrides(
         query_mix=QueryMix(range_=0.0, knn=1.0, join=0.0), k_max=8)
-    environment = build_environment(config)
+    environment = build_shared_state(config)
     session = ProactiveSession(environment.tree, config, server=environment.server)
     frontier_sizes = []
-    for record in environment.trace:
+    for record in generate_trace(config):
         session.cache.tick()
         execution = session.client.execute(record.query)
         if not execution.complete:

@@ -26,10 +26,6 @@ def test_clamped_respects_custom_bounds():
     assert Point(5.0, -5.0).clamped(lo=-1.0, hi=2.0) == Point(2.0, -1.0)
 
 
-def test_midpoint():
-    assert Point(0.0, 0.0).midpoint(Point(1.0, 1.0)) == Point(0.5, 0.5)
-
-
 def test_as_tuple_and_iteration():
     p = Point(0.25, 0.75)
     assert p.as_tuple() == (0.25, 0.75)

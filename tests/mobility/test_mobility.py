@@ -5,7 +5,6 @@ import statistics
 
 import pytest
 
-from repro.geometry import Point
 from repro.mobility import (
     DirectedMovementModel,
     PoissonThinkTime,
@@ -52,13 +51,6 @@ def test_zero_elapsed_time_keeps_position(model_cls):
 def test_invalid_speed_rejected():
     with pytest.raises(ValueError):
         RandomWaypointModel(speed=0.0)
-
-
-def test_reset_restores_start():
-    model = RandomWaypointModel(speed=0.01, seed=2)
-    model.advance(100.0)
-    model.reset(Point(0.25, 0.25))
-    assert model.position == Point(0.25, 0.25)
 
 
 def test_directed_movement_has_lower_locality_than_random_waypoint():

@@ -39,6 +39,7 @@ from repro.updates.validation import (
     ValidationVerdict,
 )
 from repro.workload.queries import JoinQuery, KNNQuery, RangeQuery
+from tests.net.test_frames import decode_frame
 
 SEEDS = range(12)
 
@@ -309,9 +310,9 @@ def test_corrupt_byte_sweep_over_a_framed_query(tmp_path):
         damaged = path.read_bytes()
         assert damaged != data
         with pytest.raises(FrameError):
-            frames.decode_frame(damaged)
+            decode_frame(damaged)
     # The pristine bytes still decode: the sweep damaged copies only.
-    assert frames.decode_frame(data) == (frames.QUERY, payload)
+    assert decode_frame(data) == (frames.QUERY, payload)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -325,7 +326,7 @@ def test_corrupt_byte_sampled_sweep_over_every_family(seed, tmp_path):
             path.write_bytes(data)
             corrupt_byte(str(path), offset)
             with pytest.raises(FrameError):
-                frames.decode_frame(path.read_bytes())
+                decode_frame(path.read_bytes())
 
 
 # --------------------------------------------------------------------------- #

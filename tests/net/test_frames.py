@@ -24,7 +24,7 @@ from repro.net.frames import (
     FrameError,
     HEADER_BYTES,
     MAX_PAYLOAD_BYTES,
-    decode_frame,
+    check_payload,
     encode_frame,
     read_frame_socket,
     split_header,
@@ -32,6 +32,22 @@ from repro.net.frames import (
 )
 
 ALL_TYPES = sorted(frames.FRAME_NAMES)
+
+
+def decode_frame(data):
+    """Decode one complete frame held in memory: ``(type, payload)``.
+
+    The in-memory twin of the stream readers, built from the same
+    ``split_header`` and ``check_payload`` checks.
+    """
+    frame_type, length, crc = split_header(data[:HEADER_BYTES])
+    payload = data[HEADER_BYTES:]
+    if len(payload) != length:
+        raise FrameError(f"frame payload is {len(payload)} bytes, header "
+                         f"says {length}")
+    check_payload(payload, crc)
+    return frame_type, payload
+
 #: Wire numbers are never reused: 10 and 11 (NODE_REQ / NODE_ACK) are retired.
 RETIRED_TYPES = (10, 11)
 

@@ -19,9 +19,6 @@ def test_channel_accumulates_bytes():
     channel.send_downlink(2_000)
     assert channel.uplink_bytes_total == 150
     assert channel.downlink_bytes_total == 2_000
-    channel.reset()
-    assert channel.uplink_bytes_total == 0
-    assert channel.downlink_bytes_total == 0
 
 
 def test_channel_rejects_negative_bytes():
@@ -56,11 +53,10 @@ def test_channel_totals_equal_cost_sums_on_a_real_trace():
     """Send every message of a simulated session through the channel and
     require exact (==) agreement with the cost model's byte sums."""
     from repro.sim.config import SimulationConfig
-    from repro.sim.runner import build_environment, run_model
+    from repro.sim.fleet import run_comparison
 
     config = SimulationConfig.tiny(query_count=10, object_count=250)
-    environment = build_environment(config)
-    result = run_model(environment, "APRO")
+    result = run_comparison(config, ("APRO",))["APRO"]
 
     channel = WirelessChannel()
     for cost in result.costs:

@@ -18,6 +18,7 @@ from repro.obs.instrument import activated
 from repro.obs.trace import Recorder, spans_to_jsonl
 from repro.sim.config import SimulationConfig
 from repro.sim.fleet import default_fleet, run_fleet
+from tests.obs.test_registry import deterministic_blob
 
 
 def _fleet(policy="GRD3", queries=8, objects=600, clients=4, transport=None,
@@ -49,8 +50,8 @@ def _instrumented_run(**kwargs):
 def test_seeded_runs_share_deterministic_blob(policy):
     first, _ = _instrumented_run(policy=policy)
     second, _ = _instrumented_run(policy=policy)
-    blob = first.registry.deterministic_blob()
-    assert blob == second.registry.deterministic_blob()
+    blob = deterministic_blob(first.registry)
+    assert blob == deterministic_blob(second.registry)
     assert blob != b"{}"  # the run actually fed the registry
 
 
@@ -65,15 +66,15 @@ def test_seeded_runs_share_trace_export():
 def test_uds_runs_share_deterministic_blob():
     first, _ = _instrumented_run(transport="uds")
     second, _ = _instrumented_run(transport="uds")
-    assert first.registry.deterministic_blob() \
-        == second.registry.deterministic_blob()
+    assert deterministic_blob(first.registry) \
+        == deterministic_blob(second.registry)
 
 
 def test_sharded_dynamic_runs_share_deterministic_blob():
     first, _ = _instrumented_run(shards=3, dynamic=True)
     second, _ = _instrumented_run(shards=3, dynamic=True)
-    blob = first.registry.deterministic_blob()
-    assert blob == second.registry.deterministic_blob()
+    blob = deterministic_blob(first.registry)
+    assert blob == deterministic_blob(second.registry)
     assert b"repro_router_shards_visited_total" in blob
     assert b"repro_updates_total" in blob
 

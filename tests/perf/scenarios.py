@@ -28,12 +28,12 @@ from typing import Callable, Dict, List, Tuple
 from repro.geometry import Rect
 from repro.sharding import PartitionResultCache, build_sharded_state
 from repro.sim.config import SimulationConfig
-from repro.sim.fleet import default_fleet, run_fleet
+from repro.sim.fleet import (
+    default_fleet, replay_backend, run_comparison, run_fleet,
+)
 from repro.sim.metrics import DETERMINISTIC_METRICS
 from repro.sim.restart import resume_fleet, run_fleet_interrupted
-from repro.sim.runner import (
-    build_tree, generate_trace, replay_store_trace, run_comparison,
-)
+from repro.sim.runner import build_tree
 from repro.storage import load_tree, pack, save_tree, wal_summary
 from repro.workload.queries import RangeQuery
 
@@ -118,19 +118,17 @@ def storage_paged() -> Fingerprint:
     """
     config = SimulationConfig.scaled(
         query_count=120, object_count=3_000).with_overrides(cache_fraction=0.01)
-    trace = generate_trace(config)
 
     with tempfile.TemporaryDirectory() as tmp:
         store_path = os.path.join(tmp, "server.rpro")
-        tree = build_tree(config)
-        save_tree(tree, store_path)
-        # The in-memory replay reuses the tree just checkpointed (it is
-        # deterministic from config); the file replay uses a deliberately
-        # small 16-page buffer so the LRU is exercised and real query-time
-        # file reads appear.
-        memory_run, memory_reads, _ = replay_store_trace(config, trace, tree=tree)
-        file_run, file_reads, io_stats = replay_store_trace(
-            config, trace, store_path=store_path, store_buffer_pages=16)
+        save_tree(build_tree(config), store_path)
+        # The in-memory replay rebuilds the same tree (it is deterministic
+        # from config); the file replay uses a deliberately small 16-page
+        # buffer so the LRU is exercised and real query-time file reads
+        # appear.
+        memory_run, memory_reads, _ = replay_backend(config)
+        file_run, file_reads, io_stats = replay_backend(
+            config, store_path=store_path, store_buffer_pages=16)
 
     fingerprint: Fingerprint = {
         "backend_match": 1.0 if (memory_run == file_run

@@ -1,7 +1,8 @@
-"""R* ChooseSubtree as it was written with ``Rect`` methods, kept as the oracle.
+"""R* ChooseSubtree as it was written with ``Rect`` measures, kept as the oracle.
 
 Until PR 22 ``RTree._pick_child`` compared every entry's overlap enlargement
-against every sibling through ``Rect.union`` / ``Rect.intersection_area`` —
+against every sibling through ``Rect.union`` and the overlap area (now
+``rect_reference.union`` / ``intersection_area``) —
 three nested method calls and a frozen ``Rect`` per overlapping sibling
 pair.  :func:`repro.rtree.tree.subtree_keys` inlines that arithmetic and
 claims every key float, and therefore every choice and every tree, is
@@ -10,6 +11,8 @@ unchanged; the old method lives on here verbatim and the differential suite
 """
 
 from __future__ import annotations
+
+from tests.geometry.rect_reference import enlargement, intersection_area, union
 
 
 def reference_pick_child(self, node, mbr):
@@ -20,20 +23,20 @@ def reference_pick_child(self, node, mbr):
         best = None
         best_key = None
         for entry in node.entries:
-            enlarged = entry.mbr.union(mbr)
+            enlarged = union(entry.mbr, mbr)
             overlap_delta = 0.0
             for other in node.entries:
                 if other is entry:
                     continue
-                overlap_delta += (enlarged.intersection_area(other.mbr)
-                                  - entry.mbr.intersection_area(other.mbr))
-            key = (overlap_delta, entry.mbr.enlargement(mbr), entry.mbr.area())
+                overlap_delta += (intersection_area(enlarged, other.mbr)
+                                  - intersection_area(entry.mbr, other.mbr))
+            key = (overlap_delta, enlargement(entry.mbr, mbr), entry.mbr.area())
             if best_key is None or key < best_key:
                 best_key = key
                 best = entry
         return best
     best = min(node.entries,
-               key=lambda e: (e.mbr.enlargement(mbr), e.mbr.area()))
+               key=lambda e: (enlargement(e.mbr, mbr), e.mbr.area()))
     return best
 
 
@@ -48,11 +51,11 @@ def reference_keys(node, mbr):
     for entry in node.entries:
         overlap_delta = 0.0
         if node.level - 1 == 0:
-            enlarged = entry.mbr.union(mbr)
+            enlarged = union(entry.mbr, mbr)
             for other in node.entries:
                 if other is entry:
                     continue
-                overlap_delta += (enlarged.intersection_area(other.mbr)
-                                  - entry.mbr.intersection_area(other.mbr))
-        keys.append((overlap_delta, entry.mbr.enlargement(mbr), entry.mbr.area()))
+                overlap_delta += (intersection_area(enlarged, other.mbr)
+                                  - intersection_area(entry.mbr, other.mbr))
+        keys.append((overlap_delta, enlargement(entry.mbr, mbr), entry.mbr.area()))
     return keys

@@ -11,6 +11,48 @@ from repro.rtree.partition_tree import PartitionTree, SuperEntry, build_partitio
 from tests.conftest import make_records
 
 
+def compact_form(pt, expanded_codes):
+    """The compact-form cut (paper Section 4.2) given the expanded codes:
+    from the root, descend through expanded codes and emit the first
+    non-expanded element on each path, as ``(code, element)`` pairs.  An
+    unexpanded root collapses to its two top-level children."""
+    cut = []
+    stack = [""]
+    while stack:
+        code = stack.pop()
+        if pt.is_leaf_code(code):
+            cut.append((code, pt.entry_at(code)))
+        elif code in expanded_codes or code == "":
+            stack.append(code + "0")
+            stack.append(code + "1")
+        else:
+            cut.append((code, pt.element_at(code)))
+    return cut
+
+
+def expand_element(pt, code, levels):
+    """The element at ``code`` replaced by its ``levels``-deep descendants,
+    real entries emitted as soon as they are reached ("d level descendant
+    nodes or the entries whichever come first")."""
+    if pt.is_leaf_code(code) or levels <= 0:
+        return [(code, pt.element_at(code))]
+    return (expand_element(pt, code + "1", levels - 1)
+            + expand_element(pt, code + "0", levels - 1))
+
+
+def d_level_form(pt, expanded_codes, d):
+    """The ``d+``-level compact form (paper Section 4.3), built from the
+    compact form by expanding every super entry ``d`` levels: the oracle of
+    :meth:`PartitionTree.subtree_codes` at the root."""
+    refined = []
+    for code, element in compact_form(pt, expanded_codes):
+        if isinstance(element, SuperEntry) and d > 0:
+            refined.extend(expand_element(pt, code, d))
+        else:
+            refined.append((code, element))
+    return refined
+
+
 def _node(entry_count, seed=0, node_id=77):
     records = make_records(entry_count, seed=seed)
     entries = [Entry(mbr=r.mbr, object_id=r.object_id) for r in records]
@@ -85,7 +127,7 @@ def test_mbrs_cover_subsets(pt10):
 
 def test_compact_form_covers_node_exactly_once(pt10):
     # Expand only the root: the compact form is the two top-level children.
-    cut = pt10.compact_form(expanded_codes={""})
+    cut = compact_form(pt10, expanded_codes={""})
     covered = []
     for code, element in cut:
         covered.extend(e.key() for e in pt10.subsets[code])
@@ -94,7 +136,7 @@ def test_compact_form_covers_node_exactly_once(pt10):
 
 def test_compact_form_with_deeper_expansion(pt10):
     expanded = {"", "0"}
-    cut = pt10.compact_form(expanded_codes=expanded)
+    cut = compact_form(pt10, expanded_codes=expanded)
     codes = [code for code, _ in cut]
     # "0" was expanded so it must not appear as a cut element, while "1"
     # (never expanded) must appear exactly once.
@@ -111,16 +153,16 @@ def test_full_form_lists_every_entry(pt10, node10):
 
 
 def test_d_level_form_interpolates(pt10):
-    compact = pt10.d_level_form(expanded_codes={""}, d=0)
-    refined = pt10.d_level_form(expanded_codes={""}, d=1)
-    full = pt10.d_level_form(expanded_codes={""}, d=pt10.height)
+    compact = d_level_form(pt10, expanded_codes={""}, d=0)
+    refined = d_level_form(pt10, expanded_codes={""}, d=1)
+    full = d_level_form(pt10, expanded_codes={""}, d=pt10.height)
     assert len(compact) <= len(refined) <= len(full)
     assert len(full) == len(pt10.full_form())
 
 
 def test_d_level_form_covers_exactly(pt10):
     for d in range(pt10.height + 1):
-        cut = pt10.d_level_form(expanded_codes={""}, d=d)
+        cut = d_level_form(pt10, expanded_codes={""}, d=d)
         covered = [e.key() for code, _ in cut for e in pt10.subsets[code]]
         assert sorted(covered) == sorted(e.key() for e in pt10.subsets[""])
 
@@ -136,11 +178,11 @@ def test_subtree_codes_at_the_root_are_the_d_level_form(pt10):
     for expanded in ({""}, set(internal[:3]), set(internal)):
         for d in range(pt10.height + 1):
             assert pt10.subtree_codes("", expanded, d) == \
-                [code for code, _ in pt10.d_level_form(expanded, d)]
+                [code for code, _ in d_level_form(pt10, expanded, d)]
 
 
 def test_expand_element_reaches_entries(pt10):
-    expanded = pt10.expand_element("", levels=pt10.height)
+    expanded = expand_element(pt10, "", levels=pt10.height)
     assert all(isinstance(element, Entry) for _, element in expanded)
     assert len(expanded) == 10
 
@@ -167,7 +209,7 @@ def test_compact_form_space_saving_example():
     pt = PartitionTree(node)
     # Expand the root and one of its children that is not a leaf.
     non_leaf_child = "0" if not pt.is_leaf_code("0") else "1"
-    cut = pt.compact_form(expanded_codes={"", non_leaf_child})
+    cut = compact_form(pt, expanded_codes={"", non_leaf_child})
     assert len(cut) < 5
 
 
@@ -176,6 +218,6 @@ def test_compact_form_space_saving_example():
        st.integers(min_value=0, max_value=6))
 def test_property_every_cut_is_a_partition(entry_count, seed, d):
     pt = PartitionTree(_node(entry_count, seed=seed))
-    cut = pt.d_level_form(expanded_codes={""}, d=d)
+    cut = d_level_form(pt, expanded_codes={""}, d=d)
     covered = [e.key() for code, _ in cut for e in pt.subsets[code]]
     assert len(covered) == len(set(covered)) == entry_count

@@ -18,6 +18,7 @@ from repro.geometry import Point, Rect
 from repro.rtree import RTree, assert_tree_valid, bulk_load_str
 from repro.rtree.entry import Entry, ObjectRecord
 from tests.rtree.rtree_join import bfrj_join, distance_predicate, rtree_join
+from tests.geometry.rect_reference import intersection_area, margin as rect_margin
 from repro.rtree.knn import knn_search
 from repro.rtree.range_search import range_search
 from repro.rtree.sizes import SizeModel
@@ -103,7 +104,7 @@ def seed_rstar_split(entries, min_fill):
         return Rect.bounding(e.mbr for e in group)
 
     def margin(group):
-        return group_mbr(group).margin() if group else 0.0
+        return rect_margin(group_mbr(group)) if group else 0.0
 
     best_axis = None
     best_axis_margin = float("inf")
@@ -132,7 +133,7 @@ def seed_rstar_split(entries, min_fill):
         for split_at in range(min_fill, total - min_fill + 1):
             left, right = ordering[:split_at], ordering[split_at:]
             left_mbr, right_mbr = group_mbr(left), group_mbr(right)
-            overlap = left_mbr.intersection_area(right_mbr)
+            overlap = intersection_area(left_mbr, right_mbr)
             area = left_mbr.area() + right_mbr.area()
             if overlap < best_overlap or (overlap == best_overlap and area < best_area):
                 best_overlap = overlap

@@ -37,6 +37,18 @@ def test_fleet_config_validates_dynamic_knobs():
     assert _fleet(consistency="ttl").is_dynamic
 
 
+def test_sub_second_fleet_ttl_is_accepted_and_expires_shipped_items():
+    def invalidated(ttl_seconds):
+        result = run_fleet(_fleet(consistency="ttl", ttl_seconds=ttl_seconds))
+        return sum(cost.invalidated_items for client in result.clients
+                   for cost in client.costs)
+
+    # Clients think for seconds between queries, so a 0.5 s TTL expires
+    # what the previous query shipped; a TTL longer than the run never does.
+    assert invalidated(0.5) > 0
+    assert invalidated(1e9) == 0
+
+
 def test_initial_object_ids_match_the_built_tree():
     base = _base()
     tree = build_tree(base)

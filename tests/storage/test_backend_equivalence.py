@@ -12,9 +12,12 @@ from __future__ import annotations
 import pytest
 
 from repro.sim.config import SimulationConfig
+from repro.sim.deployment import open_deployment
+from repro.sim.fleet import ClientGroupSpec, FleetConfig, replay_backend
 from repro.sim.runner import build_shared_state, build_tree, generate_trace
 from repro.sim.sessions import make_session
 from repro.storage import save_tree
+from repro.storage.paged import DEFAULT_BUFFER_PAGES
 
 CONFIG = SimulationConfig.tiny(query_count=30, object_count=600)
 
@@ -68,6 +71,29 @@ def test_file_backend_matches_memory_other_index_forms(store_path, model):
     file_rows, file_reads, _ = _replay(store_path, "GRD3", model=model)
     assert file_rows == memory_rows
     assert file_reads == memory_reads
+
+
+def test_replay_backend_agrees_across_backends(store_path):
+    """The ``persist verify`` probe: the same rows and logical reads on
+    both backends, and only the file side reads the file."""
+    memory_rows, memory_reads, memory_io = replay_backend(CONFIG)
+    file_rows, file_reads, file_io = replay_backend(
+        CONFIG, store_path=store_path, store_buffer_pages=16)
+    assert file_rows == memory_rows
+    assert len(file_rows) == CONFIG.query_count
+    assert file_reads == memory_reads > 0
+    assert memory_io["file_reads"] == 0 < file_io["file_reads"]
+
+
+def test_open_deployment_sizes_the_store_buffer(store_path):
+    fleet = FleetConfig.make(CONFIG, [ClientGroupSpec("APRO", clients=1)])
+    for pages, expected in ((16, 16), (None, DEFAULT_BUFFER_PAGES)):
+        deployment = open_deployment(fleet, store_path,
+                                     store_buffer_pages=pages)
+        try:
+            assert deployment.tree.store.buffer_pages == expected
+        finally:
+            deployment.close()
 
 
 def test_query_level_page_counts_are_nonzero(store_path):

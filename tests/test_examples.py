@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import importlib.util
 import pathlib
+import re
 import sys
 
 import pytest
@@ -26,6 +27,12 @@ TINY_PARAMS = {
     "adaptive_knn_ramp": {"query_count": 20, "window": 5},
     "joey_motel_search": {"motel_count": 300},
 }
+
+#: The one example that narrates single queries instead of printing a table.
+NARRATIVE = {"joey_motel_search"}
+
+#: The dashed rule under a ``format_table`` header row.
+TABLE_RULE = re.compile(r"^-+(  -+)*\s*$", re.MULTILINE)
 
 
 def _load_example(name: str):
@@ -50,6 +57,8 @@ def test_example_runs_at_tiny_scale(name, capsys):
     module.main(**TINY_PARAMS[name])
     output = capsys.readouterr().out
     assert output.strip(), f"examples/{name}.py printed nothing"
+    if name not in NARRATIVE:
+        assert TABLE_RULE.search(output), f"examples/{name}.py printed no table"
 
 
 @pytest.mark.parametrize("name", sorted(TINY_PARAMS))

@@ -237,6 +237,19 @@ def test_ttl_expires_stale_subtrees_without_traffic():
     session.cache.validate()
 
 
+def test_sub_second_ttl_is_accepted_and_expires_after_it():
+    tree, server, updater = _system()
+    session = _session(tree, server, updater, "ttl", ttl=0.5)
+    assert session.consistency.ttl_seconds == 0.5
+    session.process(_query_at(0, 1.0))
+    assert len(session.cache) > 0
+    cost = session.process(_query_at(1, 1.4))
+    assert cost.invalidated_items == 0  # shipped 0.4 s ago: still fresh
+    cost = session.process(_query_at(2, 1.6))
+    assert cost.invalidated_items > 0  # shipped 0.6 s ago: expired
+    session.cache.validate()
+
+
 def test_refresh_item_keeps_cache_bookkeeping_coherent():
     tree, server, updater = _system()
     session = _session(tree, server, updater, "versioned")

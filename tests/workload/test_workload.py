@@ -126,24 +126,7 @@ def _sample_trace():
     return trace
 
 
-def test_trace_round_trips_through_json():
-    trace = _sample_trace()
-    restored = QueryTrace.from_json(trace.to_json())
-    assert len(restored) == len(trace)
-    for original, loaded in zip(trace, restored):
-        assert loaded.index == original.index
-        assert loaded.position == original.position
-        assert loaded.think_time == pytest.approx(original.think_time)
-        assert loaded.query == original.query
-
-
 def test_trace_indexing_and_iteration():
     trace = _sample_trace()
     assert trace[1].query.k == 4
     assert [record.index for record in trace] == [0, 1, 2]
-
-
-def test_trace_rejects_unknown_query_type():
-    bad = '[{"index": 0, "position": [0, 0], "think_time": 1, "query": {"type": "cube"}}]'
-    with pytest.raises(ValueError):
-        QueryTrace.from_json(bad)
