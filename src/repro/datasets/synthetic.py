@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import List, Optional
 
 from repro.datasets.zipf import ZipfSizeGenerator
@@ -37,20 +39,23 @@ def generate_ne_like(object_count: int, seed: int = 7, cluster_count: int = 40,
                for _ in range(cluster_count)]
     weights = [rng.uniform(0.5, 2.0) for _ in range(cluster_count)]
     total_weight = sum(weights)
+    # The first cluster whose running weight sum reaches ``pick``.  The sums
+    # are accumulated left to right like a linear scan would, so the pick is
+    # the same; ``sum`` may round differently, so ``pick`` can exceed the
+    # last running sum, and then no cluster is drawn.
+    running = list(accumulate(weights))
     records: List[ObjectRecord] = []
     for object_id in range(object_count):
         if rng.random() < 0.05:
             cx, cy = rng.random(), rng.random()
         else:
-            pick = rng.uniform(0, total_weight)
-            acc = 0.0
-            cx = cy = 0.5
-            for (mx, my, spread), weight in zip(centers, weights):
-                acc += weight
-                if pick <= acc:
-                    cx = rng.gauss(mx, spread)
-                    cy = rng.gauss(my, spread)
-                    break
+            cluster = bisect_left(running, rng.uniform(0, total_weight))
+            if cluster < cluster_count:
+                mx, my, spread = centers[cluster]
+                cx = rng.gauss(mx, spread)
+                cy = rng.gauss(my, spread)
+            else:
+                cx = cy = 0.5
         center = Point(cx, cy).clamped(0.001, 0.999)
         half_w = rng.uniform(0.00005, 0.0015)
         half_h = rng.uniform(0.00005, 0.0015)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from itertools import accumulate
 from typing import Optional
 
 
@@ -32,6 +33,12 @@ class ZipfSizeGenerator:
         weights = [1.0 / (rank ** theta) for rank in range(1, rank_count + 1)]
         total = sum(weights)
         self._probabilities = [w / total for w in weights]
+        # ``choices`` would re-accumulate the weights on every draw; handing
+        # it the running sums (accumulated in the same order) leaves it the
+        # identical ``bisect(cum, random() * total)``, so the stream is
+        # unchanged.
+        self._ranks = range(rank_count)
+        self._cum_probabilities = list(accumulate(self._probabilities))
         # Raw size ladder: rank 1 is the largest object, rank_count the smallest.
         self._raw_sizes = [mean_bytes * (rank_count / rank) ** 0.5
                            for rank in range(1, rank_count + 1)]
@@ -40,6 +47,6 @@ class ZipfSizeGenerator:
 
     def sample(self) -> int:
         """Draw one object size in bytes."""
-        rank = self.rng.choices(range(self.rank_count), weights=self._probabilities, k=1)[0]
+        rank = self.rng.choices(self._ranks, cum_weights=self._cum_probabilities)[0]
         size = int(round(self._raw_sizes[rank] * self._scale))
         return max(self.min_bytes, size)

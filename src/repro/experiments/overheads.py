@@ -14,7 +14,6 @@ from contextlib import closing
 from typing import Dict, Optional
 
 from repro.experiments.report import format_table
-from repro.rtree.partition_tree import build_partition_trees
 from repro.sim.config import SimulationConfig
 from repro.sim.fleet import open_comparison, replay_comparison
 
@@ -27,11 +26,11 @@ def run(config: Optional[SimulationConfig] = None) -> Dict[str, float]:
     with closing(deployment):
         tree = deployment.tree
         size_model = tree.size_model
-        partition_trees = build_partition_trees(tree.all_nodes())
         index_bytes = tree.index_bytes()
+        # The server built every node's partition tree when it opened.
         partition_bytes = sum(pt.size_bytes(size_model.entry_bytes,
                                             size_model.pointer_bytes)
-                              for pt in partition_trees.values())
+                              for pt in deployment.server.partition_trees.values())
         results = replay_comparison(deployment, specs)
     return {
         "index_bytes": float(index_bytes),

@@ -11,6 +11,15 @@ the query actually needed are kept verbatim while untouched regions of the
 node are collapsed into super entries.  The ``d+``-level compact form
 refines every cut element by ``d`` further levels (``d = 0`` is the normal
 compact form, ``d = height`` is the full form).
+
+Cost of a build.  A node of ``N`` entries has ``N`` leaf codes and ``N - 1``
+internal codes.  The build converts the entries to coordinate tuples and
+ranks the four R* sort keys once, then recurses over index lists through
+:func:`~repro.rtree.split.split_order`: one kernel call per code of three
+or more entries (a two-entry code is split in closed form), one ``Rect``
+per internal code (a leaf code reuses its entry's ``mbr``).  The scaled NE
+tree at 8 000 objects — 341 nodes, 8 340 entries — takes 4 980 kernel
+calls and 7 999 ``Rect``s (pinned by ``tests/perf``).
 """
 
 from __future__ import annotations
@@ -21,7 +30,7 @@ from typing import Any, Dict, Iterable, List, Set, Tuple, Union
 from repro.geometry import Rect
 from repro.rtree.entry import Entry
 from repro.rtree.node import Node
-from repro.rtree.split import rstar_split
+from repro.rtree.split import entry_boxes, running_bounds, sort_keys, split_order
 
 
 @dataclass(frozen=True, slots=True)
@@ -61,7 +70,7 @@ class PartitionTree:
         self.subsets: Dict[str, List[Entry]] = {}
         self.mbrs: Dict[str, Rect] = {}
         self._entry_codes: Dict[str, str] = {}
-        self._build("", list(node.entries))
+        self._build(list(node.entries))
         self.height = max(len(code) for code in self.subsets)
         # The tree is immutable after construction, so leaf membership and
         # the two-element child lists of internal codes can be served from
@@ -77,16 +86,54 @@ class PartitionTree:
         #: ``derived`` the memo dies with the tree.
         self._expanded_codes: Dict[Tuple[str, int], List[str]] = {}
 
-    def _build(self, code: str, entries: List[Entry]) -> None:
-        self.subsets[code] = entries
-        self.mbrs[code] = Rect.bounding(e.mbr for e in entries)
-        if len(entries) == 1:
-            self._entry_codes[entries[0].key()] = code
-            return
-        min_fill = max(1, len(entries) // 2) if len(entries) <= 3 else max(1, len(entries) // 3)
-        left, right = rstar_split(entries, min_fill=min_fill)
-        self._build(code + "0", left)
-        self._build(code + "1", right)
+    def _build(self, entries: List[Entry]) -> None:
+        """Split ``entries`` recursively, filling the maps in pre-order.
+
+        The recursion carries lists of indices into ``entries``; the boxes
+        and the four sort keys (as dense ranks) are built once per node.
+        A leaf code's MBR is its entry's own ``mbr``; an internal code's is
+        its subset's bounds accumulated in list order, bit for bit what
+        :meth:`Rect.bounding` gives: the left child's is the split's prefix
+        bound, the right child's a forward pass over its entries.
+        """
+        boxes = entry_boxes(entries)
+        keys = sort_keys(boxes)
+        lower_x = keys[0]
+        subsets, mbrs, entry_codes = self.subsets, self.mbrs, self._entry_codes
+        root = list(range(len(entries)))
+        stack = [("", root, running_bounds(boxes, root)[-1])]
+        while stack:
+            code, items, bounds = stack.pop()
+            subsets[code] = [entries[index] for index in items]
+            count = len(items)
+            if count == 1:
+                entry = entries[items[0]]
+                mbrs[code] = entry.mbr
+                entry_codes[entry.key()] = code
+                continue
+            mbrs[code] = Rect(*bounds)
+            if count == 2:
+                # The R* split of two entries, in closed form.  Each of the
+                # four orderings has one candidate, {a} | {b}, whose margin
+                # sum is margin(a) + margin(b) in one order or the other:
+                # the same float, so the two axes' sums are bit-equal and x
+                # wins the strict ``<``.  Both x orderings then give equal
+                # overlaps (max / min are symmetric up to the sign of a
+                # zero, which compares equal) and the same area (a
+                # commutative sum), so the first, by lower x, is kept:
+                # the entry with the smaller ``(min_x, max_x)`` goes left,
+                # the first one on a tie.
+                first, second = items
+                if lower_x[second] < lower_x[first]:
+                    first, second = second, first
+                stack.append((code + "1", [second], boxes[second]))
+                stack.append((code + "0", [first], boxes[first]))
+                continue
+            # Each side keeps at least a third of the entries.
+            ordering, split_at, left_bounds = split_order(boxes, items, keys, count // 3)
+            right = ordering[split_at:]
+            stack.append((code + "1", right, running_bounds(boxes, right)[-1]))
+            stack.append((code + "0", ordering[:split_at], left_bounds))
 
     # ------------------------------------------------------------------ #
     # navigation

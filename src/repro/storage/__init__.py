@@ -16,8 +16,6 @@ The paper's cost model counts page accesses; this package makes those pages
   commit records, one fsync per record, and torn-tail-safe recovery;
 * :mod:`repro.storage.atomic` — crash-safe whole-file replacement (temp +
   fsync + rename), the required write path for every non-WAL artefact;
-* :mod:`repro.storage.faults` — fault injection: crashing/garbling file
-  wrappers and the exhaustive crash-point recovery matrix;
 * :mod:`repro.storage.snapshot` — canonical-JSON state files, which carry
   the warm-restart fleet sessions of :mod:`repro.sim.restart`.
 
@@ -29,14 +27,6 @@ equivalence tests), only the physical I/O — reported via
 
 from repro.storage.atomic import atomic_write_bytes, atomic_write_text
 from repro.storage.backend import ReadOnlyStorageError, StorageBackend, StorageError
-from repro.storage.faults import (
-    FaultyFile,
-    InjectedCrash,
-    assert_crash_point_recovery,
-    corrupt_byte,
-    crash_point_offsets,
-    faulty_opener,
-)
 from repro.storage.memory import MemoryBackend
 from repro.storage.paged import (
     DEFAULT_BUFFER_PAGES,
@@ -60,8 +50,6 @@ from repro.storage.wal import (
 
 __all__ = [
     "DEFAULT_BUFFER_PAGES",
-    "FaultyFile",
-    "InjectedCrash",
     "MemoryBackend",
     "PagedFileBackend",
     "ReadOnlyStorageError",
@@ -70,12 +58,8 @@ __all__ = [
     "WalRecord",
     "WalScan",
     "WalWriter",
-    "assert_crash_point_recovery",
     "atomic_write_bytes",
     "atomic_write_text",
-    "corrupt_byte",
-    "crash_point_offsets",
-    "faulty_opener",
     "file_crc32",
     "load_state",
     "load_tree",

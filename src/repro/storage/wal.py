@@ -335,8 +335,8 @@ class WalWriter:
     only the final, unacknowledged frame can ever be damaged by a crash.
     An append that raises part-way poisons the writer — nothing may be
     written behind a partial frame — until the store is recovered.
-    ``opener`` exists for the fault-injection harness
-    (:mod:`repro.storage.faults`), which substitutes a file wrapper that
+    ``opener`` exists for the test suite's fault-injection harness
+    (``tests/storage/faults.py``), which substitutes a file wrapper that
     dies mid-write.
     """
 

@@ -5,7 +5,7 @@ seed a randomized payload object is built, encoded, decoded, and
 re-encoded — the re-encoding must reproduce the byte string exactly, so
 decoded values carry no hidden loss.  The rejection half of the battery
 feeds every codec truncated prefixes, trailing garbage, and single-byte
-damage (via :func:`repro.storage.faults.corrupt_byte`, the same helper
+damage (via ``tests/storage/faults.py``'s ``corrupt_byte``, the same helper
 the storage fault suite uses) and demands a typed ``FrameError`` — never
 an uncaught ``struct.error``.
 """
@@ -30,7 +30,7 @@ from repro.net import codec, frames
 from repro.net.frames import FrameError
 from repro.rtree.entry import ObjectRecord
 from repro.rtree.sizes import SizeModel
-from repro.storage.faults import corrupt_byte
+from tests.storage.faults import corrupt_byte
 from repro.updates.validation import (
     DROP,
     REFRESH,

@@ -31,7 +31,7 @@ from repro.core.server import ServerQueryProcessor
 from repro.geometry import Rect
 from repro.rtree import SizeModel, bulk_load_str
 from repro.rtree.entry import ObjectRecord
-from repro.storage.faults import assert_crash_point_recovery
+from tests.storage.faults import assert_crash_point_recovery
 from repro.storage.paged import load_tree, save_tree
 from repro.storage.wal import HEADER_SIZE, scan_wal, wal_path
 from repro.updates import DatasetUpdater

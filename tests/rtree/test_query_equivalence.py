@@ -11,8 +11,10 @@ index the server ships) on randomized trees and queries.
 import heapq
 import itertools
 import random
+import struct
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.geometry import Point, Rect
 from repro.rtree import RTree, assert_tree_valid, bulk_load_str
@@ -20,9 +22,12 @@ from repro.rtree.entry import Entry, ObjectRecord
 from tests.rtree.rtree_join import bfrj_join, distance_predicate, rtree_join
 from tests.geometry.rect_reference import intersection_area, margin as rect_margin
 from repro.rtree.knn import knn_search
+from repro.rtree.node import Node
+from repro.rtree.partition_tree import PartitionTree
 from repro.rtree.range_search import range_search
 from repro.rtree.sizes import SizeModel
 from repro.rtree.split import rstar_split
+from repro.sim.config import SimulationConfig, dataset_records
 
 
 def make_tree(count, seed, page_bytes=512):
@@ -189,6 +194,35 @@ def test_join_identical_with_squared_predicate(seed, algorithm):
         assert got == expected  # same pairs, same order
 
 
+def tie_heavy_entries(rng, count):
+    """``count`` entries whose coordinates come from a grid of 3–5 values
+    (``-0.0`` and ``0.0`` among the candidates), so zero-width rectangles,
+    shared edges and exact duplicates are common."""
+    grid = rng.sample([-0.0, 0.0, 0.25, 0.5, 1.0], rng.randint(3, 5))
+    entries = []
+    for index in range(count):
+        if entries and rng.random() < 0.3:
+            mbr = rng.choice(entries).mbr  # a duplicate rectangle
+        else:
+            min_x, max_x = sorted((rng.choice(grid), rng.choice(grid)))
+            min_y, max_y = sorted((rng.choice(grid), rng.choice(grid)))
+            mbr = Rect(min_x, min_y, max_x, max_y)
+        entries.append(Entry(mbr=mbr, object_id=index))
+    return entries
+
+
+def expected_split(entries, min_fill):
+    """The seed split, or — when ``min_fill`` leaves no candidate, where the
+    seed port returns two empty groups — the lower-x ordering cut at
+    ``min_fill``."""
+    total = len(entries)
+    clamped = max(1, min(min_fill, total - 1))
+    if 2 * clamped > total:
+        by_lower_x = sorted(entries, key=lambda e: (e.mbr.min_x, e.mbr.max_x))
+        return by_lower_x[:clamped], by_lower_x[clamped:]
+    return seed_rstar_split(entries, min_fill)
+
+
 @pytest.mark.parametrize("seed", (5, 12, 31))
 def test_rstar_split_identical_to_seed_kernel(seed):
     rng = random.Random(seed)
@@ -204,6 +238,16 @@ def test_rstar_split_identical_to_seed_kernel(seed):
         got = rstar_split(entries, min_fill)
         assert got[0] == expected[0] and got[1] == expected[1], (
             f"trial {trial}: split decision diverged")
+    # Ties: duplicates, zero widths, shared edges and signed zeros, at the
+    # smallest sizes and at every min_fill regime.
+    for trial in range(200):
+        count = (2, 3, rng.randint(4, 12))[trial % 3]
+        entries = tie_heavy_entries(rng, count)
+        for min_fill in sorted({1, max(1, count // 2), count - 1}):
+            expected = expected_split(entries, min_fill)
+            got = rstar_split(entries, min_fill)
+            assert got[0] == expected[0] and got[1] == expected[1], (
+                f"tie trial {trial}, min_fill {min_fill}: split diverged")
 
 
 @pytest.mark.parametrize("seed", (5, 12))
@@ -222,3 +266,60 @@ def test_rstar_split_preserves_tree_invariants_under_mutation(seed):
         assert tree.delete(object_id)
         assert_tree_valid(tree)
     assert len(tree) == 60
+
+
+# --------------------------------------------------------------------- #
+# partition trees
+# --------------------------------------------------------------------- #
+def reference_partition_tree(entries):
+    """The partition tree as the seed built it: ``seed_rstar_split``
+    recursively, every code's MBR from ``Rect.bounding``."""
+    subsets, mbrs, codes = {}, {}, {}
+
+    def build(code, group):
+        subsets[code] = group
+        mbrs[code] = Rect.bounding(e.mbr for e in group)
+        if len(group) == 1:
+            codes[group[0].key()] = code
+            return
+        count = len(group)
+        min_fill = max(1, count // 2) if count <= 3 else max(1, count // 3)
+        left, right = seed_rstar_split(group, min_fill)
+        build(code + "0", left)
+        build(code + "1", right)
+
+    build("", list(entries))
+    return subsets, mbrs, codes, max(len(code) for code in subsets)
+
+
+def packed(rect):
+    """The four coordinates' bits, so ``-0.0`` and ``0.0`` differ."""
+    return struct.pack("<4d", rect.min_x, rect.min_y, rect.max_x, rect.max_y)
+
+
+def assert_same_partition_tree(node):
+    tree = PartitionTree(node)
+    subsets, mbrs, codes, height = reference_partition_tree(node.entries)
+    assert list(tree.subsets.items()) == list(subsets.items())  # order too
+    assert [(code, packed(mbr)) for code, mbr in tree.mbrs.items()] == [
+        (code, packed(mbr)) for code, mbr in mbrs.items()]
+    assert {entry.key(): tree.entry_code(entry) for entry in node.entries} == codes
+    assert tree.height == height
+
+
+@pytest.mark.parametrize("dataset", ("NE", "RD", "UNIFORM"))
+def test_partition_trees_identical_to_seed_recursion(dataset):
+    """Every node of a scaled tree: subsets in pre-order, the bits of every
+    MBR, every entry's code and the height."""
+    config = SimulationConfig.scaled().with_overrides(dataset_name=dataset)
+    tree = bulk_load_str(dataset_records(config),
+                         size_model=SizeModel(page_bytes=config.page_bytes))
+    for node in tree.all_nodes():
+        assert_same_partition_tree(node)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=24), st.integers(min_value=0, max_value=10**6))
+def test_partition_tree_identical_to_seed_recursion_on_ties(count, seed):
+    entries = tie_heavy_entries(random.Random(seed), count)
+    assert_same_partition_tree(Node(node_id=1, level=0, entries=entries))

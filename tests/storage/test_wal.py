@@ -176,7 +176,7 @@ def test_scan_classifies_torn_vs_corrupt(tmp_path):
     # In-place damage on a frame with a committed record behind it is
     # corrupt, not torn: that frame's fsync had returned before the next
     # append began, so no crash can have produced it.
-    from repro.storage.faults import corrupt_byte
+    from tests.storage.faults import corrupt_byte
     bad_log = _write(str(tmp_path / "bad.wal"), data)
     corrupt_byte(bad_log, clean.record_ends[0] + 30)
     scan = scan_wal(bad_log)
@@ -193,7 +193,7 @@ def test_scan_classifies_torn_vs_corrupt(tmp_path):
 
 def test_scan_classifies_final_frame_damage_as_torn(tmp_path):
     """The twin: the same byte damage in the *final* frame is a torn tail."""
-    from repro.storage.faults import corrupt_byte
+    from tests.storage.faults import corrupt_byte
     log, data, clean = _three_record_log(tmp_path)
     corrupt_byte(log, clean.record_ends[1] + 30)
     scan = scan_wal(log)
@@ -310,7 +310,7 @@ def test_repair_wal_truncates_torn_requires_force_for_corrupt(tmp_path):
     assert os.path.getsize(log) == committed
     assert len(scan.records) == 2
 
-    from repro.storage.faults import corrupt_byte
+    from tests.storage.faults import corrupt_byte
     # Inside the first record's commit marker: version 2 sits behind it and
     # would be lost, so the truncation has to be forced.
     corrupt_byte(log, first_end - 2)
@@ -329,7 +329,7 @@ def test_repair_wal_truncates_torn_requires_force_for_corrupt(tmp_path):
 
 def test_repair_wal_drops_a_damaged_final_marker_without_force(tmp_path):
     """The twin: the same marker damage in the final frame is a torn tail."""
-    from repro.storage.faults import corrupt_byte
+    from tests.storage.faults import corrupt_byte
     log = str(tmp_path / "log.wal")
     writer = WalWriter(log, store_crc=4)
     first = _sample_record(version=1)
@@ -465,7 +465,7 @@ def test_pack_folds_wal_and_reclaims_dead_pages(tmp_path):
 
 
 def test_pack_refuses_corrupt_wal(tmp_path):
-    from repro.storage.faults import corrupt_byte
+    from tests.storage.faults import corrupt_byte
     path, live, updater = _durable_store(tmp_path)
     updater.apply_batch(_events(5))
     updater.apply_batch(_events(5, start_index=5, id_base=2000, seed=78))
@@ -480,7 +480,7 @@ def test_pack_refuses_corrupt_wal(tmp_path):
 
 def test_pack_folds_up_to_a_damaged_final_record(tmp_path):
     """The twin: damage in the final record is a torn tail pack recovers past."""
-    from repro.storage.faults import corrupt_byte
+    from tests.storage.faults import corrupt_byte
     path, live, updater = _durable_store(tmp_path)
     updater.apply_batch(_events(5))
     expected_state = _object_state(live)

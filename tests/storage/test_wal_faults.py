@@ -10,7 +10,7 @@ from repro.core.server import ServerQueryProcessor
 from repro.geometry import Rect
 from repro.rtree import SizeModel, assert_tree_valid, bulk_load_str
 from repro.storage import StorageError
-from repro.storage.faults import (
+from tests.storage.faults import (
     FaultyFile,
     InjectedCrash,
     assert_crash_point_recovery,

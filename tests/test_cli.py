@@ -337,7 +337,7 @@ def test_persist_recover_truncates_torn_tail(tmp_path, capsys):
 
 
 def test_persist_recover_corrupt_tail_needs_force(tmp_path, capsys):
-    from repro.storage.faults import corrupt_byte
+    from tests.storage.faults import corrupt_byte
     from repro.storage.wal import scan_wal, wal_path
 
     store = _durable_store(tmp_path, capsys)
@@ -354,7 +354,7 @@ def test_persist_recover_corrupt_tail_needs_force(tmp_path, capsys):
 
 def test_persist_recover_damaged_final_record_needs_no_force(tmp_path, capsys):
     """The twin: the same damage in the newest record is a torn tail."""
-    from repro.storage.faults import corrupt_byte
+    from tests.storage.faults import corrupt_byte
     from repro.storage.wal import scan_wal, wal_path
 
     store = _durable_store(tmp_path, capsys)
